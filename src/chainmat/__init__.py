@@ -1,7 +1,7 @@
 """chainmat: exact matroid representations over finite commutative local
 rings via modular independence."""
 
-from .codes import Code, code_from_matrix, contract_code, dual_code, is_contractible, matroid_of_code, puncture, shorten
+from .codes import Code, contract_code, dual_code, is_contractible, puncture, shorten
 from .enumgeo import (
     ModuleShape,
     count_cyclic_submodules,
@@ -44,7 +44,6 @@ __all__ = [
     "Submodule",
     "build_from_matrix",
     "check_matroid",
-    "code_from_matrix",
     "contract_code",
     "count_cyclic_submodules",
     "cyc_antichain_bound",
@@ -57,7 +56,6 @@ __all__ = [
     "is_isomorphic",
     "is_modular_independent",
     "make_ring",
-    "matroid_of_code",
     "minimal_generator_count",
     "parse_matrix",
     "parse_matrix_file",

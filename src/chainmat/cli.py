@@ -14,8 +14,8 @@ import sys
 
 from . import enumgeo, gallery, oracle
 from .codes import Code, contract_code, dual_code, is_contractible, puncture, shorten
-from .errors import ChainmatError, MatrixParseError, NotContractibleError
-from .indepsys import build_from_matrix, check_matroid, is_isomorphic, system_to_json
+from .errors import BadValueError, ChainmatError, MatrixParseError, NotContractibleError
+from .indepsys import build_from_matrix, check_matroid, is_isomorphic, system_to_json, uniform_system
 from .linalg import Mat, format_matrix, parse_matrix_file, smith_normal_form, systematic_form
 from .rings import make_ring
 
@@ -200,10 +200,9 @@ def cmd_uniform(args):
         bound = ring.size + len(ring.maximal_ideal)
         print(f"unrepresentable: n > {bound}")
         return EXIT_VERIFY_FAIL
-    system = build_from_matrix(mat)
-    from .indepsys import uniform_system
-
-    assert is_isomorphic(system, uniform_system(2, args.n)) is not None
+    if is_isomorphic(build_from_matrix(mat), uniform_system(2, args.n)) is None:
+        print(f"not isomorphic to U(2,{args.n})")
+        return EXIT_VERIFY_FAIL
     print(format_matrix(mat), end="")
     return EXIT_OK
 
@@ -218,13 +217,18 @@ def cmd_bound(args):
 
 def cmd_counting(args):
     ring = make_ring(args.ring)
-    shape = enumgeo.ModuleShape(tuple(int(x) for x in args.shape.split(",")))
+    try:
+        multiplicities = tuple(int(x) for x in args.shape.split(","))
+    except ValueError:
+        raise BadValueError(f"shape {args.shape!r} is not a comma-separated list of integers") from None
+    shape = enumgeo.ModuleShape(multiplicities)
     print(enumgeo.count_cyclic_submodules(shape, ring, args.s))
     return EXIT_OK
 
 
 def cmd_verify_gallery(args):
-    names = gallery.entry_names() if args.all or not args.name else [args.name]
+    # an unknown name is a usage error, raised before any entry is verified
+    names = gallery.entry_names() if args.all or not args.name else [gallery.get_entry(args.name)["name"]]
     failed = False
     for name in names:
         try:
@@ -258,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="chainmat", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit JSON where supported")
     top.add_argument("--oracle", action="store_true", help="force brute-force oracle code paths")
-    top.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("indep", help="independent family, or test one subset")

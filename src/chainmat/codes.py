@@ -1,36 +1,27 @@
 """Linear codes over finite local rings and their independence systems.
 
-A code carries its full codeword set (desk scale), a generator matrix
-whose rows are a minimal generating set, and a cached systematic form
-when the code is free.  Duals come from the systematic parity-check
-construction for free codes and from exact kernel enumeration otherwise.
+A code carries its full codeword set (desk scale) and a generator matrix
+whose rows are a minimal generating set.  Over a chain ring every dual,
+free or not, is read off the Smith normal form of the generator matrix;
+over other rings it comes from the oracle's exhaustive kernel scan.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import (
-    ClosureTooLargeError,
     NotChainRingError,
     NotContractibleError,
-    SearchSpaceTooLargeError,
     UnknownLabelError,
     ZeroProjectionError,
 )
 from .indepsys import IndependenceSystem, build_from_matrix
-from .linalg import Mat, SystematicForm, systematic_form
-from .modindep import Submodule, ideal_multiple, max_closure, span
+from .linalg import Mat, smith_normal_form
+from .modindep import Submodule, ideal_multiple, span
+from .oracle import dual_by_enumeration
 from .rings import Ring
-
-DEFAULT_MAX_SCAN = 1 << 26
-
-
-def max_scan() -> int:
-    value = os.environ.get("CHAINMAT_MAX_CLOSURE")
-    return int(value) if value else DEFAULT_MAX_SCAN
 
 
 def _minimal_generators(ring: Ring, vectors, k: int, whole: Submodule | None = None) -> list:
@@ -58,10 +49,10 @@ class Code:
     def __init__(self, ring: Ring, labels, codewords, generator: Mat):
         self.ring = ring
         self.labels = tuple(str(l) for l in labels)
-        self.codewords = frozenset(tuple(c) for c in codewords)
+        if not isinstance(codewords, frozenset):
+            codewords = frozenset(tuple(c) for c in codewords)
+        self.codewords = codewords
         self.generator = generator
-        self._systematic = None
-        self._systematic_known = False
 
     # -- constructors -------------------------------------------------------
 
@@ -70,8 +61,6 @@ class Code:
         ring = g.ring
         rows = [tuple(r) for r in g.rows]
         sub = span(ring, rows, g.ncols)
-        if len(sub) > max_closure():
-            raise ClosureTooLargeError("codeword set exceeds the closure guard")
         gens = _minimal_generators(ring, rows, g.ncols, whole=sub)
         gen = Mat(ring, g.labels, gens if gens else [(0,) * g.ncols])
         return Code(ring, g.labels, sub.vectors, gen)
@@ -79,13 +68,15 @@ class Code:
     @staticmethod
     def from_codeword_set(ring: Ring, labels, codewords) -> "Code":
         """Build from an addition/scalar-closed set of words (a submodule);
-        generators are chosen greedily from the sorted word list."""
-        words = sorted({tuple(c) for c in codewords})
+        generators are chosen greedily from the sorted word list.  A
+        frozenset of tuples is kept as the codeword set without a copy."""
+        if not isinstance(codewords, frozenset):
+            codewords = frozenset(tuple(c) for c in codewords)
         n = len(tuple(labels))
-        whole = Submodule(ring, n, frozenset(words))
-        gens = _minimal_generators(ring, words, n, whole=whole)
+        whole = Submodule(ring, n, codewords)
+        gens = _minimal_generators(ring, sorted(codewords), n, whole=whole)
         gen = Mat(ring, labels, gens if gens else [(0,) * n])
-        return Code(ring, labels, words, gen)
+        return Code(ring, labels, codewords, gen)
 
     # -- basic data -----------------------------------------------------------
 
@@ -99,26 +90,11 @@ class Code:
         rows = [r for r in self.generator.rows if any(r)]
         return len(rows)
 
-    def systematic(self) -> SystematicForm | None:
-        if not self._systematic_known:
-            rows = [r for r in self.generator.rows if any(r)]
-            if rows:
-                self._systematic = systematic_form(Mat(self.ring, self.labels, rows))
-            else:
-                self._systematic = None
-            self._systematic_known = True
-        return self._systematic
-
     @property
     def is_free(self) -> bool:
-        mu = self.generator_count
-        if mu == 0:
-            return True  # the zero module is free of rank 0
-        if self.ring.is_chain:
-            return self.systematic() is not None
         # over any finite local ring: free of rank mu iff the canonical
-        # surjection from R^mu is injective
-        return len(self.codewords) == self.ring.size**mu
+        # surjection from R^mu is injective (mu = 0 is the zero module)
+        return len(self.codewords) == self.ring.size**self.generator_count
 
     def matroid(self) -> IndependenceSystem:
         return build_from_matrix(self.generator)
@@ -143,68 +119,30 @@ class Code:
         return f"Code({self.ring.spec}, n={self.length}, |C|={len(self.codewords)}, mu={self.generator_count})"
 
 
-def code_from_matrix(g: Mat) -> Code:
-    return Code.from_matrix(g)
-
-
-def matroid_of_code(c: Code) -> IndependenceSystem:
-    return c.matroid()
-
-
 # -- duality -----------------------------------------------------------------
 
 
 def dual_code(c: Code) -> Code:
-    """The dual code: systematic parity-check route when free, exact
-    kernel enumeration otherwise."""
-    ring = c.ring
-    n = c.length
-    if c.generator_count == 0:
-        if ring.size**n > max_scan():
-            raise SearchSpaceTooLargeError(f"{ring.size}^{n} exceeds the scan guard")
-        full = [v for v in product(range(ring.size), repeat=n)]
-        return Code.from_codeword_set(ring, c.labels, full)
-    sf = c.systematic() if ring.is_chain else None
-    if sf is not None:
-        return _dual_from_systematic(c, sf)
-    if ring.size**n > max_scan():
-        raise SearchSpaceTooLargeError(
-            f"{ring.size}^{n} exceeds the kernel scan guard; code is not free"
-        )
-    add, mul = ring.add, ring.mul
-    gens = [tuple(r) for r in c.generator.rows]
-    kernel = []
-    for x in product(range(ring.size), repeat=n):
-        for g in gens:
-            s = 0
-            for a, b in zip(x, g):
-                if a and b:
-                    s = add(s, mul(a, b))
-            if s:
-                break
-        else:
-            kernel.append(x)
-    return Code.from_codeword_set(ring, c.labels, kernel)
+    """The dual code.
 
-
-def _dual_from_systematic(c: Code, sf: SystematicForm) -> Code:
+    Over a chain ring, take L @ G @ R = D with diagonal exponents e_i
+    (a missing or zero diagonal entry counts as theta^nu).  Then G x = 0
+    iff x = R y with theta^e_i y_i = 0, i.e. y_i in <theta^(nu - e_i)>, so
+    the dual is spanned by the columns of R scaled by theta^(nu - e_i)
+    (zero when e_i = 0).  Other rings use the exhaustive kernel scan.
+    """
     ring = c.ring
-    k = sf.mat.nrows
-    n = c.length
-    # parity-check [-A^T | I] in the permuted coordinates, then undo the
-    # permutation
-    a_block = [row[k:] for row in sf.mat.rows]
-    neg = ring.neg
-    rows_perm = []
-    for i in range(n - k):
-        row = [neg(a_block[j][i]) for j in range(k)]
-        row += [1 if t == i else 0 for t in range(n - k)]
-        rows_perm.append(row)
-    pos = {label: idx for idx, label in enumerate(sf.perm)}
-    order = [pos[l] for l in c.labels]
-    rows = [[row[j] for j in order] for row in rows_perm]
-    h = Mat(ring, c.labels, rows)
-    return Code.from_matrix(h)
+    if not ring.is_chain:
+        return dual_by_enumeration(c)
+    n, nu, mul = c.length, ring.nilpotency_index, ring.mul
+    snf = smith_normal_form(c.generator)
+    exps = snf.exponents + (nu,) * (n - len(snf.exponents))
+    gens = []
+    for i, e in enumerate(exps):
+        if e:
+            theta = ring.uniformizer_power(nu - e)
+            gens.append(tuple(mul(theta, row[i]) for row in snf.right))
+    return Code.from_codeword_set(ring, c.labels, span(ring, gens, n).vectors)
 
 
 # -- puncturing and shortening ---------------------------------------------------

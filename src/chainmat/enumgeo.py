@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BadTorsionIndexError,
+    BadValueError,
     ClosureTooLargeError,
     NotChainRingError,
 )
@@ -24,7 +25,7 @@ class ModuleShape:
 
     def __post_init__(self):
         if any(k < 0 for k in self.multiplicities):
-            raise ValueError("multiplicities must be nonnegative")
+            raise BadValueError("multiplicities must be nonnegative")
 
     def component_valuations(self) -> list:
         """One valuation per summand; summand of valuation t is the ideal
@@ -89,7 +90,7 @@ def uniform_rank2_representation(ring: Ring, n: int) -> Mat | None:
     exists at all)."""
     _require_chain(ring)
     if n < 1:
-        raise ValueError("n must be positive")
+        raise BadValueError("n must be positive")
     line = projective_line(ring)
     if n > len(line):
         return None
@@ -104,7 +105,7 @@ def simple_size_bound(ring: Ring, k: int) -> int:
     primitive vectors."""
     _require_chain(ring)
     if k < 1:
-        raise ValueError("k must be positive")
+        raise BadValueError("k must be positive")
     q, nu = ring.residue_field_size, ring.nilpotency_index
     return q ** ((nu - 1) * (k - 1)) * (q**k - 1) // (q - 1)
 

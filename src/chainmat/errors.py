@@ -81,6 +81,16 @@ class VerificationFailedError(ChainmatError):
         self.witness = witness
 
 
+class BadValueError(ChainmatError, ValueError):
+    """An argument or setting is malformed or out of range."""
+
+
+class UnknownEntryError(ChainmatError, KeyError):
+    """No gallery entry has the requested name."""
+
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
+
+
 class NotFreeError(ChainmatError):
     """Dual construction requested for a non-free representation."""
 

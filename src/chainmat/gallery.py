@@ -15,7 +15,7 @@ from importlib import resources
 from itertools import combinations
 
 from .codes import Code, dual_code
-from .errors import NotFreeError, VerificationFailedError
+from .errors import NotFreeError, UnknownEntryError, VerificationFailedError
 from .indepsys import (
     IndependenceSystem,
     build_from_matrix,
@@ -77,7 +77,7 @@ def get_entry(name: str) -> dict:
     for e in _manifest():
         if e["name"] == name:
             return e
-    raise KeyError(f"no gallery entry named {name!r}")
+    raise UnknownEntryError(f"no gallery entry named {name!r}")
 
 
 @dataclass

@@ -24,10 +24,6 @@ MAX_GROUND = 16
 MAX_BACKTRACK = 10
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 class IndependenceSystem:
     """Ground set plus an explicitly stored downward-closed family."""
 
@@ -79,7 +75,7 @@ class IndependenceSystem:
         return self.mask_of(subset) in self.family
 
     def independent_sets(self) -> list:
-        return [sorted(self.subset_of(m)) for m in sorted(self.family, key=lambda m: (_popcount(m), m))]
+        return [sorted(self.subset_of(m)) for m in sorted(self.family, key=lambda m: (m.bit_count(), m))]
 
     # -- rank --------------------------------------------------------------
 
@@ -90,7 +86,7 @@ class IndependenceSystem:
             fam = self.family
             for mask in range(1, 1 << n):
                 if mask in fam:
-                    table[mask] = _popcount(mask)
+                    table[mask] = mask.bit_count()
                 else:
                     best = 0
                     x = mask
@@ -134,7 +130,7 @@ class IndependenceSystem:
 
     def bases(self) -> list:
         r = self.rank()
-        return [m for m in self.family if _popcount(m) == r]
+        return [m for m in self.family if m.bit_count() == r]
 
     def maximal_independent_masks(self) -> list:
         fam = self.family
@@ -146,7 +142,7 @@ class IndependenceSystem:
         return out
 
     def is_pure(self) -> bool:
-        sizes = {_popcount(m) for m in self.maximal_independent_masks()}
+        sizes = {m.bit_count() for m in self.maximal_independent_masks()}
         return len(sizes) <= 1
 
     def dual(self) -> "IndependenceSystem":
@@ -163,7 +159,7 @@ class IndependenceSystem:
         the system is pure)."""
         mask = self.mask_of(subset)
         ranks = self._ranks()
-        return _popcount(mask) + ranks[self.full_mask & ~mask] - ranks[self.full_mask]
+        return mask.bit_count() + ranks[self.full_mask & ~mask] - ranks[self.full_mask]
 
     # -- equality ---------------------------------------------------------------
 
@@ -296,12 +292,12 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
 
 def check_matroid(m: IndependenceSystem) -> MatroidReport:
     """Exhaustive exchange-axiom check over all pairs of independent sets."""
-    fam_sorted = sorted(m.family, key=lambda x: (_popcount(x), x))
+    fam_sorted = sorted(m.family, key=lambda x: (x.bit_count(), x))
     violations = []
     for i2 in fam_sorted:
-        s2 = _popcount(i2)
+        s2 = i2.bit_count()
         for i1 in fam_sorted:
-            if _popcount(i1) >= s2:
+            if i1.bit_count() >= s2:
                 continue
             cand = i2 & ~i1
             ok = False
@@ -347,7 +343,7 @@ def is_rank_submodular(m: IndependenceSystem):
 
 def uniform_system(k: int, n: int, labels=None) -> IndependenceSystem:
     labels = labels if labels is not None else [str(i + 1) for i in range(n)]
-    fam = [m for m in range(1 << n) if _popcount(m) <= k]
+    fam = [m for m in range(1 << n) if m.bit_count() <= k]
     return IndependenceSystem(labels, fam)
 
 
@@ -355,7 +351,7 @@ def _uniform_rank(m: IndependenceSystem):
     """k when the system is the uniform one of rank k, else None."""
     n = len(m.labels)
     k = m.rank()
-    expected = sum(1 for mask in range(1 << n) if _popcount(mask) <= k)
+    expected = sum(1 for mask in range(1 << n) if mask.bit_count() <= k)
     return k if len(m.family) == expected else None
 
 
@@ -376,8 +372,8 @@ def is_isomorphic(m1: IndependenceSystem, m2: IndependenceSystem):
     if n > MAX_BACKTRACK:
         raise GroundSetTooLargeError(f"backtracking isomorphism capped at {MAX_BACKTRACK} elements")
 
-    profile1 = sorted(map(_popcount, m1.family))
-    profile2 = sorted(map(_popcount, m2.family))
+    profile1 = sorted(map(int.bit_count, m1.family))
+    profile2 = sorted(map(int.bit_count, m2.family))
     if profile1 != profile2:
         return None
 

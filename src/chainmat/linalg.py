@@ -3,8 +3,12 @@
 The workhorse here is the Smith normal form over chain rings: pivoting on
 an entry of minimal valuation guarantees the pivot divides every remaining
 entry, so one elimination pass per pivot suffices and no division by a
-non-unit ever happens.  Determinants use cofactor expansion memoised over
-column subsets, which never divides at all (the rings have zero divisors).
+non-unit ever happens.  A single elimination routine serves both entry
+points: ``smith_normal_form`` tracks the left/right transforms (the codes
+module reads dual codes off the right one) and ``snf_exponents`` skips them
+on the independence-test hot path.  Determinants use cofactor expansion
+memoised over column subsets, which never divides at all (the rings have
+zero divisors).
 """
 
 from __future__ import annotations
@@ -256,88 +260,18 @@ def _chain_quotient(ring: Ring, a: int, p: int) -> int:
     return ring.mul(u, ring.uniformizer_power(s - t))
 
 
-def smith_normal_form(m: Mat) -> SnfResult:
-    ring = m.ring
-    if not ring.is_chain:
-        raise NotChainRingError(f"Smith normal form needs a chain ring, got {ring.spec}")
-    work = [list(r) for r in m.rows]
-    k, n = len(work), m.ncols
-    left, right = _identity(k), _identity(n)
-    add, mul, neg, ordv = ring.add, ring.mul, ring.neg, ring.valuation
-    nu = ring.nilpotency_index
+def _eliminate(ring: Ring, work: list, left=None, right=None) -> list:
+    """Diagonalise ``work`` (a list of row lists) in place; return the pivot
+    valuations in order.
 
-    t = 0
-    while t < min(k, n):
-        best, best_ord = None, nu
-        for i in range(t, k):
-            wi = work[i]
-            for j in range(t, n):
-                o = ordv(wi[j])
-                if o < best_ord:
-                    best, best_ord = (i, j), o
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            work[t], work[bi] = work[bi], work[t]
-            left[t], left[bi] = left[bi], left[t]
-        if bj != t:
-            for row in work:
-                row[t], row[bj] = row[bj], row[t]
-            for row in right:
-                row[t], row[bj] = row[bj], row[t]
-        pivot = work[t][t]
-        # clear the pivot column
-        for i in range(t + 1, k):
-            a = work[i][t]
-            if a == 0:
-                continue
-            c = neg(_chain_quotient(ring, a, pivot))
-            wi, wt = work[i], work[t]
-            li, lt = left[i], left[t]
-            for j in range(n):
-                wi[j] = add(wi[j], mul(c, wt[j]))
-            for j in range(k):
-                li[j] = add(li[j], mul(c, lt[j]))
-        # clear the pivot row
-        for j in range(t + 1, n):
-            a = work[t][j]
-            if a == 0:
-                continue
-            c = neg(_chain_quotient(ring, a, pivot))
-            for row in work:
-                row[j] = add(row[j], mul(c, row[t]))
-            for row in right:
-                row[j] = add(row[j], mul(c, row[t]))
-        # normalise the pivot to a pure uniformizer power
-        uinv = ring.inverse(ring.unit_part(pivot))
-        if uinv != 1:
-            work[t] = [mul(uinv, a) for a in work[t]]
-            left[t] = [mul(uinv, a) for a in left[t]]
-        t += 1
-
-    exponents = tuple(ordv(work[i][i]) for i in range(t) if work[i][i] != 0)
-    return SnfResult(
-        left=tuple(tuple(r) for r in left),
-        right=tuple(tuple(r) for r in right),
-        diagonal=tuple(tuple(r) for r in work),
-        exponents=exponents,
-    )
-
-
-def snf_exponents(ring: Ring, vectors) -> tuple:
-    """Invariant-factor exponents of the matrix whose columns are ``vectors``.
-
-    Lean transform-free variant of :func:`smith_normal_form` for the hot
-    paths (independence tests do this thousands of times).
+    Each step pivots on the first entry of minimal valuation, stopping the
+    search at the first unit.  ``left`` and ``right``, when given, receive
+    the same row and column operations, so that left @ A @ right ends up
+    equal to ``work``.  Entries left of the pivot column in the remaining
+    rows are already zero, so only columns t.. (rows t..) are updated.
     """
-    if not ring.is_chain:
-        raise NotChainRingError(f"{ring.spec} is not a chain ring")
-    if not vectors:
-        return ()
-    k = len(vectors[0])
-    work = [[v[i] for v in vectors] for i in range(k)]
-    n = len(vectors)
+    k = len(work)
+    n = len(work[0]) if work else 0
     add, mul, neg, ordv = ring.add, ring.mul, ring.neg, ring.valuation
     nu = ring.nilpotency_index
     exps = []
@@ -359,28 +293,81 @@ def snf_exponents(ring: Ring, vectors) -> tuple:
         bi, bj = best
         if bi != t:
             work[t], work[bi] = work[bi], work[t]
+            if left is not None:
+                left[t], left[bi] = left[bi], left[t]
         if bj != t:
             for row in work:
                 row[t], row[bj] = row[bj], row[t]
-        pivot = work[t][t]
+            if right is not None:
+                for row in right:
+                    row[t], row[bj] = row[bj], row[t]
+        wt = work[t]
+        pivot = wt[t]
+        # clear the pivot column
         for i in range(t + 1, k):
             a = work[i][t]
             if a == 0:
                 continue
             c = neg(_chain_quotient(ring, a, pivot))
-            wi, wt = work[i], work[t]
+            wi = work[i]
             for j in range(t, n):
                 wi[j] = add(wi[j], mul(c, wt[j]))
+            if left is not None:
+                li, lt = left[i], left[t]
+                for j in range(k):
+                    li[j] = add(li[j], mul(c, lt[j]))
+        # clear the pivot row
         for j in range(t + 1, n):
-            a = work[t][j]
+            a = wt[j]
             if a == 0:
                 continue
             c = neg(_chain_quotient(ring, a, pivot))
             for i in range(t, k):
                 work[i][j] = add(work[i][j], mul(c, work[i][t]))
+            if right is not None:
+                for row in right:
+                    row[j] = add(row[j], mul(c, row[t]))
         exps.append(best_ord)
         t += 1
-    return tuple(exps)
+    return exps
+
+
+def smith_normal_form(m: Mat) -> SnfResult:
+    ring = m.ring
+    if not ring.is_chain:
+        raise NotChainRingError(f"Smith normal form needs a chain ring, got {ring.spec}")
+    work = [list(r) for r in m.rows]
+    left, right = _identity(m.nrows), _identity(m.ncols)
+    exponents = _eliminate(ring, work, left, right)
+    # normalise each pivot to a pure uniformizer power; a pivot row is
+    # never touched again once cleared, so scaling afterwards is exact
+    mul = ring.mul
+    for t in range(len(exponents)):
+        uinv = ring.inverse(ring.unit_part(work[t][t]))
+        if uinv != 1:
+            work[t] = [mul(uinv, a) for a in work[t]]
+            left[t] = [mul(uinv, a) for a in left[t]]
+    return SnfResult(
+        left=tuple(tuple(r) for r in left),
+        right=tuple(tuple(r) for r in right),
+        diagonal=tuple(tuple(r) for r in work),
+        exponents=tuple(exponents),
+    )
+
+
+def snf_exponents(ring: Ring, vectors) -> tuple:
+    """Invariant-factor exponents of the matrix whose columns are ``vectors``.
+
+    Transform-free entry point to the same elimination as
+    :func:`smith_normal_form`, for the hot paths (independence tests do
+    this thousands of times).
+    """
+    if not ring.is_chain:
+        raise NotChainRingError(f"{ring.spec} is not a chain ring")
+    if not vectors:
+        return ()
+    work = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
+    return tuple(_eliminate(ring, work))
 
 
 # -- systematic form -------------------------------------------------------------

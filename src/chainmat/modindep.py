@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import (
+    BadValueError,
     ClosureTooLargeError,
     NonIntegralDimensionError,
     TooManyColumnsError,
@@ -22,12 +23,27 @@ from .linalg import Mat, det_rows, snf_exponents
 from .rings import Ring
 
 DEFAULT_MAX_CLOSURE = 1 << 24
+GUARD_ENV = "CHAINMAT_MAX_CLOSURE"
+
+
+def guard_limit(default: int) -> int:
+    """An enumeration guard: the positive integer in CHAINMAT_MAX_CLOSURE
+    when that is set, else ``default``."""
+    value = os.environ.get(GUARD_ENV)
+    if not value:
+        return default
+    try:
+        limit = int(value)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise BadValueError(f"{GUARD_ENV}={value!r} is not a positive integer")
+    return limit
 
 
 def max_closure() -> int:
-    """Submodule enumeration guard; CHAINMAT_MAX_CLOSURE overrides it."""
-    value = os.environ.get("CHAINMAT_MAX_CLOSURE")
-    return int(value) if value else DEFAULT_MAX_CLOSURE
+    """Submodule enumeration guard."""
+    return guard_limit(DEFAULT_MAX_CLOSURE)
 
 
 def _vec_add(ring: Ring, u, v):

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-import os
-
 from .errors import (
     ClosureTooLargeError,
     GroundSetTooLargeError,
@@ -18,15 +16,10 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .linalg import Mat
-from .modindep import max_closure
+from .modindep import guard_limit, max_closure
 from .rings import Ring
 
 DEFAULT_MAX_SCAN = 1 << 26
-
-
-def _max_scan() -> int:
-    value = os.environ.get("CHAINMAT_MAX_CLOSURE")
-    return int(value) if value else DEFAULT_MAX_SCAN
 
 
 def _naive_span(ring: Ring, vectors, k: int) -> frozenset:
@@ -106,7 +99,7 @@ def dual_by_enumeration(code) -> "object":
 
     ring = code.ring
     n = len(code.labels)
-    limit = _max_scan()
+    limit = guard_limit(DEFAULT_MAX_SCAN)
     if ring.size**n > limit:
         raise SearchSpaceTooLargeError(f"{ring.size}^{n} exceeds scan guard {limit}")
     add, mul = ring.add, ring.mul

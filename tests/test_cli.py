@@ -130,12 +130,24 @@ def test_iso_command(capsys):
     assert code == 1 and "not isomorphic" in out
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, monkeypatch):
     code, _, err = run(capsys, "check-matroid", "/nonexistent/file.mat")
     assert code == 2
     code, _, err = run(capsys, "snf", "data:not_monotonic")
     assert code == 2
     assert "NotChainRing" in err
+    for argv in (
+        ["verify-gallery", "nosuch"],
+        ["counting", "--ring", "z:8", "--shape", "2,x", "-s", "3"],
+        ["uniform", "--ring", "z:4", "-n", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "abc")
+    code, _, err = run(capsys, "--oracle", "rank", "data:non_matroid", "-X", "1,2")
+    assert code == 2
+    assert "CHAINMAT_MAX_CLOSURE='abc'" in err
 
 
 def test_parse_error_position(tmp_path, capsys):

@@ -173,13 +173,17 @@ def test_monotonicity_fails_on_non_chain_witness():
 
 
 def test_closure_guard_env_override(monkeypatch):
-    from chainmat.errors import ClosureTooLargeError
+    from chainmat.errors import BadValueError, ClosureTooLargeError
 
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "8")
     with pytest.raises(ClosureTooLargeError):
         span(Z8, [(1, 0), (0, 1)])
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "100")
     assert len(span(Z8, [(1, 0), (0, 1)])) == 64
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", bad)
+        with pytest.raises(BadValueError, match=f"CHAINMAT_MAX_CLOSURE='{bad}'"):
+            span(Z8, [(1, 0), (0, 1)])
 
 
 def test_oracle_agreement_small():

@@ -12,7 +12,7 @@ from chainmat.oracle import (
 )
 from chainmat.rings import make_ring
 
-from helpers import CHAIN_SPECS, TABLE_SPECS, random_code, random_matrix, rng_for
+from helpers import CHAIN_SPECS, TABLE_SPECS, random_free_code, random_matrix, rng_for
 
 Z4 = make_ring("z:4")
 
@@ -66,11 +66,24 @@ def test_differential_mu():
 
 def test_differential_duals():
     rng = rng_for("diff-dual-small")
-    for spec in ("z:4", "z:8"):
+    for spec in CHAIN_SPECS + ("z:5",):
         ring = make_ring(spec)
+        n_max = 5 if spec == "z:4" else 4
+        codes = [Code.from_matrix(Mat(ring, "abc", [[0, 0, 0]]))]  # the zero code
         for _ in range(15):
-            c = random_code(rng, ring, rng.randint(1, 2), rng.randint(2, 4))
-            assert dual_by_enumeration(c) == dual_code(c)
+            k, n = rng.randint(1, 3), rng.randint(2, n_max)
+            mat = random_matrix(rng, ring, k, n)
+            codes.append(Code.from_matrix(mat))
+            # non-free: one row times the uniformizer
+            rows = [list(r) for r in mat.rows]
+            i = rng.randrange(k)
+            rows[i] = [ring.mul(ring.uniformizer, a) for a in rows[i]]
+            codes.append(Code.from_matrix(Mat(ring, mat.labels, rows)))
+        codes.append(random_free_code(rng, ring, 2, n_max))
+        for c in codes:
+            want, got = dual_by_enumeration(c), dual_code(c)
+            assert got == want, (spec, c.generator)
+            assert got.generator == want.generator, (spec, c.generator)
 
 
 def test_census_fast_vs_sets():
