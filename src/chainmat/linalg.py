@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BadValueError,
     MatrixParseError,
     NotChainRingError,
     NotSquareError,
@@ -34,13 +35,13 @@ class Mat:
         labels = tuple(str(l) for l in labels)
         rows = tuple(tuple(r) for r in rows)
         if len(set(labels)) != len(labels):
-            raise ValueError("column labels must be distinct")
+            raise BadValueError("column labels must be distinct")
         for r in rows:
             if len(r) != len(labels):
-                raise ValueError("row length does not match label count")
+                raise BadValueError("row length does not match label count")
             for a in r:
                 if not (0 <= a < ring.size):
-                    raise ValueError(f"entry {a} outside ring of size {ring.size}")
+                    raise BadValueError(f"entry {a} outside ring of size {ring.size}")
         self.ring = ring
         self.labels = labels
         self.rows = rows

@@ -99,10 +99,10 @@ def span(ring: Ring, vectors, ambient_power=None) -> Submodule:
         new = set()
         for base in current:
             for w in orbit:
-                new.add(tuple(add(a, b) for a, b in zip(base, w)))
+                new.add(tuple(map(add, base, w)))
+                if len(new) > limit:
+                    raise ClosureTooLargeError(f"span exceeded {limit} vectors")
         current = new
-        if len(current) > limit:
-            raise ClosureTooLargeError(f"span exceeded {limit} vectors")
     return Submodule(ring, k, frozenset(current), tuple(vectors))
 
 

@@ -5,8 +5,15 @@ Three ring families are supported:
 * ``z:<p^nu>`` / ``zpn:<p>,<nu>`` -- integers modulo a prime power,
 * ``fpu:<p>,<nu>`` -- truncated polynomial rings F_p[u]/<u^nu>,
 * ``table:<name-or-path>`` -- rings given by explicit addition and
-  multiplication tables (JSON), plus two built-in non-chain local rings
-  used as counterexample material.
+  multiplication tables (JSON, at most ``MAX_TABLE_SIZE`` elements; the
+  spec is the file's absolute path), plus two built-in non-chain local
+  rings used as counterexample material.
+
+All three families share one construction that derives every ring datum
+from ``add`` and ``mul``: the maximal ideal is the set of nilpotents, the
+ring is local iff every other element is a unit (checked by Lagrange's
+theorem in the unit group), and it is a chain ring iff the maximal ideal
+is principal (Dinh and Lopez-Permouth, IEEE T-IT 2004, Prop. 2.1).
 
 Elements are canonical integer indices ``0 .. size-1``; vectors are plain
 tuples of indices.  Every handle is immutable after construction and all
@@ -22,6 +29,9 @@ from functools import lru_cache
 from .errors import NotARingError, NotChainRingError, NotLocalError, NotPrimeError
 
 MAX_RING_SIZE = 4096
+# Table rings are checked exhaustively, O(size^3); at 256 that takes about
+# 5 s in CPython, and each doubling costs eight times as much.
+MAX_TABLE_SIZE = 256
 
 
 def _factor_prime_power(m: int):
@@ -86,107 +96,77 @@ class Ring:
     # -- construction helpers -------------------------------------------------
 
     def _finish_construction(self):
-        size, add, mul = self.size, self.add, self.mul
+        # O(|R| log |R|) ring operations; the facts used are in the module
+        # docstring.  A nilpotent a has a^|R| == 0 because the ideals a^t R
+        # shrink strictly until they reach 0.
+        size, mul = self.size, self.mul
         elements = range(size)
+        minus_one = next(b for b in elements if self.add(1, b) == 0)
+        self._neg = [mul(minus_one, a) for a in elements]
 
-        # Negation table (additive inverses are guaranteed by the axioms,
-        # which TABLE rings have already passed at this point).
-        neg = [None] * size
-        for a in elements:
-            for b in elements:
-                if add(a, b) == 0:
-                    neg[a] = b
-                    break
-        self._neg = neg
-
-        units = set()
+        m = frozenset(a for a in elements if self._power(a, size) == 0)
+        # Lagrange in the unit group: u^(|R| - |m|) == 1 for every unit u.
+        order = size - len(m)
         inverse = {}
-        for a in elements:
-            for b in elements:
-                if mul(a, b) == 1:
-                    units.add(a)
-                    inverse[a] = b
-                    break
-        self.units = frozenset(units)
+        for u in elements:
+            if u in m:
+                continue
+            inverse[u] = v = self._power(u, order - 1)
+            if mul(u, v) != 1:
+                name = self.names[u]
+                raise NotLocalError(
+                    f"{self.spec}: not a local ring ({name} is not nilpotent, but {name}^{order} != 1)"
+                )
         self._inverse = inverse
-        m = frozenset(a for a in elements if a not in units)
-        # Local <=> the non-units form an ideal.
-        for a in m:
-            for b in m:
-                if add(a, b) not in m:
-                    raise NotLocalError(
-                        f"{self.spec}: non-units are not closed under addition "
-                        f"({self.names[a]} + {self.names[b]} is a unit)"
-                    )
-            for r in elements:
-                if mul(a, r) not in m:
-                    raise NotLocalError(
-                        f"{self.spec}: non-units are not an ideal "
-                        f"({self.names[a]} * {self.names[r]} is a unit)"
-                    )
+        self.units = frozenset(inverse)
         self.maximal_ideal = m
-        self.residue_field_size = size // len(m) if m else size
+        self.residue_field_size = size // len(m)
 
-        self._principal = {a: frozenset(mul(a, r) for r in elements) for a in elements}
-        self.is_chain = self._ideals_linearly_ordered()
+        # The least generator of m; a field's m = {0} is generated by 0.
+        theta = next((a for a in sorted(m) if len(self.principal_ideal(a)) == len(m)), None)
+        self.is_chain = theta is not None
         if self.is_chain:
-            self._init_chain_data()
+            self._init_chain_data(theta)
         else:
             self.uniformizer = None
             self.nilpotency_index = None
         self._init_residue_labels()
         self._init_max_ideal_generators()
 
-    def _ideals_linearly_ordered(self) -> bool:
-        # In a finite ring every ideal is a finite sum of principal ideals,
-        # so pairwise comparability of the principal ones decides the chain
-        # property.
-        ideals = set(self._principal.values())
-        ideals = sorted(ideals, key=len)
-        for i, small in enumerate(ideals):
-            for big in ideals[i + 1 :]:
-                if not small <= big:
-                    return False
-        return True
+    def _power(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
 
-    def _init_chain_data(self):
-        m = self.maximal_ideal
-        theta = None
-        for a in sorted(m):
-            if self._principal[a] == m:
-                theta = a
-                break
-        if theta is None:  # |m| == 1, i.e. a field
-            theta = 0
+    def _init_chain_data(self, theta):
         self.uniformizer = theta
         powers = [1]
         while powers[-1] != 0:
             powers.append(self.mul(powers[-1], theta))
-            if len(powers) > self.size + 1:
-                raise NotARingError(f"{self.spec}: uniformizer is not nilpotent")
         # powers[t] = theta^t; theta^nu == 0 first at index nu.
-        self.nilpotency_index = len(powers) - 1 if theta != 0 else 1
-        self._theta_pow = powers[: self.nilpotency_index] + [0]
-        self._ideal_of_pow = [self._principal[p] for p in self._theta_pow]
-        nu = self.nilpotency_index
+        self.nilpotency_index = nu = len(powers) - 1
+        self._theta_pow = powers
+        # Every nonzero a is u * theta^t for one t < nu; record t as ord(a)
+        # and the smallest such unit u as the unit part.
         ordv = [nu] * self.size
-        for a in range(self.size):
-            if a == 0:
-                continue
-            t = 0
-            while t < nu and a in self._ideal_of_pow[t + 1]:
-                t += 1
-            ordv[a] = t
-        self._ord = ordv
-        # unit_part[a] = smallest unit u with u * theta^ord(a) == a.
         unit_part = [None] * self.size
+        units = sorted(self.units)
         for t in range(nu):
-            pt = self._theta_pow[t]
-            for u in sorted(self.units):
+            pt = powers[t]
+            for u in units:
                 a = self.mul(u, pt)
                 if unit_part[a] is None:
                     unit_part[a] = u
+                    ordv[a] = t
+        self._ord = ordv
         self._unit_part = unit_part
+        self._ideal_of_pow = [
+            frozenset(a for a in range(self.size) if ordv[a] >= t) for t in range(nu + 1)
+        ]
 
     def _init_residue_labels(self):
         # Label the cosets of m by k for the coset of k*1; with a prime
@@ -279,7 +259,8 @@ class Ring:
         return self._ideal_of_pow[min(t, self.nilpotency_index)]
 
     def principal_ideal(self, a: int) -> frozenset:
-        return self._principal[a]
+        mul = self.mul
+        return frozenset(mul(a, r) for r in range(self.size))
 
     def annihilator(self, a: int) -> frozenset:
         """{x : x*a == 0}; over a chain ring this is <theta^(nu-ord(a))>."""
@@ -537,10 +518,12 @@ def _load_table_ring(name_or_path: str) -> Ring:
     with open(name_or_path, encoding="utf-8") as fh:
         data = json.load(fh)
     size = data["size"]
-    if size > MAX_RING_SIZE:
-        raise NotARingError(f"table ring size {size} exceeds cap {MAX_RING_SIZE}")
+    if size > MAX_TABLE_SIZE:
+        raise NotARingError(f"table ring size {size} exceeds the table cap {MAX_TABLE_SIZE}")
     names = data.get("names", [str(i) for i in range(size)])
-    return TableRing(os.path.basename(name_or_path), size, data["add"], data["mul"], names)
+    # The absolute path is the ring's identity: two files with the same
+    # basename are different rings, and the spec reloads from anywhere.
+    return TableRing(os.path.abspath(name_or_path), size, data["add"], data["mul"], names)
 
 
 @lru_cache(maxsize=None)

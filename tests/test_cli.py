@@ -130,7 +130,9 @@ def test_iso_command(capsys):
     assert code == 1 and "not isomorphic" in out
 
 
-def test_usage_errors(capsys, monkeypatch):
+def test_usage_errors(capsys, monkeypatch, tmp_path):
+    duplicate_labels = tmp_path / "dup.mat"
+    duplicate_labels.write_text("ring z:4\ncols a a\n1 2\n")
     code, _, err = run(capsys, "check-matroid", "/nonexistent/file.mat")
     assert code == 2
     code, _, err = run(capsys, "snf", "data:not_monotonic")
@@ -140,6 +142,7 @@ def test_usage_errors(capsys, monkeypatch):
         ["verify-gallery", "nosuch"],
         ["counting", "--ring", "z:8", "--shape", "2,x", "-s", "3"],
         ["uniform", "--ring", "z:4", "-n", "0"],
+        ["rank", str(duplicate_labels)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

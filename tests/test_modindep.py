@@ -180,6 +180,16 @@ def test_closure_guard_env_override(monkeypatch):
         span(Z8, [(1, 0), (0, 1)])
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "100")
     assert len(span(Z8, [(1, 0), (0, 1)])) == 64
+    # The guard stops the expansion itself: at most limit + 1 vectors are
+    # built (three additions each), not the whole 256 * 256 of the second
+    # generator's orbit sums.
+    z256 = make_ring("z:256")
+    adds = []
+    monkeypatch.setattr(z256, "add", lambda a, b: adds.append(None) or (a + b) % 256)
+    monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "2000")
+    with pytest.raises(ClosureTooLargeError):
+        span(z256, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert len(adds) <= 3 * (256 + 2001)
     for bad in ("abc", "0"):
         monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", bad)
         with pytest.raises(BadValueError, match=f"CHAINMAT_MAX_CLOSURE='{bad}'"):

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from chainmat.errors import NotChainRingError, NotLocalError, NotPrimeError
+from chainmat.errors import NotARingError, NotChainRingError, NotLocalError, NotPrimeError
+from chainmat.linalg import Mat, format_matrix, parse_matrix
 from chainmat.rings import make_ring
 
 from helpers import CHAIN_SPECS, TABLE_SPECS
@@ -152,6 +153,26 @@ def test_table_ring_from_json_rejects_nonlocal(tmp_path):
         make_ring(f"table:{path}")
 
 
+def _write_table(path, size, add, mul):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    table = {
+        "size": size,
+        "add": [[add(a, b) for b in range(size)] for a in range(size)],
+        "mul": [[mul(a, b) for b in range(size)] for a in range(size)],
+    }
+    path.write_text(json.dumps(table))
+    return f"table:{path}"
+
+
+def _z4_table(path):
+    return _write_table(path, 4, lambda a, b: (a + b) % 4, lambda a, b: a * b % 4)
+
+
+def _f2u2_table(path):
+    # F_2[u]/<u^2> with index a = a0 + 2*a1 for a0 + a1*u.
+    return _write_table(path, 4, lambda a, b: a ^ b, lambda a, b: make_ring("fpu:2,2").mul(a, b))
+
+
 def test_table_ring_local_json_accepted(tmp_path):
     # Z4 shipped as a table ring should round-trip the chain structure.
     add = [[(a + b) % 4 for b in range(4)] for a in range(4)]
@@ -162,3 +183,45 @@ def test_table_ring_local_json_accepted(tmp_path):
     assert r.is_chain
     assert r.uniformizer == 2
     assert r.nilpotency_index == 2
+
+
+def test_table_ring_identity_and_cap(tmp_path, monkeypatch):
+    # Same basename, different rings: the spec is the absolute path.
+    z4 = make_ring(_z4_table(tmp_path / "a" / "r.json"))
+    f2u2 = make_ring(_f2u2_table(tmp_path / "b" / "r.json"))
+    assert z4 != f2u2 and z4.spec != f2u2.spec
+    assert Mat(z4, ["1"], [[2]]) != Mat(f2u2, ["1"], [[2]])
+    # The printed spec reloads the same ring from another directory.
+    m = Mat(f2u2, ["1", "2"], [[1, 2], [2, 0]])
+    monkeypatch.chdir(tmp_path / "a")
+    assert parse_matrix(format_matrix(m)) == m
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"size": 257, "add": [], "mul": []}))
+    with pytest.raises(NotARingError, match="257 exceeds the table cap 256"):
+        make_ring(f"table:{big}")
+
+
+def _prime_powers(limit):
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
+    return [(p, nu) for p in primes for nu in range(1, limit.bit_length()) if p**nu <= limit]
+
+
+def test_ring_data_matches_definitions(tmp_path):
+    specs = [f"{family}:{p},{nu}" for family in ("zpn", "fpu") for p, nu in _prime_powers(256)]
+    specs += list(TABLE_SPECS) + [_z4_table(tmp_path / "z4.json")]
+    for spec in specs:
+        r = make_ring(spec)
+        elements = range(r.size)
+        products = [[r.mul(a, b) for b in elements] for a in elements]
+        inverse = {a: row.index(1) for a, row in enumerate(products) if 1 in row}
+        assert r.units == frozenset(inverse), spec
+        assert all(r.inverse(a) == b for a, b in inverse.items()), spec
+        assert r.maximal_ideal == frozenset(elements) - r.units, spec
+        for a in elements:
+            assert r.add(a, r.neg(a)) == 0, spec
+        ideals = [frozenset(row) for row in products]
+        assert [r.principal_ideal(a) for a in elements] == ideals, spec
+        distinct = set(ideals)
+        assert r.is_chain == all(i <= j or j <= i for i in distinct for j in distinct), spec
+        generators = [a for a in sorted(r.maximal_ideal) if ideals[a] == r.maximal_ideal]
+        assert r.uniformizer == (generators[0] if r.is_chain else None), spec
