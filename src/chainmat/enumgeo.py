@@ -12,7 +12,7 @@ from .errors import (
     NotChainRingError,
 )
 from .linalg import Mat
-from .modindep import max_closure
+from .modindep import guard_error, max_closure
 from .rings import Ring
 
 
@@ -114,8 +114,9 @@ def cyclic_submodules(ring: Ring, k: int) -> list:
     """All cyclic submodules of R^k as frozensets of vectors."""
     from itertools import product
 
-    if ring.size**k > max_closure():
-        raise ClosureTooLargeError(f"{ring.size}^{k} ambient vectors exceed the guard")
+    limit = max_closure()
+    if ring.size**k > limit:
+        raise guard_error(ClosureTooLargeError, "cyclic submodules", ring.size**k, limit)
     mul = ring.mul
     seen = set()
     for v in product(range(ring.size), repeat=k):

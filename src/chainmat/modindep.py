@@ -41,6 +41,14 @@ def guard_limit(default: int) -> int:
     return limit
 
 
+def guard_error(error_type, guard: str, requested, limit: int):
+    """The error an enumeration guard raises: it names the guard, the size
+    requested (``None`` when it is only known to exceed the limit), the
+    limit and the variable that raises it."""
+    size = f"more than {limit}" if requested is None else requested
+    return error_type(f"{guard} guard: {size} vectors requested, limit {limit} (set {GUARD_ENV} to raise it)")
+
+
 def max_closure() -> int:
     """Submodule enumeration guard."""
     return guard_limit(DEFAULT_MAX_CLOSURE)
@@ -101,7 +109,7 @@ def span(ring: Ring, vectors, ambient_power=None) -> Submodule:
             for w in orbit:
                 new.add(tuple(map(add, base, w)))
                 if len(new) > limit:
-                    raise ClosureTooLargeError(f"span exceeded {limit} vectors")
+                    raise guard_error(ClosureTooLargeError, "span", None, limit)
         current = new
     return Submodule(ring, k, frozenset(current), tuple(vectors))
 

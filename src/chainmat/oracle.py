@@ -16,7 +16,7 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .linalg import Mat
-from .modindep import guard_limit, max_closure
+from .modindep import guard_error, guard_limit, max_closure
 from .rings import Ring
 
 DEFAULT_MAX_SCAN = 1 << 26
@@ -42,7 +42,7 @@ def _naive_span(ring: Ring, vectors, k: int) -> frozenset:
                     current.add(w)
                     nxt.append(w)
         if len(current) > limit:
-            raise ClosureTooLargeError(f"naive span exceeded {limit} vectors")
+            raise guard_error(ClosureTooLargeError, "naive span", None, limit)
         frontier = nxt
     return frozenset(current)
 
@@ -101,7 +101,7 @@ def dual_by_enumeration(code) -> "object":
     n = len(code.labels)
     limit = guard_limit(DEFAULT_MAX_SCAN)
     if ring.size**n > limit:
-        raise SearchSpaceTooLargeError(f"{ring.size}^{n} exceeds scan guard {limit}")
+        raise guard_error(SearchSpaceTooLargeError, "kernel scan", ring.size**n, limit)
     add, mul = ring.add, ring.mul
     gens = [tuple(r) for r in code.generator.rows]
     kernel = []
@@ -141,6 +141,48 @@ def circuits_by_subset_scan(a: Mat):
     return Clutter(a.labels, members)
 
 
+def exchange_violations_by_pair_scan(m) -> list:
+    """Augmentation-axiom failures of an independence system, comparing
+    every pair of independent sets: (I1, I2) with |I1| < |I2| such that no
+    e in I2 - I1 keeps I1 + e independent.  Ordered by I2, then I1, each
+    by (size, mask)."""
+    fam_sorted = sorted(m.family, key=lambda x: (x.bit_count(), x))
+    violations = []
+    for i2 in fam_sorted:
+        s2 = i2.bit_count()
+        for i1 in fam_sorted:
+            if i1.bit_count() >= s2:
+                continue
+            cand = i2 & ~i1
+            ok = False
+            x = cand
+            while x:
+                bit = x & -x
+                if (i1 | bit) in m.family:
+                    ok = True
+                    break
+                x ^= bit
+            if not ok:
+                violations.append((m.subset_of(i1), m.subset_of(i2)))
+    return violations
+
+
+def rank_submodular_by_pair_scan(m):
+    """Submodularity of the rank function over every pair X, Y of subsets.
+
+    Returns (verdict, witnesses) where witnesses lists offending (X, Y).
+    """
+    ranks = m._ranks()
+    full = m.full_mask
+    witnesses = []
+    for x in range(full + 1):
+        rx = ranks[x]
+        for y in range(x, full + 1):
+            if ranks[x | y] + ranks[x & y] > rx + ranks[y]:
+                witnesses.append((m.subset_of(x), m.subset_of(y)))
+    return (not witnesses, witnesses)
+
+
 def cyclic_submodule_census(ring: Ring, component_valuations) -> dict:
     """Brute-force count of cyclic submodules by torsion exponent.
 
@@ -153,8 +195,9 @@ def cyclic_submodule_census(ring: Ring, component_valuations) -> dict:
     total = 1
     for c in comps:
         total *= len(c)
-    if total > max_closure():
-        raise ClosureTooLargeError(f"ambient module of size {total} exceeds the guard")
+    limit = max_closure()
+    if total > limit:
+        raise guard_error(ClosureTooLargeError, "census", total, limit)
     ordv, upart = ring.valuation, ring.unit_part
     # Each cyclic submodule has exactly one generator whose first
     # minimal-valuation coordinate is a pure uniformizer power (unit
@@ -183,8 +226,9 @@ def cyclic_submodule_census_by_sets(ring: Ring, component_valuations) -> dict:
     total = 1
     for c in comps:
         total *= len(c)
-    if total > 1 << 14:
-        raise ClosureTooLargeError(f"ambient module of size {total} too large for set census")
+    limit = guard_limit(1 << 14)
+    if total > limit:
+        raise guard_error(ClosureTooLargeError, "set census", total, limit)
     mul = ring.mul
     q = ring.residue_field_size
     modules = set()

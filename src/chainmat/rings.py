@@ -488,6 +488,7 @@ def _builtin_f2_monomial_ring(name: str, monomials, products):
     return TableRing(name, size, add_table, mul_table, names)
 
 
+@lru_cache(maxsize=None)
 def _builtin_tables():
     # F_2[x,y]/<x^2, xy, y^2>: basis 1, x, y.
     small = _builtin_f2_monomial_ring(
@@ -504,36 +505,55 @@ def _builtin_tables():
     return {"f2xy_xx_xy_yy": small, "f2xy_xx_yy": big}
 
 
-_BUILTINS = None
-
-
 def _load_table_ring(name_or_path: str) -> Ring:
-    global _BUILTINS
-    if _BUILTINS is None:
-        _BUILTINS = _builtin_tables()
-    if name_or_path in _BUILTINS:
-        return _BUILTINS[name_or_path]
-    if not os.path.exists(name_or_path):
+    builtins = _builtin_tables()
+    if name_or_path in builtins:
+        return builtins[name_or_path]
+    if not os.path.isfile(name_or_path):
         raise NotARingError(f"unknown table ring {name_or_path!r}")
-    with open(name_or_path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    size = data["size"]
+    try:
+        with open(name_or_path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise NotARingError(f"{name_or_path}: not a JSON table ring ({exc})") from None
+    if not isinstance(data, dict):
+        raise NotARingError(f"{name_or_path}: a table ring is a JSON object")
+    size = data.get("size")
+    if type(size) is not int or size < 1:
+        raise NotARingError(f"{name_or_path}: 'size' must be a positive integer")
     if size > MAX_TABLE_SIZE:
         raise NotARingError(f"table ring size {size} exceeds the table cap {MAX_TABLE_SIZE}")
+    for key in ("add", "mul"):
+        table = data.get(key)
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) and all(type(x) is int and 0 <= x < size for x in row) for row in table
+        ):
+            raise NotARingError(f"{name_or_path}: {key!r} must be a table of integers 0..{size - 1}")
     names = data.get("names", [str(i) for i in range(size)])
-    # The absolute path is the ring's identity: two files with the same
-    # basename are different rings, and the spec reloads from anywhere.
-    return TableRing(os.path.abspath(name_or_path), size, data["add"], data["mul"], names)
+    if not isinstance(names, list) or len(names) != size or not all(isinstance(x, str) for x in names):
+        raise NotARingError(f"{name_or_path}: 'names' must be a list of {size} strings")
+    return TableRing(name_or_path, size, data["add"], data["mul"], names)
 
 
-@lru_cache(maxsize=None)
 def make_ring(spec: str) -> Ring:
     """Construct a ring from a spec string.
 
     Grammar: ``z:<prime-power>``, ``zpn:<p>,<nu>``, ``fpu:<p>,<nu>``,
-    ``table:<builtin-name-or-json-path>``.
+    ``table:<builtin-name-or-json-path>``.  Rings are cached by spec.  A
+    table path is made absolute first: that path is the ring's identity,
+    so two files with the same basename are different rings, a relative
+    path names the file in the current directory, and the printed spec
+    reloads from anywhere.
     """
     spec = spec.strip()
+    head, _, rest = spec.partition(":")
+    if head.lower() == "table" and rest not in _builtin_tables():
+        spec = f"table:{os.path.abspath(rest)}"
+    return _make_ring(spec)
+
+
+@lru_cache(maxsize=None)
+def _make_ring(spec: str) -> Ring:
     head, _, rest = spec.partition(":")
     head = head.lower()
     if head == "z":
@@ -555,3 +575,6 @@ def make_ring(spec: str) -> Ring:
     if head == "table":
         return _load_table_ring(rest)
     raise NotPrimeError(f"unknown ring spec {spec!r}")
+
+
+make_ring.cache_clear = _make_ring.cache_clear

@@ -133,6 +133,19 @@ def test_iso_command(capsys):
 def test_usage_errors(capsys, monkeypatch, tmp_path):
     duplicate_labels = tmp_path / "dup.mat"
     duplicate_labels.write_text("ring z:4\ncols a a\n1 2\n")
+    z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    bad_tables = []
+    for i, table in enumerate((
+        {"add": []},
+        {"size": "4", "add": z4, "mul": z4},
+        {"size": 4, "add": z4},
+        {"size": 4, "add": z4, "mul": [["0", "1", "2", "3"]] * 4},
+        [4, z4, z4],
+        "not json",
+    )):
+        (tmp_path / f"t{i}.json").write_text(table if isinstance(table, str) else json.dumps(table))
+        bad_tables.append(tmp_path / f"t{i}.mat")
+        bad_tables[-1].write_text(f"ring table:{tmp_path / f't{i}.json'}\ncols a\n1\n")
     code, _, err = run(capsys, "check-matroid", "/nonexistent/file.mat")
     assert code == 2
     code, _, err = run(capsys, "snf", "data:not_monotonic")
@@ -143,6 +156,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["counting", "--ring", "z:8", "--shape", "2,x", "-s", "3"],
         ["uniform", "--ring", "z:4", "-n", "0"],
         ["rank", str(duplicate_labels)],
+        *(["rank", str(path)] for path in bad_tables),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv

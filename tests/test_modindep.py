@@ -13,7 +13,7 @@ from chainmat.modindep import (
     span,
     sum_submodules,
 )
-from chainmat.oracle import mu_by_enumeration
+from chainmat.oracle import dual_by_enumeration, mu_by_enumeration
 from chainmat.rings import make_ring
 
 from helpers import CHAIN_SPECS, TABLE_SPECS, random_submodule_generators, rng_for
@@ -173,11 +173,24 @@ def test_monotonicity_fails_on_non_chain_witness():
 
 
 def test_closure_guard_env_override(monkeypatch):
-    from chainmat.errors import BadValueError, ClosureTooLargeError
+    from chainmat.codes import Code
+    from chainmat.enumgeo import cyclic_submodules
+    from chainmat.errors import BadValueError, ClosureTooLargeError, SearchSpaceTooLargeError
 
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "8")
-    with pytest.raises(ClosureTooLargeError):
+    with pytest.raises(ClosureTooLargeError) as exc:
         span(Z8, [(1, 0), (0, 1)])
+    assert str(exc.value) == (
+        "span guard: more than 8 vectors requested, limit 8 (set CHAINMAT_MAX_CLOSURE to raise it)"
+    )
+    # Where the size is known up front, the message states it.
+    with pytest.raises(ClosureTooLargeError, match=r"^cyclic submodules guard: 64 vectors requested, limit 8 "):
+        cyclic_submodules(Z8, 2)
+    code = Code.from_matrix(Mat(Z8, "ab", [[1, 1]]))
+    with pytest.raises(SearchSpaceTooLargeError, match=r"^kernel scan guard: 64 vectors requested, limit 8 "):
+        dual_by_enumeration(code)
+    with pytest.raises(ClosureTooLargeError, match=r"^naive span guard: more than 8 vectors .*CHAINMAT_MAX_CLOSURE"):
+        mu_by_enumeration(Z8, [(1, 0), (0, 1)])
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "100")
     assert len(span(Z8, [(1, 0), (0, 1)])) == 64
     # The guard stops the expansion itself: at most limit + 1 vectors are

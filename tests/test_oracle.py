@@ -1,6 +1,9 @@
+from importlib import resources
+
 from chainmat.codes import Code, dual_code
 from chainmat.errors import NonIntegralDimensionError
-from chainmat.indepsys import build_from_matrix
+from chainmat.gallery import load_matrix
+from chainmat.indepsys import IndependenceSystem, build_from_matrix, check_matroid, is_rank_submodular
 from chainmat.linalg import Mat
 from chainmat.modindep import minimal_generator_count
 from chainmat.oracle import (
@@ -8,7 +11,9 @@ from chainmat.oracle import (
     cyclic_submodule_census,
     cyclic_submodule_census_by_sets,
     dual_by_enumeration,
+    exchange_violations_by_pair_scan,
     mu_by_enumeration,
+    rank_submodular_by_pair_scan,
 )
 from chainmat.rings import make_ring
 
@@ -84,6 +89,53 @@ def test_differential_duals():
             want, got = dual_by_enumeration(c), dual_code(c)
             assert got == want, (spec, c.generator)
             assert got.generator == want.generator, (spec, c.generator)
+
+
+def _random_down_closed(rng, n):
+    """The downward closure of a few random subsets of an n-set."""
+    fam = {0}
+    for _ in range(rng.randint(0, 5)):
+        top = sub = rng.randrange(1 << n)
+        while sub:
+            fam.add(sub)
+            sub = (sub - 1) & top
+    return IndependenceSystem([str(i + 1) for i in range(n)], fam)
+
+
+def test_differential_matroid_certification():
+    rng = rng_for("diff-check-matroid")
+    systems = [_random_down_closed(rng, rng.randint(0, 8)) for _ in range(300)]
+    for spec in CHAIN_SPECS + ("table:f2xy_xx_yy",):
+        ring = make_ring(spec)
+        for _ in range(12):
+            systems.append(build_from_matrix(random_matrix(rng, ring, rng.randint(1, 3), rng.randint(1, 7))))
+    data = resources.files("chainmat").joinpath("data")
+    for name in sorted(p.name for p in data.iterdir() if p.name.endswith(".mat")):
+        mat = load_matrix(name)
+        if mat.ncols <= 10:
+            systems.append(build_from_matrix(mat))
+    verdicts = []
+    for m in systems:
+        want = exchange_violations_by_pair_scan(m)
+        report = check_matroid(m)
+        assert report.violations == want, m
+        assert report.is_matroid == (not want), m
+        verdicts.append(report.is_matroid)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def test_local_submodularity_matches_pair_scan():
+    rng = rng_for("diff-submodular")
+    verdicts = []
+    for _ in range(200):
+        m = _random_down_closed(rng, rng.randint(0, 7))
+        verdict, witnesses = is_rank_submodular(m)
+        assert verdict == rank_submodular_by_pair_scan(m)[0], m
+        assert verdict == (not witnesses)
+        for x, e, f in witnesses:
+            assert m.rank(x | {e}) + m.rank(x | {f}) < m.rank(x | {e, f}) + m.rank(x)
+        verdicts.append(verdict)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
 def test_census_fast_vs_sets():

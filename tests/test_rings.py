@@ -195,6 +195,10 @@ def test_table_ring_identity_and_cap(tmp_path, monkeypatch):
     m = Mat(f2u2, ["1", "2"], [[1, 2], [2, 0]])
     monkeypatch.chdir(tmp_path / "a")
     assert parse_matrix(format_matrix(m)) == m
+    # A relative path names the file in the current directory.
+    assert make_ring("table:r.json") is z4
+    monkeypatch.chdir(tmp_path / "b")
+    assert make_ring("table:r.json") is f2u2
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"size": 257, "add": [], "mul": []}))
     with pytest.raises(NotARingError, match="257 exceeds the table cap 256"):
