@@ -1,9 +1,11 @@
 """Linear codes over finite local rings and their independence systems.
 
 A code carries its full codeword set (desk scale) and a generator matrix
-whose rows are a minimal generating set.  Over a chain ring every dual,
-free or not, is read off the Smith normal form of the generator matrix;
-over other rings it comes from the oracle's exhaustive kernel scan.
+whose rows are a minimal generating set, picked by the Nakayama greedy of
+``modindep.minimal_generators`` from the matrix rows or the sorted
+codewords.  Over a chain ring every dual, free or not, is read off the
+Smith normal form of the generator matrix; over other rings it comes from
+the oracle's exhaustive kernel scan.
 """
 
 from __future__ import annotations
@@ -19,51 +21,36 @@ from .errors import (
 )
 from .indepsys import IndependenceSystem, build_from_matrix
 from .linalg import Mat, smith_normal_form
-from .modindep import Submodule, ideal_multiple, span
+from .modindep import Submodule, minimal_generators, span
 from .oracle import dual_by_enumeration
 from .rings import Ring
-
-
-def _minimal_generators(ring: Ring, vectors, k: int, whole: Submodule | None = None) -> list:
-    """Greedy minimal generating subset: keep a vector when it falls
-    outside span(kept) + m*span(all); Nakayama does the rest."""
-    if whole is None:
-        whole = span(ring, vectors, k)
-    msub = ideal_multiple(whole)
-    add = ring.add
-    acc = set(msub.vectors)
-    kept = []
-    for v in vectors:
-        v = tuple(v)
-        if v in acc:
-            continue
-        kept.append(v)
-        orbit = {tuple(ring.mul(c, a) for a in v) for c in range(ring.size)}
-        acc = {tuple(add(x, y) for x, y in zip(base, w)) for base in acc for w in orbit}
-    return kept
 
 
 class Code:
     """An R-submodule of R^E with labelled coordinates."""
 
-    def __init__(self, ring: Ring, labels, codewords, generator: Mat):
+    def __init__(self, ring: Ring, labels, codewords: frozenset, generator: Mat):
         self.ring = ring
         self.labels = tuple(str(l) for l in labels)
-        if not isinstance(codewords, frozenset):
-            codewords = frozenset(tuple(c) for c in codewords)
         self.codewords = codewords
         self.generator = generator
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
+    def _from_submodule(labels, sub: Submodule, candidates) -> "Code":
+        """The code ``sub``, its generator rows chosen greedily from
+        ``candidates`` in their order."""
+        gens = minimal_generators(sub, candidates)
+        gen = Mat(sub.ring, labels, gens if gens else [(0,) * sub.ambient_power])
+        return Code(sub.ring, labels, sub.vectors, gen)
+
+    @staticmethod
     def from_matrix(g: Mat) -> "Code":
-        ring = g.ring
+        """The row span of ``g``; its generator rows are chosen greedily
+        from the rows of ``g`` in order."""
         rows = [tuple(r) for r in g.rows]
-        sub = span(ring, rows, g.ncols)
-        gens = _minimal_generators(ring, rows, g.ncols, whole=sub)
-        gen = Mat(ring, g.labels, gens if gens else [(0,) * g.ncols])
-        return Code(ring, g.labels, sub.vectors, gen)
+        return Code._from_submodule(g.labels, span(g.ring, rows, g.ncols), rows)
 
     @staticmethod
     def from_codeword_set(ring: Ring, labels, codewords) -> "Code":
@@ -72,11 +59,8 @@ class Code:
         frozenset of tuples is kept as the codeword set without a copy."""
         if not isinstance(codewords, frozenset):
             codewords = frozenset(tuple(c) for c in codewords)
-        n = len(tuple(labels))
-        whole = Submodule(ring, n, codewords)
-        gens = _minimal_generators(ring, sorted(codewords), n, whole=whole)
-        gen = Mat(ring, labels, gens if gens else [(0,) * n])
-        return Code(ring, labels, codewords, gen)
+        sub = Submodule(ring, len(labels), codewords)
+        return Code._from_submodule(labels, sub, sorted(codewords))
 
     # -- basic data -----------------------------------------------------------
 

@@ -4,6 +4,7 @@ matroid representations over chain rings."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log10
 
 from .errors import (
     BadTorsionIndexError,
@@ -12,8 +13,11 @@ from .errors import (
     NotChainRingError,
 )
 from .linalg import Mat
-from .modindep import guard_error, max_closure
+from .modindep import guard_error, guard_limit, orbit
 from .rings import Ring
+
+# CPython's default limit on converting an int to decimal text.
+MAX_ANSWER_DIGITS = 4300
 
 
 @dataclass(frozen=True)
@@ -35,27 +39,30 @@ class ModuleShape:
             out.extend([t] * k)
         return out
 
-    def ambient_size(self, ring: Ring) -> int:
-        q, nu = ring.residue_field_size, ring.nilpotency_index
-        size = 1
-        for t, k in enumerate(self.multiplicities):
-            size *= q ** ((nu - t) * k)
-        return size
-
 
 def _require_chain(ring: Ring):
     if not ring.is_chain:
         raise NotChainRingError(f"{ring.spec} is not a chain ring")
 
 
-def torsion_subgroup_size(shape: ModuleShape, ring: Ring, s: int) -> int:
-    """|U[theta^s]| = q^(sum_i k_i min(s, nu - i))."""
+def _require_printable(log10_answer: float, argument: str):
+    """Refuse an answer of more than MAX_ANSWER_DIGITS decimal digits,
+    judged from its logarithm before any power is formed."""
+    if log10_answer >= MAX_ANSWER_DIGITS:
+        raise BadValueError(f"{argument} is too large: the answer has more than {MAX_ANSWER_DIGITS} digits")
+
+
+def _torsion_exponent(shape: ModuleShape, ring: Ring, s: int) -> int:
     _require_chain(ring)
-    q, nu = ring.residue_field_size, ring.nilpotency_index
+    nu = ring.nilpotency_index
     if len(shape.multiplicities) > nu:
         raise BadTorsionIndexError("shape has more summand kinds than the nilpotency index")
-    exp = sum(k * min(s, nu - t) for t, k in enumerate(shape.multiplicities))
-    return q**exp
+    return sum(k * min(s, nu - t) for t, k in enumerate(shape.multiplicities))
+
+
+def torsion_subgroup_size(shape: ModuleShape, ring: Ring, s: int) -> int:
+    """|U[theta^s]| = q^(sum_i k_i min(s, nu - i))."""
+    return ring.residue_field_size ** _torsion_exponent(shape, ring, s)
 
 
 def count_cyclic_submodules(shape: ModuleShape, ring: Ring, s: int) -> int:
@@ -66,7 +73,11 @@ def count_cyclic_submodules(shape: ModuleShape, ring: Ring, s: int) -> int:
     if not 1 <= s <= nu:
         raise BadTorsionIndexError(f"s={s} outside 1..{nu}")
     q = ring.residue_field_size
-    num = torsion_subgroup_size(shape, ring, s) - torsion_subgroup_size(shape, ring, s - 1)
+    hi, lo = _torsion_exponent(shape, ring, s), _torsion_exponent(shape, ring, s - 1)
+    if hi > lo:
+        log10_count = (hi - s + 1) * log10(q) + log10(1 - q ** (lo - hi)) - log10(q - 1)
+        _require_printable(log10_count, "shape " + ",".join(map(str, shape.multiplicities)))
+    num = q**hi - q**lo
     den = q ** (s - 1) * (q - 1)
     assert num % den == 0
     return num // den
@@ -107,6 +118,7 @@ def simple_size_bound(ring: Ring, k: int) -> int:
     if k < 1:
         raise BadValueError("k must be positive")
     q, nu = ring.residue_field_size, ring.nilpotency_index
+    _require_printable(((nu - 1) * (k - 1) + k) * log10(q) + log10(1 - q ** -k) - log10(q - 1), f"k={k}")
     return q ** ((nu - 1) * (k - 1)) * (q**k - 1) // (q - 1)
 
 
@@ -114,14 +126,10 @@ def cyclic_submodules(ring: Ring, k: int) -> list:
     """All cyclic submodules of R^k as frozensets of vectors."""
     from itertools import product
 
-    limit = max_closure()
+    limit = guard_limit()
     if ring.size**k > limit:
         raise guard_error(ClosureTooLargeError, "cyclic submodules", ring.size**k, limit)
-    mul = ring.mul
-    seen = set()
-    for v in product(range(ring.size), repeat=k):
-        orbit = frozenset(tuple(mul(c, a) for a in v) for c in range(ring.size))
-        seen.add(orbit)
+    seen = {frozenset(orbit(ring, v)) for v in product(range(ring.size), repeat=k)}
     return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 

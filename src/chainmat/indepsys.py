@@ -177,18 +177,23 @@ class IndependenceSystem:
         return f"IndependenceSystem({list(self.labels)}, {len(self.family)} independent sets)"
 
 
+def _label_set(labels, t) -> frozenset:
+    """``t`` as a set of labels, each of which must be one of ``labels``."""
+    t = frozenset(str(x) for x in t)
+    unknown = sorted(t.difference(labels))
+    if unknown:
+        raise UnknownLabelError(f"unknown label {unknown[0]!r}")
+    return t
+
+
 class Clutter:
     """An antichain of nonempty subsets of a ground set."""
 
     def __init__(self, labels, members):
         labels = tuple(str(l) for l in labels)
-        mems = {frozenset(str(x) for x in m) for m in members}
-        for m in mems:
-            if not m:
-                raise ValueError("clutter members must be nonempty")
-            for x in m:
-                if x not in labels:
-                    raise UnknownLabelError(f"unknown label {x!r}")
+        mems = {_label_set(labels, m) for m in members}
+        if frozenset() in mems:
+            raise ValueError("clutter members must be nonempty")
         for a in mems:
             for b in mems:
                 if a < b:
@@ -203,12 +208,12 @@ class Clutter:
         return Clutter(labels, keep)
 
     def delete(self, t) -> "Clutter":
-        t = frozenset(str(x) for x in t)
+        t = _label_set(self.labels, t)
         labels = tuple(l for l in self.labels if l not in t)
         return Clutter(labels, [m for m in self.members if not m & t])
 
     def contract(self, t) -> "Clutter":
-        t = frozenset(str(x) for x in t)
+        t = _label_set(self.labels, t)
         for m in self.members:
             if m <= t:
                 raise ContractDependentSetError(

@@ -13,6 +13,7 @@ zero divisors).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -88,8 +89,10 @@ class Mat:
 # -- matrix text format -------------------------------------------------------
 
 
-def parse_matrix(text: str) -> Mat:
-    """Parse the text format: ``ring <spec>``, ``cols <l> ...``, then rows."""
+def parse_matrix(text: str, directory: str = "") -> Mat:
+    """Parse the text format: ``ring <spec>``, ``cols <l> ...``, then rows.
+    A relative table-ring path names a file in ``directory`` (by default
+    the current directory)."""
     ring = None
     labels = None
     rows = []
@@ -101,7 +104,7 @@ def parse_matrix(text: str) -> Mat:
         if ring is None:
             if toks[0] != "ring" or len(toks) != 2:
                 raise MatrixParseError("expected 'ring <spec>'", line=lineno)
-            ring = make_ring(toks[1])
+            ring = make_ring(toks[1], directory)
         elif labels is None:
             if toks[0] != "cols" or len(toks) < 2:
                 raise MatrixParseError("expected 'cols <label> ...'", line=lineno)
@@ -124,8 +127,9 @@ def parse_matrix(text: str) -> Mat:
 
 
 def parse_matrix_file(path: str) -> Mat:
+    """Parse a matrix file; a relative table-ring path names a file beside it."""
     with open(path, encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+        return parse_matrix(fh.read(), os.path.dirname(path))
 
 
 def format_matrix(m: Mat) -> str:

@@ -6,12 +6,15 @@ span needs as many generators as there are vectors.  Over chain rings the
 generator count is read off the Smith normal form; everywhere else it
 falls back to exact submodule enumeration (|V| / |mV| as a power of the
 residue field size).
+
+Every submodule closure (span, m*V, module sum, the Nakayama greedy that
+picks a code's generators) goes through one guarded set sum, ``_sum_sets``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadValueError,
@@ -26,7 +29,7 @@ DEFAULT_MAX_CLOSURE = 1 << 24
 GUARD_ENV = "CHAINMAT_MAX_CLOSURE"
 
 
-def guard_limit(default: int) -> int:
+def guard_limit(default: int = DEFAULT_MAX_CLOSURE) -> int:
     """An enumeration guard: the positive integer in CHAINMAT_MAX_CLOSURE
     when that is set, else ``default``."""
     value = os.environ.get(GUARD_ENV)
@@ -49,39 +52,36 @@ def guard_error(error_type, guard: str, requested, limit: int):
     return error_type(f"{guard} guard: {size} vectors requested, limit {limit} (set {GUARD_ENV} to raise it)")
 
 
-def max_closure() -> int:
-    """Submodule enumeration guard."""
-    return guard_limit(DEFAULT_MAX_CLOSURE)
-
-
-def _vec_add(ring: Ring, u, v):
-    add = ring.add
-    return tuple(add(a, b) for a, b in zip(u, v))
-
-
-def _vec_scale(ring: Ring, c, v):
+def orbit(ring: Ring, v) -> set:
+    """The cyclic submodule R*v as a set of vectors."""
     mul = ring.mul
-    return tuple(mul(c, a) for a in v)
+    return {tuple(mul(c, a) for a in v) for c in range(ring.size)}
+
+
+def _sum_sets(ring: Ring, a, b, guard: str) -> set:
+    """{x + y : x in a, y in b}.  The guard is checked after each vector
+    added, so at most limit + 1 vectors are built before it raises."""
+    limit = guard_limit()
+    add = ring.add
+    out = set()
+    for x in a:
+        for y in b:
+            out.add(tuple(map(add, x, y)))
+            if len(out) > limit:
+                raise guard_error(ClosureTooLargeError, guard, None, limit)
+    return out
 
 
 @dataclass(frozen=True)
 class Submodule:
-    """An explicit finite submodule of R^k: the full vector set plus the
-    generators it was built from."""
+    """An explicit finite submodule of R^k: its full vector set."""
 
     ring: Ring
     ambient_power: int
     vectors: frozenset
-    generators: tuple = field(default=())
 
     def __len__(self):
         return len(self.vectors)
-
-    def __contains__(self, v):
-        return tuple(v) in self.vectors
-
-    def __le__(self, other):
-        return self.vectors <= other.vectors
 
     def __eq__(self, other):
         return isinstance(other, Submodule) and self.vectors == other.vectors
@@ -97,44 +97,41 @@ def span(ring: Ring, vectors, ambient_power=None) -> Submodule:
         if not vectors:
             raise ValueError("ambient power required for an empty generator list")
         ambient_power = len(vectors[0])
-    k = ambient_power
-    zero = (0,) * k
-    current = {zero}
-    limit = max_closure()
-    add = ring.add
+    current = {(0,) * ambient_power}
     for g in vectors:
-        orbit = {_vec_scale(ring, c, g) for c in range(ring.size)}
-        new = set()
-        for base in current:
-            for w in orbit:
-                new.add(tuple(map(add, base, w)))
-                if len(new) > limit:
-                    raise guard_error(ClosureTooLargeError, "span", None, limit)
-        current = new
-    return Submodule(ring, k, frozenset(current), tuple(vectors))
+        current = _sum_sets(ring, current, orbit(ring, g), "span")
+    return Submodule(ring, ambient_power, frozenset(current))
 
 
 def ideal_multiple(sub: Submodule) -> Submodule:
-    """The submodule m*V for V = sub (products with the maximal ideal,
-    closed under addition via the ideal generators of m)."""
+    """The submodule m*V for V = sub: the sum of g*V over the generators g
+    of the maximal ideal."""
     ring = sub.ring
-    k = sub.ambient_power
-    zero = (0,) * k
-    current = {zero}
-    add = ring.add
+    mul = ring.mul
+    current = {(0,) * sub.ambient_power}
     for g in ring.max_ideal_generators:
-        layer = {_vec_scale(ring, g, v) for v in sub.vectors}
-        current = {tuple(add(a, b) for a, b in zip(base, w)) for base in current for w in layer}
-    return Submodule(ring, k, frozenset(current))
+        layer = {tuple(mul(g, a) for a in v) for v in sub.vectors}
+        current = _sum_sets(ring, current, layer, "ideal multiple")
+    return Submodule(ring, sub.ambient_power, frozenset(current))
 
 
 def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
-    ring = a.ring
-    add = ring.add
-    vecs = frozenset(
-        tuple(add(x, y) for x, y in zip(u, v)) for u in a.vectors for v in b.vectors
-    )
-    return Submodule(ring, a.ambient_power, vecs, a.generators + b.generators)
+    vecs = _sum_sets(a.ring, a.vectors, b.vectors, "submodule sum")
+    return Submodule(a.ring, a.ambient_power, frozenset(vecs))
+
+
+def minimal_generators(sub: Submodule, candidates) -> list:
+    """A minimal generating set of ``sub`` picked from ``candidates``
+    (vectors that span it) in order: v is kept unless v is in span(kept) +
+    m*sub.  By Nakayama's lemma the kept vectors generate sub."""
+    acc = ideal_multiple(sub).vectors
+    kept = []
+    for v in candidates:
+        if v in acc:
+            continue
+        kept.append(v)
+        acc = _sum_sets(sub.ring, acc, orbit(sub.ring, v), "minimal generators")
+    return kept
 
 
 def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:

@@ -16,7 +16,7 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .linalg import Mat
-from .modindep import guard_error, guard_limit, max_closure
+from .modindep import guard_error, guard_limit
 from .rings import Ring
 
 DEFAULT_MAX_SCAN = 1 << 26
@@ -32,7 +32,7 @@ def _naive_span(ring: Ring, vectors, k: int) -> frozenset:
             gens.add(tuple(mul(c, a) for a in v))
     current = {zero} | gens
     frontier = list(current)
-    limit = max_closure()
+    limit = guard_limit()
     while frontier:
         nxt = []
         for v in frontier:
@@ -195,7 +195,7 @@ def cyclic_submodule_census(ring: Ring, component_valuations) -> dict:
     total = 1
     for c in comps:
         total *= len(c)
-    limit = max_closure()
+    limit = guard_limit()
     if total > limit:
         raise guard_error(ClosureTooLargeError, "census", total, limit)
     ordv, upart = ring.valuation, ring.unit_part

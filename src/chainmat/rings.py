@@ -535,20 +535,20 @@ def _load_table_ring(name_or_path: str) -> Ring:
     return TableRing(name_or_path, size, data["add"], data["mul"], names)
 
 
-def make_ring(spec: str) -> Ring:
+def make_ring(spec: str, directory: str = "") -> Ring:
     """Construct a ring from a spec string.
 
     Grammar: ``z:<prime-power>``, ``zpn:<p>,<nu>``, ``fpu:<p>,<nu>``,
     ``table:<builtin-name-or-json-path>``.  Rings are cached by spec.  A
     table path is made absolute first: that path is the ring's identity,
     so two files with the same basename are different rings, a relative
-    path names the file in the current directory, and the printed spec
-    reloads from anywhere.
+    path names the file in ``directory`` (by default the current
+    directory), and the printed spec reloads from anywhere.
     """
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head.lower() == "table" and rest not in _builtin_tables():
-        spec = f"table:{os.path.abspath(rest)}"
+        spec = f"table:{os.path.abspath(os.path.join(directory, rest))}"
     return _make_ring(spec)
 
 

@@ -155,6 +155,11 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["verify-gallery", "nosuch"],
         ["counting", "--ring", "z:8", "--shape", "2,x", "-s", "3"],
         ["uniform", "--ring", "z:4", "-n", "0"],
+        ["bound", "--ring", "z:4", "-k", "20000"],
+        ["bound", "--ring", "z:4", "-k", "1000000000"],
+        ["counting", "--ring", "z:4", "--shape", "20000,0", "-s", "1"],
+        ["minor", "data:p6_z4", "--delete", "zz"],
+        ["minor", "data:p6_z4", "--contract", "zz"],
         ["rank", str(duplicate_labels)],
         *(["rank", str(path)] for path in bad_tables),
     ):

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from chainmat.enumgeo import (
+    MAX_ANSWER_DIGITS,
     ModuleShape,
     count_cyclic_submodules,
     cyc_antichain_bound,
@@ -12,7 +13,7 @@ from chainmat.enumgeo import (
     simple_size_bound,
     uniform_rank2_representation,
 )
-from chainmat.errors import BadTorsionIndexError, NotChainRingError
+from chainmat.errors import BadTorsionIndexError, BadValueError, NotChainRingError
 from chainmat.indepsys import build_from_matrix, is_isomorphic, uniform_system
 from chainmat.modindep import is_modular_independent
 from chainmat.oracle import cyclic_submodule_census, cyclic_submodule_census_by_sets
@@ -47,6 +48,34 @@ def test_counting_matches_both_censuses():
         assert fast == slow
         for s in range(1, ring.nilpotency_index + 1):
             assert fast.get(s, 0) == count_cyclic_submodules(shape, ring, s)
+
+
+def test_answers_beyond_the_digit_cap():
+    # The cap is judged from logarithms, before any power is formed; it
+    # must agree with the exact answer on both sides of the boundary.
+    cap = 10**MAX_ANSWER_DIGITS
+    # The first k whose bound reaches the cap: 7143 over Z4, 4763 over Z8,
+    # 4508 over Z9; the first m whose count does: 14285.
+    firsts = ((Z4, 7143), (Z8, 4763), (make_ring("z:9"), 4508))
+    for ring, k in [(ring, k) for ring, first in firsts for k in range(first - 20, first + 20)]:
+        q, nu = ring.residue_field_size, ring.nilpotency_index
+        exact = q ** ((nu - 1) * (k - 1)) * (q**k - 1) // (q - 1)
+        if exact < cap:
+            assert simple_size_bound(ring, k) == exact
+        else:
+            message = f"^k={k} is too large: the answer has more than {MAX_ANSWER_DIGITS} digits$"
+            with pytest.raises(BadValueError, match=message):
+                simple_size_bound(ring, k)
+    # Over Z4 (q = 2, nu = 2) the shapes (m, 0) at s = 1 and (1, m) at s = 2.
+    for mult, s in [((m, 0), 1) for m in range(14265, 14305)] + [((1, m), 2) for m in range(14265, 14305)]:
+        exact = (2 ** (mult[0] * s + mult[1]) - 2 ** (mult[0] * (s - 1) + mult[1] * (s - 1))) // 2 ** (s - 1)
+        if exact < cap:
+            assert count_cyclic_submodules(ModuleShape(mult), Z4, s) == exact
+        else:
+            with pytest.raises(BadValueError, match=f"^shape {mult[0]},{mult[1]} is too large"):
+                count_cyclic_submodules(ModuleShape(mult), Z4, s)
+    with pytest.raises(BadValueError, match="^k=1000000000 is too large"):
+        simple_size_bound(Z4, 10**9)
 
 
 def test_projective_line_sizes():

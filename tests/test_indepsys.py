@@ -1,6 +1,6 @@
 import pytest
 
-from chainmat.errors import ContractDependentSetError, GroundSetTooLargeError
+from chainmat.errors import ContractDependentSetError, GroundSetTooLargeError, UnknownLabelError
 from chainmat.indepsys import (
     Clutter,
     IndependenceSystem,
@@ -123,6 +123,9 @@ def test_clutter_axioms_and_minors():
     assert c2.contract({"2"}).members == {frozenset({"1"})}
     with pytest.raises(ContractDependentSetError):
         Clutter(["1", "2"], [{"1"}]).contract({"1"})
+    for minor in (c2.delete, c2.contract):
+        with pytest.raises(UnknownLabelError, match="unknown label 'zz'"):
+            minor({"1", "zz"})
 
 
 def test_single_element_minor_laws():

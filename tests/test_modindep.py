@@ -3,6 +3,7 @@ import pytest
 from chainmat.errors import TooManyColumnsError
 from chainmat.linalg import Mat
 from chainmat.modindep import (
+    Submodule,
     generator_count_of_submodule,
     has_nonzero_maximal_minor,
     has_trivial_annihilator,
@@ -10,10 +11,11 @@ from chainmat.modindep import (
     intersect_submodules,
     is_modular_independent,
     minimal_generator_count,
+    minimal_generators,
     span,
     sum_submodules,
 )
-from chainmat.oracle import dual_by_enumeration, mu_by_enumeration
+from chainmat.oracle import _naive_span, dual_by_enumeration, mu_by_enumeration
 from chainmat.rings import make_ring
 
 from helpers import CHAIN_SPECS, TABLE_SPECS, random_submodule_generators, rng_for
@@ -207,6 +209,55 @@ def test_closure_guard_env_override(monkeypatch):
         monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", bad)
         with pytest.raises(BadValueError, match=f"CHAINMAT_MAX_CLOSURE='{bad}'"):
             span(Z8, [(1, 0), (0, 1)])
+
+
+def test_closure_kernel_matches_naive_span():
+    rng = rng_for("closure-kernel")
+    for spec in CHAIN_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        mul = ring.mul
+        for _ in range(12):
+            k = rng.randint(1, 3 if ring.size < 16 else 2)
+            gens = random_submodule_generators(rng, ring, k, rng.randint(0, 3))
+            sub = span(ring, gens, k)
+            assert sub.vectors == _naive_span(ring, gens, k)
+            products = [tuple(mul(a, x) for x in v) for a in ring.maximal_ideal for v in sub.vectors]
+            msub = ideal_multiple(sub).vectors
+            assert msub == _naive_span(ring, products, k)
+            others = random_submodule_generators(rng, ring, k, rng.randint(0, 2))
+            total = sum_submodules(sub, span(ring, others, k)).vectors
+            assert total == _naive_span(ring, gens + others, k)
+            # The Nakayama greedy, from the generators and from the sorted
+            # vector list (the candidate orders of the two Code constructors).
+            for candidates in (gens, sorted(sub.vectors)):
+                kept = minimal_generators(sub, candidates)
+                for i, v in enumerate(kept):
+                    assert v not in _naive_span(ring, kept[:i] + sorted(msub), k)
+                assert _naive_span(ring, kept, k) == sub.vectors
+                assert len(kept) == mu_by_enumeration(ring, gens)
+
+
+def test_every_closure_names_its_guard(monkeypatch):
+    from itertools import product
+
+    from chainmat.codes import Code
+    from chainmat.errors import ClosureTooLargeError
+
+    z8_plane = span(Z8, [(1, 0), (0, 1)])
+    z8_axes = span(Z8, [(1, 0)]), span(Z8, [(0, 1)])
+    f5 = make_ring("z:5")
+    f5_plane = frozenset(product(range(5), repeat=2))
+    monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "8")
+    tail = r" guard: more than 8 vectors requested, limit 8 \(set CHAINMAT_MAX_CLOSURE to raise it\)$"
+    with pytest.raises(ClosureTooLargeError, match="^ideal multiple" + tail):
+        ideal_multiple(z8_plane)  # m * Z8^2 has 16 vectors
+    with pytest.raises(ClosureTooLargeError, match="^submodule sum" + tail):
+        sum_submodules(*z8_axes)
+    # Over a field m * C = 0, so only the greedy's own closure is too large.
+    with pytest.raises(ClosureTooLargeError, match="^minimal generators" + tail):
+        minimal_generators(Submodule(f5, 2, f5_plane), sorted(f5_plane))
+    with pytest.raises(ClosureTooLargeError, match="^minimal generators" + tail):
+        Code.from_codeword_set(f5, "ab", f5_plane)
 
 
 def test_oracle_agreement_small():

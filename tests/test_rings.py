@@ -3,7 +3,7 @@ import json
 import pytest
 
 from chainmat.errors import NotARingError, NotChainRingError, NotLocalError, NotPrimeError
-from chainmat.linalg import Mat, format_matrix, parse_matrix
+from chainmat.linalg import Mat, format_matrix, parse_matrix, parse_matrix_file
 from chainmat.rings import make_ring
 
 from helpers import CHAIN_SPECS, TABLE_SPECS
@@ -199,6 +199,12 @@ def test_table_ring_identity_and_cap(tmp_path, monkeypatch):
     assert make_ring("table:r.json") is z4
     monkeypatch.chdir(tmp_path / "b")
     assert make_ring("table:r.json") is f2u2
+    # In a matrix file it names the file next to the matrix file.
+    (tmp_path / "a" / "f.mat").write_text("ring table:r.json\ncols x\n2\n")
+    assert parse_matrix_file("../a/f.mat").ring is z4
+    monkeypatch.chdir(tmp_path)
+    assert parse_matrix_file("a/f.mat").ring is z4
+    assert parse_matrix_file(str(tmp_path / "a" / "f.mat")).ring is z4
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"size": 257, "add": [], "mul": []}))
     with pytest.raises(NotARingError, match="257 exceeds the table cap 256"):
