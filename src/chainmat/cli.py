@@ -254,12 +254,20 @@ def cmd_iso(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error like every other input error: one line, exit 2
+    (``main`` prints it; the subparsers inherit the class)."""
+
+    def error(self, message):
+        raise BadValueError(f"{self.prog}: {message}")
+
+
 def _add_matrix_arg(p):
     p.add_argument("matrix", help="matrix file path (or data:<name> for packaged examples)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="chainmat", description=__doc__)
+    top = _Parser(prog="chainmat", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit JSON where supported")
     top.add_argument("--oracle", action="store_true", help="force brute-force oracle code paths")
     sub = top.add_subparsers(dest="command", required=True)
@@ -355,9 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -133,8 +133,10 @@ def dual_code(c: Code) -> Code:
 
 
 def _split_labels(c: Code, x):
+    """The label set x (duplicates collapse), the labels kept in coordinate
+    order and their indices; an unknown label is an error."""
     xs = frozenset(str(l) for l in x)
-    for l in xs:
+    for l in sorted(xs):
         if l not in c.labels:
             raise UnknownLabelError(f"unknown coordinate {l!r}")
     keep = [l for l in c.labels if l not in xs]
@@ -178,9 +180,8 @@ def is_contractible(c: Code, label) -> ContractionWitness | None:
     if not ring.is_chain:
         raise NotChainRingError(f"contractibility is defined over chain rings, got {ring.spec}")
     lab = str(label)
-    j = c.labels.index(lab) if lab in c.labels else None
-    if j is None:
-        raise UnknownLabelError(f"unknown coordinate {label!r}")
+    _split_labels(c, [lab])
+    j = c.labels.index(lab)
     proj = c.coordinate_ideal(lab)
     if proj == {0}:
         raise ZeroProjectionError(f"code projects to zero at {label!r}")
@@ -199,10 +200,7 @@ def contract_code(c: Code, x):
     every step is contractible is returned with the shortened code.
     Raises NotContractibleError when no ordering works.
     """
-    xs = sorted(str(l) for l in x)
-    for l in xs:
-        if l not in c.labels:
-            raise UnknownLabelError(f"unknown coordinate {l!r}")
+    xs = sorted(_split_labels(c, x)[0])
     if not xs:
         return c, ()
     if len(xs) > 6:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
+    BadValueError,
     ContractDependentSetError,
     GroundSetTooLargeError,
     UnknownLabelError,
@@ -32,20 +33,20 @@ class IndependenceSystem:
         if len(labels) > MAX_GROUND:
             raise GroundSetTooLargeError(f"{len(labels)} > {MAX_GROUND} elements")
         if len(set(labels)) != len(labels):
-            raise ValueError("ground set labels must be distinct")
+            raise BadValueError("ground set labels must be distinct")
         fam = frozenset(independent_masks)
         if 0 not in fam:
-            raise ValueError("the empty set must be independent")
+            raise BadValueError("the empty set must be independent")
         full = (1 << len(labels)) - 1
         for m in fam:
             if m & ~full:
-                raise ValueError("independent mask outside the ground set")
+                raise BadValueError("independent mask outside the ground set")
         for m in fam:
             x = m
             while x:
                 bit = x & -x
                 if (m ^ bit) not in fam:
-                    raise ValueError("independent family is not downward closed")
+                    raise BadValueError("independent family is not downward closed")
                 x ^= bit
         self.labels = labels
         self.family = fam
@@ -193,11 +194,11 @@ class Clutter:
         labels = tuple(str(l) for l in labels)
         mems = {_label_set(labels, m) for m in members}
         if frozenset() in mems:
-            raise ValueError("clutter members must be nonempty")
+            raise BadValueError("clutter members must be nonempty")
         for a in mems:
             for b in mems:
                 if a < b:
-                    raise ValueError(f"clutter is not an antichain: {set(a)} < {set(b)}")
+                    raise BadValueError(f"clutter is not an antichain: {set(a)} < {set(b)}")
         self.labels = labels
         self.members = frozenset(mems)
 

@@ -1,14 +1,16 @@
 """Exact matrices over a finite local ring.
 
-The workhorse here is the Smith normal form over chain rings: pivoting on
-an entry of minimal valuation guarantees the pivot divides every remaining
-entry, so one elimination pass per pivot suffices and no division by a
-non-unit ever happens.  A single elimination routine serves both entry
-points: ``smith_normal_form`` tracks the left/right transforms (the codes
-module reads dual codes off the right one) and ``snf_exponents`` skips them
-on the independence-test hot path.  Determinants use cofactor expansion
-memoised over column subsets, which never divides at all (the rings have
-zero divisors).
+Every chain-ring routine here is a view of one elimination, ``_eliminate``:
+a row echelon form by row operations and column swaps that pivots on an
+entry of minimal valuation.  That pivot divides every remaining entry, so
+no division by a non-unit ever happens, and every row clearing goes
+through ``_clear``.  ``snf_exponents`` is the pure row echelon (its pivot
+valuations are the invariant-factor exponents); ``smith_normal_form`` also
+clears each pivot row by column operations and tracks both transforms (the
+codes module reads dual codes off the right one); ``systematic_form``
+back-substitutes to [I_k | A]; ``minimal_generator_reduction`` clears one
+column.  Determinants use cofactor expansion memoised over column subsets,
+which never divides at all (the rings have zero divisors).
 """
 
 from __future__ import annotations
@@ -65,10 +67,6 @@ class Mat:
     def submatrix(self, labels) -> "Mat":
         idx = [self.labels.index(str(l)) for l in labels]
         return Mat(self.ring, [self.labels[j] for j in idx], [[row[j] for j in idx] for row in self.rows])
-
-    def transpose_rows(self) -> list:
-        """Rows of the transpose, as raw vectors (labels are dropped)."""
-        return [tuple(row[j] for row in self.rows) for j in range(self.ncols)]
 
     def __eq__(self, other):
         return (
@@ -165,10 +163,10 @@ def row_reduce_ops(m: Mat, ops) -> Mat:
         elif tag == "addmul":
             _, i, c, j = op
             if i == j:
-                raise ValueError("addmul must use two distinct rows")
+                raise BadValueError("addmul must use two distinct rows")
             rows[i] = [add(a, mul(c, b)) for a, b in zip(rows[i], rows[j])]
         else:
-            raise ValueError(f"unknown row operation {tag!r}")
+            raise BadValueError(f"unknown row operation {tag!r}")
     return Mat(ring, m.labels, rows)
 
 
@@ -265,23 +263,51 @@ def _chain_quotient(ring: Ring, a: int, p: int) -> int:
     return ring.mul(u, ring.uniformizer_power(s - t))
 
 
-def _eliminate(ring: Ring, work: list, left=None, right=None) -> list:
-    """Diagonalise ``work`` (a list of row lists) in place; return the pivot
-    valuations in order.
+def _clear(ring: Ring, rows: list, i: int, j: int, targets, left=None) -> None:
+    """rows[r] -= (rows[r][j] / rows[i][j]) * rows[i] for each r in
+    ``targets``, which zeroes column j of those rows; ``left``, when given,
+    receives the same row operations.
 
-    Each step pivots on the first entry of minimal valuation, stopping the
-    search at the first unit.  ``left`` and ``right``, when given, receive
-    the same row and column operations, so that left @ A @ right ends up
-    equal to ``work``.  Entries left of the pivot column in the remaining
-    rows are already zero, so only columns t.. (rows t..) are updated.
+    The pivot rows[i][j] must have minimal valuation among the entries it
+    clears, so that each quotient exists.
+    """
+    add, mul, neg = ring.add, ring.mul, ring.neg
+    pivot = rows[i][j]
+    support = [(s, b) for s, b in enumerate(rows[i]) if b]
+    for r in targets:
+        a = rows[r][j]
+        if a == 0:
+            continue
+        c = neg(_chain_quotient(ring, a, pivot))
+        row = rows[r]
+        for s, b in support:
+            row[s] = add(row[s], mul(c, b))
+        if left is not None:
+            lr = left[r]
+            for s, b in enumerate(left[i]):
+                lr[s] = add(lr[s], mul(c, b))
+
+
+def _eliminate(ring: Ring, work: list, left=None, right=None):
+    """Bring ``work`` (a list of row lists) to row echelon form in place;
+    return the pivot valuations and the column order (the original index
+    of each column after the swaps).
+
+    Step t pivots on the first entry of minimal valuation in rows t..,
+    columns t.. (the search stops at the first unit), swaps it to (t, t)
+    and clears column t below it with ``_clear``.  The pivot divides every
+    remaining entry, so no division by a non-unit ever happens.  ``left``,
+    when given, receives the row operations.  ``right``, when given,
+    receives the column swaps, and then the pivot row is cleared too, by
+    column operations mirrored into ``right``, so that ``work`` ends
+    diagonal with left @ A @ right == work.
     """
     k = len(work)
     n = len(work[0]) if work else 0
     add, mul, neg, ordv = ring.add, ring.mul, ring.neg, ring.valuation
     nu = ring.nilpotency_index
-    exps = []
-    t = 0
-    while t < min(k, n):
+    exps, order = [], list(range(n))
+    for t in range(min(k, n)):
         best, best_ord = None, nu
         for i in range(t, k):
             wi = work[i]
@@ -301,40 +327,26 @@ def _eliminate(ring: Ring, work: list, left=None, right=None) -> list:
             if left is not None:
                 left[t], left[bi] = left[bi], left[t]
         if bj != t:
+            order[t], order[bj] = order[bj], order[t]
             for row in work:
                 row[t], row[bj] = row[bj], row[t]
             if right is not None:
                 for row in right:
                     row[t], row[bj] = row[bj], row[t]
-        wt = work[t]
-        pivot = wt[t]
-        # clear the pivot column
-        for i in range(t + 1, k):
-            a = work[i][t]
-            if a == 0:
-                continue
-            c = neg(_chain_quotient(ring, a, pivot))
-            wi = work[i]
-            for j in range(t, n):
-                wi[j] = add(wi[j], mul(c, wt[j]))
-            if left is not None:
-                li, lt = left[i], left[t]
-                for j in range(k):
-                    li[j] = add(li[j], mul(c, lt[j]))
-        # clear the pivot row
-        for j in range(t + 1, n):
-            a = wt[j]
-            if a == 0:
-                continue
-            c = neg(_chain_quotient(ring, a, pivot))
-            for i in range(t, k):
-                work[i][j] = add(work[i][j], mul(c, work[i][t]))
-            if right is not None:
-                for row in right:
-                    row[j] = add(row[j], mul(c, row[t]))
+        _clear(ring, work, t, t, range(t + 1, k), left)
+        if right is not None:
+            # column t is zero below the pivot now, so each column
+            # operation changes only row t (to zero) and ``right``
+            wt, pivot = work[t], work[t][t]
+            for j in range(t + 1, n):
+                a = wt[j]
+                if a:
+                    c = neg(_chain_quotient(ring, a, pivot))
+                    wt[j] = 0
+                    for row in right:
+                        row[j] = add(row[j], mul(c, row[t]))
         exps.append(best_ord)
-        t += 1
-    return exps
+    return exps, order
 
 
 def smith_normal_form(m: Mat) -> SnfResult:
@@ -343,7 +355,7 @@ def smith_normal_form(m: Mat) -> SnfResult:
         raise NotChainRingError(f"Smith normal form needs a chain ring, got {ring.spec}")
     work = [list(r) for r in m.rows]
     left, right = _identity(m.nrows), _identity(m.ncols)
-    exponents = _eliminate(ring, work, left, right)
+    exponents, _ = _eliminate(ring, work, left, right)
     # normalise each pivot to a pure uniformizer power; a pivot row is
     # never touched again once cleared, so scaling afterwards is exact
     mul = ring.mul
@@ -363,16 +375,16 @@ def smith_normal_form(m: Mat) -> SnfResult:
 def snf_exponents(ring: Ring, vectors) -> tuple:
     """Invariant-factor exponents of the matrix whose columns are ``vectors``.
 
-    Transform-free entry point to the same elimination as
-    :func:`smith_normal_form`, for the hot paths (independence tests do
-    this thousands of times).
+    The same elimination as :func:`smith_normal_form` without transforms:
+    a pure row echelon, since the pivot valuations are already the
+    exponents.  This is the independence-test hot path.
     """
     if not ring.is_chain:
         raise NotChainRingError(f"{ring.spec} is not a chain ring")
     if not vectors:
         return ()
     work = [[v[i] for v in vectors] for i in range(len(vectors[0]))]
-    return tuple(_eliminate(ring, work))
+    return tuple(_eliminate(ring, work)[0])
 
 
 # -- systematic form -------------------------------------------------------------
@@ -393,46 +405,31 @@ class SystematicForm:
 
 def systematic_form(m: Mat):
     """Bring a generator matrix to [I_k | A] form, or None when the row
-    span is not free of rank ``nrows``."""
+    span is not free of rank ``nrows``.
+
+    The row echelon form of ``_eliminate`` has k unit pivots exactly when
+    the span is free of rank k; back-substitution through ``_clear``,
+    bottom-up with each pivot scaled to 1, then leaves the identity block.
+    """
     ring = m.ring
     if not ring.is_chain:
         raise NotChainRingError(f"systematic form needs a chain ring, got {ring.spec}")
-    k, n = m.nrows, m.ncols
-    if k > n:
+    if not m.rows:
+        return SystematicForm(perm=m.labels, mat=m)
+    work = [list(r) for r in m.rows]
+    exps, order = _eliminate(ring, work)
+    if len(exps) < m.nrows or any(exps):
         return None
-    rows = [list(r) for r in m.rows]
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    pivots = []
-    used = set()
-    for i in range(k):
-        found = None
-        for j in range(n):
-            if j in used:
-                continue
-            for r in range(i, k):
-                if ring.is_unit(rows[r][j]):
-                    found = (r, j)
-                    break
-            if found:
-                break
-        if not found:
-            return None
-        r, j = found
-        rows[i], rows[r] = rows[r], rows[i]
-        inv = ring.inverse(rows[i][j])
+    mul = ring.mul
+    for t in reversed(range(m.nrows)):
+        inv = ring.inverse(work[t][t])
         if inv != 1:
-            rows[i] = [mul(inv, a) for a in rows[i]]
-        for r2 in range(k):
-            if r2 == i or rows[r2][j] == 0:
-                continue
-            c = neg(rows[r2][j])
-            rows[r2] = [add(a, mul(c, b)) for a, b in zip(rows[r2], rows[i])]
-        pivots.append(j)
-        used.add(j)
-    order = pivots + [j for j in range(n) if j not in used]
-    perm = tuple(m.labels[j] for j in order)
-    out = Mat(ring, perm, [[row[j] for j in order] for row in rows])
-    return SystematicForm(perm=perm, mat=out)
+            work[t] = [mul(inv, a) for a in work[t]]
+        _clear(ring, work, t, t, range(t))
+    # the columns after the identity block keep their original order
+    cols = [*range(m.nrows), *sorted(range(m.nrows, m.ncols), key=order.__getitem__)]
+    perm = tuple(m.labels[order[c]] for c in cols)
+    return SystematicForm(perm=perm, mat=Mat(ring, perm, [[row[c] for c in cols] for row in work]))
 
 
 def is_free_generator_matrix(m: Mat) -> bool:
@@ -461,11 +458,5 @@ def minimal_generator_reduction(m: Mat, label) -> Mat:
     ords = [ring.valuation(a) if a else ring.nilpotency_index for a in col]
     pivot_row = min(range(len(col)), key=lambda i: (ords[i], i))
     rows = [list(r) for r in m.rows]
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    p = rows[pivot_row][j]
-    for i in range(len(rows)):
-        if i == pivot_row or rows[i][j] == 0:
-            continue
-        c = neg(_chain_quotient(ring, rows[i][j], p))
-        rows[i] = [add(a, mul(c, b)) for a, b in zip(rows[i], rows[pivot_row])]
+    _clear(ring, rows, pivot_row, j, [i for i in range(len(rows)) if i != pivot_row])
     return Mat(ring, m.labels, rows)

@@ -95,7 +95,7 @@ def span(ring: Ring, vectors, ambient_power=None) -> Submodule:
     vectors = [tuple(v) for v in vectors]
     if ambient_power is None:
         if not vectors:
-            raise ValueError("ambient power required for an empty generator list")
+            raise BadValueError("ambient power required for an empty generator list")
         ambient_power = len(vectors[0])
     current = {(0,) * ambient_power}
     for g in vectors:
@@ -173,7 +173,7 @@ def minimal_generator_count(ring: Ring, vectors, method: str = "auto") -> int:
         return len(snf_exponents(ring, vectors))
     if method == "enum":
         return generator_count_of_submodule(span(ring, vectors))
-    raise ValueError(f"unknown method {method!r}")
+    raise BadValueError(f"unknown method {method!r}")
 
 
 def is_modular_independent(ring: Ring, vectors, method: str = "auto") -> bool:

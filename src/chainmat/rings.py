@@ -26,7 +26,7 @@ import json
 import os
 from functools import lru_cache
 
-from .errors import NotARingError, NotChainRingError, NotLocalError, NotPrimeError
+from .errors import BadValueError, NotARingError, NotChainRingError, NotLocalError, NotPrimeError
 
 MAX_RING_SIZE = 4096
 # Table rings are checked exhaustively, O(size^3); at 256 that takes about
@@ -82,15 +82,12 @@ class Ring:
         and the nilpotency index is 1).
     """
 
-    def __init__(self, spec, size, add_fn, mul_fn, names=None, kind="table"):
+    def __init__(self, spec, size, add_fn, mul_fn, names=None):
         self.spec = spec
-        self.kind = kind
         self.size = size
         self.add = add_fn
         self.mul = mul_fn
         self.names = names if names is not None else [str(i) for i in range(size)]
-        self.zero = 0
-        self.one = 1
         self._finish_construction()
 
     # -- construction helpers -------------------------------------------------
@@ -244,7 +241,7 @@ class Ring:
         if not self.is_chain:
             raise NotChainRingError(f"{self.spec} is not a chain ring")
         if a == 0:
-            raise ValueError("zero has no unit part")
+            raise BadValueError("zero has no unit part")
         return self._unit_part[a]
 
     def uniformizer_power(self, t: int) -> int:
@@ -304,14 +301,13 @@ class ZpnRing(Ring):
             size=n,
             add_fn=lambda a, b: (a + b) % n,
             mul_fn=lambda a, b: (a * b) % n,
-            kind="zpn",
         )
 
     def parse_element(self, token: str) -> int:
         try:
             return int(token, 10) % self.size
         except ValueError:
-            raise ValueError(f"bad element token {token!r} for {self.spec}") from None
+            raise BadValueError(f"bad element token {token!r} for {self.spec}") from None
 
 
 class FpuRing(Ring):
@@ -334,7 +330,6 @@ class FpuRing(Ring):
                 c.append(rest % p)
                 rest //= p
             coeffs.append(tuple(c))
-        self._coeffs = coeffs
 
         def add_fn(a, b, _c=coeffs, _p=p):
             ca, cb = _c[a], _c[b]
@@ -358,7 +353,7 @@ class FpuRing(Ring):
             return idx
 
         names = [self._poly_name(c) for c in coeffs]
-        super().__init__(spec=f"fpu:{p},{nu}", size=n, add_fn=add_fn, mul_fn=mul_fn, names=names, kind="fpu")
+        super().__init__(spec=f"fpu:{p},{nu}", size=n, add_fn=add_fn, mul_fn=mul_fn, names=names)
 
     @staticmethod
     def _poly_name(coeffs) -> str:
@@ -381,7 +376,7 @@ class FpuRing(Ring):
         idx = 0
         for term in token.replace(" ", "").split("+"):
             if not term:
-                raise ValueError(f"bad element token {token!r} for {self.spec}")
+                raise BadValueError(f"bad element token {token!r} for {self.spec}")
             if "u" in term:
                 head, _, tail = term.partition("u")
                 c = int(head) if head else 1
@@ -390,7 +385,7 @@ class FpuRing(Ring):
                 elif not tail:
                     i = 1
                 else:
-                    raise ValueError(f"bad element token {token!r} for {self.spec}")
+                    raise BadValueError(f"bad element token {token!r} for {self.spec}")
             else:
                 c, i = int(term), 0
             if i >= self._nu_param:
@@ -412,7 +407,6 @@ class TableRing(Ring):
             add_fn=lambda a, b: add_table[a][b],
             mul_fn=lambda a, b: mul_table[a][b],
             names=list(names),
-            kind="table",
         )
 
     @staticmethod
@@ -451,7 +445,7 @@ class TableRing(Ring):
                 return v
         except ValueError:
             pass
-        raise ValueError(f"unknown element {token!r} of {self.spec}")
+        raise BadValueError(f"unknown element {token!r} of {self.spec}")
 
 
 def _builtin_f2_monomial_ring(name: str, monomials, products):

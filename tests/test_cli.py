@@ -100,6 +100,10 @@ def test_shorten_and_contract(capsys):
     code, out, _ = run(capsys, "contract", "data:shortening_not_representing_contraction", "-X", "1")
     assert code == 1
     assert "not contractible" in out
+    code, once, _ = run(capsys, "contract", "data:p6_z4", "-X", "a")
+    assert code == 0
+    code, twice, err = run(capsys, "contract", "data:p6_z4", "-X", "a,a")
+    assert (code, twice, err) == (0, once, "")
     code, out, _ = run(capsys, "contractible", "data:vamos_z8", "-e", "a")
     assert code == 0
     assert out.startswith("yes")
@@ -158,6 +162,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["bound", "--ring", "z:4", "-k", "20000"],
         ["bound", "--ring", "z:4", "-k", "1000000000"],
         ["counting", "--ring", "z:4", "--shape", "20000,0", "-s", "1"],
+        ["counting", "--ring", "z:4", "--shape", "-1,0", "-s", "1"],
         ["minor", "data:p6_z4", "--delete", "zz"],
         ["minor", "data:p6_z4", "--contract", "zz"],
         ["rank", str(duplicate_labels)],

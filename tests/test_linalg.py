@@ -1,5 +1,6 @@
 import pytest
 
+from chainmat.codes import Code
 from chainmat.errors import (
     MatrixParseError,
     NotChainRingError,
@@ -88,6 +89,7 @@ def test_snf_soundness_random():
             assert ring.is_unit(det(Mat(ring, [str(i) for i in range(k)], res.left)))
             assert ring.is_unit(det(Mat(ring, [str(i) for i in range(n)], res.right)))
             assert list(res.exponents) == sorted(res.exponents)
+            assert snf_exponents(ring, m.columns()) == res.exponents
             for i, row in enumerate(res.diagonal):
                 for j, a in enumerate(row):
                     if i != j:
@@ -112,7 +114,7 @@ def test_snf_transpose_invariance():
         for _ in range(60):
             n = rng.randint(1, 5)
             m = random_matrix(rng, ring, n, n)
-            mt = Mat(ring, m.labels, m.transpose_rows())
+            mt = Mat(ring, m.labels, m.columns())
             assert sorted(snf_exponents(ring, m.columns())) == sorted(
                 snf_exponents(ring, mt.columns())
             )
@@ -170,12 +172,25 @@ def test_systematic_form():
     assert not is_free_generator_matrix(Mat(Z4, "abc", [[1, 2, 0], [0, 2, 2]]))
 
 
+def _row_mixed(rng, ring, rows):
+    """The rows after a few random row operations, which keep their span."""
+    rows = [list(r) for r in rows]
+    for _ in range(3):
+        if len(rows) >= 2:
+            i, j = rng.sample(range(len(rows)), 2)
+            c = rng.randrange(ring.size)
+            rows[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
 def test_systematic_form_preserves_row_span():
+    # None exactly when the closure says the span is not free of rank k;
+    # otherwise [I_k | A] spans the same rows.
     rng = rng_for("systematic-span")
-    for spec in ("z:4", "z:8"):
+    for spec in CHAIN_SPECS:
         ring = make_ring(spec)
-        for _ in range(30):
-            n = rng.randint(2, 5)
+        for trial in range(40):
+            n = rng.randint(1, 5)
             k = rng.randint(1, min(3, n))
             rows = []
             for i in range(k):
@@ -183,9 +198,23 @@ def test_systematic_form_preserves_row_span():
                 rows.append(row)
             order = list(range(n))
             rng.shuffle(order)
-            m = Mat(ring, [str(j) for j in range(n)], [[r[j] for j in order] for r in rows])
+            rows = [[r[j] for j in order] for r in rows]
+            if trial % 4 == 1:
+                rows = _row_mixed(rng, ring, rows)
+            elif trial % 4 == 2:
+                rows = random_matrix(rng, ring, k, n).rows
+            elif trial % 4 == 3:
+                k = rng.randint(1, 4)
+                n = rng.randint(max(1, k - 2), 4)
+                rows = _row_mixed(rng, ring, random_matrix(rng, ring, k, n).rows)
+            m = Mat(ring, [str(j) for j in range(n)], rows)
             sf = systematic_form(m)
-            assert sf is not None
+            free = len(Code.from_matrix(m).codewords) == ring.size**k
+            assert (sf is not None) == free, (spec, m)
+            if sf is None:
+                continue
+            for i in range(k):
+                assert sf.mat.rows[i][:k] == tuple(int(i == j) for j in range(k))
             back = sf.mat.submatrix(m.labels)
             assert span(ring, [tuple(r) for r in back.rows], n).vectors == span(
                 ring, [tuple(r) for r in m.rows], n
