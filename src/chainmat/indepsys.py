@@ -19,7 +19,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .linalg import Mat
-from .modindep import is_modular_independent
+from .modindep import _log_residue, extend_closure, is_modular_independent
 
 MAX_GROUND = 16
 MAX_BACKTRACK = 10
@@ -269,30 +269,51 @@ class MatroidReport:
 
 def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
     """Column independence system of a matrix: S independent iff the
-    columns labelled by S are modular independent."""
+    columns labelled by S are modular independent.
+
+    Masks are decided in increasing order, so every subset of a mask is
+    decided before it; a mask is tested only when all its maximal proper
+    subsets are independent (a superset of a dependent set is dependent).
+    The SNF path (``method`` "snf", or "auto" over a chain ring) tests each
+    such mask with ``is_modular_independent``.  The enumeration path
+    ("enum", or "auto" over any other ring) grows closures instead: the
+    parent of a mask x is x & (x - 1), x without its lowest element, and in
+    increasing order the masks in (p, p + lowbit(p)) are exactly p's
+    subtree.  So a stack of the independent ancestors of the current mask
+    (depth at most n) carries their (V, m*V), each child is one
+    ``extend_closure`` away from its parent, and S is independent iff
+    |V| / |m*V| = q^|S|."""
     n = a.ncols
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
     cols = a.columns()
     ring = a.ring
+    if method == "auto":
+        method = "snf" if ring.is_chain else "enum"
+    zero = (0,) * a.nrows
+    stack = [(0, {zero}, {zero})]  # (mask, V, m*V) of independent ancestors
     fam = {0}
-    for size in range(1, n + 1):
-        for combo in combinations(range(n), size):
-            mask = sum(1 << i for i in combo)
-            # a superset of a dependent set is dependent: skip unless all
-            # maximal proper subsets are already known independent
-            skip = False
-            x = mask
-            while x:
-                bit = x & -x
-                if (mask ^ bit) not in fam:
-                    skip = True
-                    break
-                x ^= bit
-            if skip:
-                continue
-            if is_modular_independent(ring, [cols[i] for i in combo], method):
+    for mask in range(1, 1 << n):
+        # x ends nonzero when some maximal proper subset is dependent
+        x = mask
+        while x:
+            bit = x & -x
+            if (mask ^ bit) not in fam:
+                break
+            x ^= bit
+        if x:
+            continue
+        if method != "enum":
+            if is_modular_independent(ring, [cols[i] for i in range(n) if mask >> i & 1], method):
                 fam.add(mask)
+            continue
+        parent = mask & (mask - 1)
+        while stack[-1][0] != parent:
+            stack.pop()
+        v, mv = extend_closure(ring, stack[-1][1], stack[-1][2], cols[(mask ^ parent).bit_length() - 1])
+        if _log_residue(ring, len(v) // len(mv)) == mask.bit_count():
+            fam.add(mask)
+            stack.append((mask, v, mv))
     return IndependenceSystem(a.labels, fam, provenance=("matrix", a))
 
 

@@ -8,7 +8,11 @@ falls back to exact submodule enumeration (|V| / |mV| as a power of the
 residue field size).
 
 Every submodule closure (span, m*V, module sum, the Nakayama greedy that
-picks a code's generators) goes through one guarded set sum, ``_sum_sets``.
+picks a code's generators, and ``extend_closure``, which grows (V, m*V) by
+one vector for the enumeration build) goes through one guarded set sum,
+``_sum_sets``.  Its first operand is always a submodule, so it skips every
+vector whose coset is already in the sum and forms each vector of the
+result once.
 """
 
 from __future__ import annotations
@@ -59,17 +63,39 @@ def orbit(ring: Ring, v) -> set:
 
 
 def _sum_sets(ring: Ring, a, b, guard: str) -> set:
-    """{x + y : x in a, y in b}.  The guard is checked after each vector
-    added, so at most limit + 1 vectors are built before it raises."""
+    """{x + y : x in a, y in b}, where ``a`` must be a submodule (every
+    caller passes one: a span, an m*V, a sum of those, or a summand).
+
+    ``out`` is then a union of cosets y + a, so a y already in ``out`` has
+    its whole coset there (Lagrange) and is skipped.  The sum costs |b|
+    lookups plus exactly |a + b| vector additions, not |a|*|b|.  The guard
+    is checked after each vector added, so at most limit + 1 vectors are
+    built before it raises."""
     limit = guard_limit()
     add = ring.add
     out = set()
-    for x in a:
-        for y in b:
+    for y in b:
+        if y in out:
+            continue
+        for x in a:
             out.add(tuple(map(add, x, y)))
             if len(out) > limit:
                 raise guard_error(ClosureTooLargeError, guard, None, limit)
     return out
+
+
+def extend_closure(ring: Ring, v, mv, g) -> tuple:
+    """(V + R*g, m*V + m*g) from the vector sets of a submodule V and of
+    m*V.  m(V + W) = mV + mW and m*(R*g) is the sum of the R*(t*g) over
+    the generators t of m, so the child of an independent set in
+    ``build_from_matrix`` costs a few coset-skipping sums, not a fresh
+    span and m*V."""
+    mul = ring.mul
+    new_v = _sum_sets(ring, v, orbit(ring, g), "span")
+    new_mv = mv
+    for t in ring.max_ideal_generators:
+        new_mv = _sum_sets(ring, new_mv, orbit(ring, tuple(mul(t, a) for a in g)), "ideal multiple")
+    return new_v, new_mv
 
 
 @dataclass(frozen=True)

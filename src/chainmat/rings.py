@@ -375,19 +375,16 @@ class FpuRing(Ring):
             pass
         idx = 0
         for term in token.replace(" ", "").split("+"):
-            if not term:
+            head, u, tail = term.partition("u")
+            if tail and not tail.startswith("^"):
                 raise BadValueError(f"bad element token {token!r} for {self.spec}")
-            if "u" in term:
-                head, _, tail = term.partition("u")
-                c = int(head) if head else 1
-                if tail.startswith("^"):
-                    i = int(tail[1:])
-                elif not tail:
-                    i = 1
-                else:
-                    raise BadValueError(f"bad element token {token!r} for {self.spec}")
-            else:
-                c, i = int(term), 0
+            try:
+                c = int(head) if head or not u else 1
+                i = int(tail[1:]) if tail else int(bool(u))
+            except ValueError:
+                raise BadValueError(f"bad element token {token!r} for {self.spec}") from None
+            if i < 0:
+                raise BadValueError(f"negative exponent in element token {token!r} for {self.spec}")
             if i >= self._nu_param:
                 continue
             idx = self.add(idx, self.mul(c % self.p, self._theta_pow[i]))

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 from chainmat.cli import main
 from chainmat.gallery import data_path
@@ -16,6 +17,17 @@ def test_check_matroid_violation_exit_code(capsys):
     code, out, _ = run(capsys, "check-matroid", "data:non_matroid")
     assert code == 1
     assert "I1=['1']" in out and "I2=['2', '3']" in out
+
+
+def test_oracle_check_matroid_agrees(capsys):
+    # --oracle builds every packaged matrix by submodule enumeration, also
+    # over chain rings, and must print what the SNF build prints.
+    data = resources.files("chainmat").joinpath("data")
+    names = sorted(p.name[:-4] for p in data.iterdir() if p.name.endswith(".mat"))
+    assert len(names) >= 19
+    for name in names:
+        want = run(capsys, "--json", "check-matroid", f"data:{name}")
+        assert run(capsys, "--oracle", "--json", "check-matroid", f"data:{name}") == want, name
 
 
 def test_check_matroid_pass(capsys):
@@ -137,6 +149,8 @@ def test_iso_command(capsys):
 def test_usage_errors(capsys, monkeypatch, tmp_path):
     duplicate_labels = tmp_path / "dup.mat"
     duplicate_labels.write_text("ring z:4\ncols a a\n1 2\n")
+    negative_exponent = tmp_path / "neg.mat"
+    negative_exponent.write_text("ring fpu:2,2\ncols a\nu^-1\n")
     z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
     bad_tables = []
     for i, table in enumerate((
@@ -166,6 +180,7 @@ def test_usage_errors(capsys, monkeypatch, tmp_path):
         ["minor", "data:p6_z4", "--delete", "zz"],
         ["minor", "data:p6_z4", "--contract", "zz"],
         ["rank", str(duplicate_labels)],
+        ["rank", str(negative_exponent)],
         *(["rank", str(path)] for path in bad_tables),
     ):
         code, out, err = run(capsys, *argv)

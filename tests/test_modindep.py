@@ -211,7 +211,18 @@ def test_closure_guard_env_override(monkeypatch):
             span(Z8, [(1, 0), (0, 1)])
 
 
-def test_closure_kernel_matches_naive_span():
+def test_closure_kernel_matches_naive_span(monkeypatch):
+    # Each fold of span forms exactly |a + b| vectors (k coordinate
+    # additions each), not |a| * |b|: a vector already in the sum has its
+    # whole coset of the current span there and is skipped.
+    gens = [(1, 0), (2, 0), (4, 0), (0, 1)]
+    folds = [len(_naive_span(Z8, gens[:i], 2)) for i in range(1, len(gens) + 1)]
+    adds = []
+    add = Z8.add
+    monkeypatch.setattr(Z8, "add", lambda a, b: adds.append(None) or add(a, b))
+    assert len(span(Z8, gens)) == 64
+    assert len(adds) == 2 * sum(folds)
+    monkeypatch.undo()
     rng = rng_for("closure-kernel")
     for spec in CHAIN_SPECS + TABLE_SPECS:
         ring = make_ring(spec)

@@ -52,6 +52,15 @@ def test_subset_scan_matches_fast_path():
         for _ in range(8):
             mat = random_matrix(rng, ring, rng.randint(1, 2), rng.randint(1, 4))
             assert circuits_by_subset_scan(mat).members == build_from_matrix(mat).circuits().members
+        # The enumeration build grows each closure from its parent's on a
+        # stack of independent ancestors; wider matrices exercise deep
+        # stacks, and over chain rings it must agree with the SNF build.
+        for _ in range(4):
+            mat = random_matrix(rng, ring, rng.randint(1, 3), rng.randint(5, 7))
+            enum = build_from_matrix(mat, method="enum")
+            assert circuits_by_subset_scan(mat).members == enum.circuits().members
+            if ring.is_chain:
+                assert enum == build_from_matrix(mat)
 
 
 def test_differential_mu():

@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from chainmat.errors import NotARingError, NotChainRingError, NotLocalError, NotPrimeError
+from chainmat.errors import BadValueError, NotARingError, NotChainRingError, NotLocalError, NotPrimeError
 from chainmat.linalg import Mat, format_matrix, parse_matrix, parse_matrix_file
 from chainmat.rings import make_ring
 
@@ -63,6 +64,11 @@ def test_residue_map():
     assert z9.residue(6) == 0
     f2u = make_ring("fpu:2,2")
     assert f2u.residue(f2u.parse_element("1+u")) == 1
+    # A negative exponent would index the power table from its end (u^-2
+    # as u); it and non-integer coefficients or exponents are bad tokens.
+    for token in ("u^-1", "u^-2", "xu", "u^a"):
+        with pytest.raises(BadValueError, match=re.escape(repr(token))):
+            f2u.parse_element(token)
     # kernel of the residue map is exactly m
     for spec in CHAIN_SPECS + TABLE_SPECS:
         r = make_ring(spec)
