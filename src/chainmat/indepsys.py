@@ -16,10 +16,11 @@ from .errors import (
     BadValueError,
     ContractDependentSetError,
     GroundSetTooLargeError,
+    NotChainRingError,
     UnknownLabelError,
 )
-from .linalg import Mat
-from .modindep import _log_residue, extend_closure, is_modular_independent
+from .linalg import Mat, _eliminate, _identity, snf_exponents
+from .modindep import _log_residue, extend_closure
 
 MAX_GROUND = 16
 MAX_BACKTRACK = 10
@@ -187,6 +188,31 @@ def _label_set(labels, t) -> frozenset:
     return t
 
 
+def _label_masks(labels, sets) -> dict:
+    """{bitmask over ``labels``: label set} for the label sets ``sets``."""
+    index = {l: i for i, l in enumerate(labels)}
+    return {sum(1 << index[x] for x in t): t for t in sets}
+
+
+def _proper_submember(b: int, members) -> int:
+    """A mask in ``members`` (nonzero masks) that is a proper subset of the
+    mask b, or 0 when there is none.  When b has fewer proper submasks
+    than there are members, they are enumerated with s = (s - 1) & b and
+    looked up; otherwise the members are scanned.  Over a family of masks
+    that costs O(sum of min(2^|b|, |members|)), not every pair."""
+    if 1 << b.bit_count() <= len(members):
+        s = (b - 1) & b
+        while s:
+            if s in members:
+                return s
+            s = (s - 1) & b
+        return 0
+    for a in members:
+        if a != b and a & b == a:
+            return a
+    return 0
+
+
 class Clutter:
     """An antichain of nonempty subsets of a ground set."""
 
@@ -195,18 +221,20 @@ class Clutter:
         mems = {_label_set(labels, m) for m in members}
         if frozenset() in mems:
             raise BadValueError("clutter members must be nonempty")
-        for a in mems:
-            for b in mems:
-                if a < b:
-                    raise BadValueError(f"clutter is not an antichain: {set(a)} < {set(b)}")
+        by_mask = _label_masks(labels, mems)
+        for b, m in by_mask.items():
+            a = _proper_submember(b, by_mask)
+            if a:
+                raise BadValueError(f"clutter is not an antichain: {set(by_mask[a])} < {set(m)}")
         self.labels = labels
         self.members = frozenset(mems)
 
     @staticmethod
     def minimize(labels, sets) -> "Clutter":
-        sets = [frozenset(str(x) for x in s) for s in sets if s]
-        keep = [s for s in sets if not any(t < s for t in sets)]
-        return Clutter(labels, keep)
+        """The inclusion-minimal members of ``sets``, empty sets dropped."""
+        labels = tuple(str(l) for l in labels)
+        by_mask = _label_masks(labels, {_label_set(labels, s) for s in sets if s})
+        return Clutter(labels, [m for b, m in by_mask.items() if not _proper_submember(b, by_mask)])
 
     def delete(self, t) -> "Clutter":
         t = _label_set(self.labels, t)
@@ -267,53 +295,161 @@ class MatroidReport:
     parallel_pairs: list
 
 
-def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
-    """Column independence system of a matrix: S independent iff the
-    columns labelled by S are modular independent.
-
-    Masks are decided in increasing order, so every subset of a mask is
-    decided before it; a mask is tested only when all its maximal proper
-    subsets are independent (a superset of a dependent set is dependent).
-    The SNF path (``method`` "snf", or "auto" over a chain ring) tests each
-    such mask with ``is_modular_independent``.  The enumeration path
-    ("enum", or "auto" over any other ring) grows closures instead: the
-    parent of a mask x is x & (x - 1), x without its lowest element, and in
-    increasing order the masks in (p, p + lowbit(p)) are exactly p's
-    subtree.  So a stack of the independent ancestors of the current mask
-    (depth at most n) carries their (V, m*V), each child is one
-    ``extend_closure`` away from its parent, and S is independent iff
-    |V| / |m*V| = q^|S|."""
-    n = a.ncols
-    if n > MAX_GROUND:
-        raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
-    cols = a.columns()
-    ring = a.ring
-    if method == "auto":
-        method = "snf" if ring.is_chain else "enum"
-    zero = (0,) * a.nrows
-    stack = [(0, {zero}, {zero})]  # (mask, V, m*V) of independent ancestors
-    fam = {0}
-    for mask in range(1, 1 << n):
-        # x ends nonzero when some maximal proper subset is dependent
+def _candidates(fam, n: int, cap: int):
+    """The masks of an n-element ground set with at most ``cap`` elements,
+    in increasing order, whose maximal proper subsets are all in ``fam``.
+    ``fam`` is read as the caller adds to it: every subset of a mask is
+    smaller than the mask, so it is decided first, and a superset of a
+    dependent set is dependent.  The masks in [x, x + lowbit(x)) all
+    contain x's elements, so a mask above the cap skips that interval."""
+    mask, end = 1, 1 << n
+    while mask < end:
+        if mask.bit_count() > cap:
+            mask += mask & -mask
+            continue
         x = mask
         while x:
             bit = x & -x
             if (mask ^ bit) not in fam:
                 break
             x ^= bit
-        if x:
-            continue
-        if method != "enum":
-            if is_modular_independent(ring, [cols[i] for i in range(n) if mask >> i & 1], method):
+        if not x:
+            yield mask
+        mask += 1
+
+
+def _column_image(ring, left, support) -> list:
+    """left * g for the column g whose nonzero entries are ``support``,
+    a list of (index, entry) pairs."""
+    add, mul = ring.add, ring.mul
+    out = []
+    for row in left:
+        s = 0
+        for j, a in support:
+            c = row[j]
+            if c:
+                s = add(s, mul(c, a))
+        out.append(s)
+    return out
+
+
+def _extend_echelon(ring, echelon, support) -> tuple:
+    """(L', exps', L'*A_S) for S = P + g from P's (L, exps, L*A_P), where g
+    has the nonzero entries ``support``: ``_eliminate`` on [L*A_P | L*g],
+    which is in row echelon form but for its last column, with the row
+    operations applied to a copy of L."""
+    left, _, work = echelon
+    work = [row + [x] for row, x in zip(work, _column_image(ring, left, support))]
+    left = [row[:] for row in left]
+    exps, _ = _eliminate(ring, work, left)
+    return left, exps, work
+
+
+def _extends_independent(ring, left, exps, support) -> bool:
+    """True when P + g is independent, for an independent P with left
+    transform ``left`` and pivot valuations ``exps`` and g with the nonzero
+    entries ``support`` (the criterion is derived in ``build_from_matrix``).
+    The rows below the pivots come first: a unit there (w = 0) makes
+    t* = nu."""
+    nu = ring.nilpotency_index
+    ordv = ring.valuation
+    p = len(exps)
+    w = min(map(ordv, _column_image(ring, left[p:], support)), default=nu)
+    if w == 0:
+        return True
+    slack = [e - ordv(x) for e, x in zip(exps, _column_image(ring, left[:p], support))]
+    t = max(0, nu - w, *slack)  # below nu, as w > 0 and every e_i < nu
+    return t > 0 and t not in slack
+
+
+def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
+    """Column independence system of a matrix: S independent iff the
+    columns labelled by S are modular independent.
+
+    ``method`` is "snf" (chain rings only), "enum", or "auto" (SNF over a
+    chain ring).  Masks are decided in increasing order, so every subset of
+    a mask is decided before it; a mask is tested only when all its
+    maximal proper subsets are independent.  The parent of a mask x is
+    x & (x - 1), x without its lowest element, and in increasing order the
+    masks in (p, p + lowbit(p)) are exactly p's subtree, so a stack of the
+    independent ancestors of the current mask (depth at most n) carries
+    what each path reuses, and each child S = P + g is decided from its
+    parent's entry.
+
+    The enumeration path carries (V, m*V): the child is one
+    ``extend_closure`` away, and S is independent iff |V| / |m*V| = q^|S|.
+
+    The SNF path relies on the paper's characterisation of chain rings:
+    there the generator count mu is monotone on submodules, so
+    mu(span S) <= r, the number of invariant factors of the whole matrix,
+    and no S with more than r elements is tested.  Each ancestor P with
+    fewer than r elements carries, computed when its first child is
+    tested, a left transform L that brings A_P to row echelon form and the
+    pivot valuations e_0..e_{p-1}: ``_eliminate`` on [L'*A_P' | L'*g'],
+    from the entry of P's own parent P' = P - g', with the row operations
+    applied to a copy of L'.  So each internal node costs one elimination
+    of a matrix already in echelon form but for one column, and a child
+    costs one product b = L*g and no elimination.  With v_i = ord(b_i),
+    w = min_{i >= p} v_i (nu when p = k) and
+    t* = max(0, nu - w, max_{i<p}(e_i - v_i)), S is dependent iff t* < nu
+    and (t* = 0 or e_i - v_i = t* for some i < p).  The "enum" path is
+    never capped, because over a non-chain ring mu is not monotone.
+
+    Derivation: L*A_P is D*U after a column permutation, with
+    D = diag(theta^e_i) over zero rows and U upper triangular with units on
+    its diagonal (each pivot has the least valuation in its row), and P is
+    independent.  So S is dependent iff c_0*g + A_P*c = 0 for some
+    c_0 = theta^t (a unit multiple of any c_0) and c with a unit entry.
+    Multiplying by L and substituting c' = U*c (c' has a unit entry iff
+    c does) turns this into theta^t*b_i = 0 for i >= p and
+    theta^e_i*c'_i = -theta^t*b_i for i < p.  These are solvable iff
+    t + w >= nu and t + v_i >= e_i for every i < p, that is t >= t*.  For
+    t = 0 the relation already has a unit coefficient.  For t > 0 some c'_i
+    must be a unit, which happens iff ord(theta^t*b_i) = e_i < nu, that is
+    t = e_i - v_i; as t >= e_i - v_i for every i, such a t can only be t*.
+    """
+    n = a.ncols
+    if n > MAX_GROUND:
+        raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
+    ring = a.ring
+    if method == "auto":
+        method = "snf" if ring.is_chain else "enum"
+    elif method not in ("snf", "enum"):
+        raise BadValueError(f"unknown method {method!r}")
+    if method == "snf" and not ring.is_chain:
+        raise NotChainRingError(f"{ring.spec} is not a chain ring")
+    cols = a.columns()
+    fam = {0}
+    if method == "snf":
+        r = len(snf_exponents(ring, cols))
+        supports = [[(i, x) for i, x in enumerate(c) if x] for c in cols]
+        k = a.nrows
+        # [mask, its lowest element, (L, exps, L*A_P) or None until its
+        # first child is tested] for each independent ancestor
+        stack = [[0, None, (_identity(k), [], [[] for _ in range(k)])]]
+        for mask in _candidates(fam, n, r):
+            parent = mask & (mask - 1)
+            while stack[-1][0] != parent:
+                stack.pop()
+            if stack[-1][2] is None:
+                stack[-1][2] = _extend_echelon(ring, stack[-2][2], supports[stack[-1][1]])
+            left, exps, _ = stack[-1][2]
+            e = (mask ^ parent).bit_length() - 1
+            if _extends_independent(ring, left, exps, supports[e]):
                 fam.add(mask)
-            continue
-        parent = mask & (mask - 1)
-        while stack[-1][0] != parent:
-            stack.pop()
-        v, mv = extend_closure(ring, stack[-1][1], stack[-1][2], cols[(mask ^ parent).bit_length() - 1])
-        if _log_residue(ring, len(v) // len(mv)) == mask.bit_count():
-            fam.add(mask)
-            stack.append((mask, v, mv))
+                if mask.bit_count() < r:
+                    stack.append([mask, e, None])
+    else:
+        zero = (0,) * a.nrows
+        stack = [(0, {zero}, {zero})]  # (mask, V, m*V) of independent ancestors
+        for mask in _candidates(fam, n, n):
+            parent = mask & (mask - 1)
+            while stack[-1][0] != parent:
+                stack.pop()
+            v, mv = extend_closure(ring, stack[-1][1], stack[-1][2], cols[(mask ^ parent).bit_length() - 1])
+            if _log_residue(ring, len(v) // len(mv)) == mask.bit_count():
+                fam.add(mask)
+                stack.append((mask, v, mv))
     return IndependenceSystem(a.labels, fam, provenance=("matrix", a))
 
 

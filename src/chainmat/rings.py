@@ -73,6 +73,8 @@ class Ring:
     Attributes
     ----------
     spec: canonical spec string the ring was built from.
+    identity: what equality and hashing compare; the spec, plus a digest
+        of the file's bytes for a table ring read from a file.
     size: |R|.
     units: frozenset of unit indices (complement of the maximal ideal).
     maximal_ideal: frozenset of non-unit indices.
@@ -84,6 +86,7 @@ class Ring:
 
     def __init__(self, spec, size, add_fn, mul_fn, names=None):
         self.spec = spec
+        self.identity = spec
         self.size = size
         self.add = add_fn
         self.mul = mul_fn
@@ -278,10 +281,10 @@ class Ring:
         return f"Ring({self.spec}, size={self.size})"
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.spec == other.spec
+        return isinstance(other, Ring) and self.identity == other.identity
 
     def __hash__(self):
-        return hash(self.spec)
+        return hash(self.identity)
 
 
 class ZpnRing(Ring):
@@ -394,7 +397,7 @@ class FpuRing(Ring):
 class TableRing(Ring):
     """Ring given by explicit add/mul tables; axioms verified exhaustively."""
 
-    def __init__(self, name: str, size: int, add_table, mul_table, names):
+    def __init__(self, name: str, size: int, add_table, mul_table, names, digest=None):
         self._validate_tables(name, size, add_table, mul_table)
         self._add_table = add_table
         self._mul_table = mul_table
@@ -405,6 +408,8 @@ class TableRing(Ring):
             mul_fn=lambda a, b: mul_table[a][b],
             names=list(names),
         )
+        if digest is not None:
+            self.identity = (self.spec, digest)
 
     @staticmethod
     def _validate_tables(name, size, add, mul):
@@ -496,22 +501,39 @@ def _builtin_tables():
     return {"f2xy_xx_xy_yy": small, "f2xy_xx_yy": big}
 
 
-def _load_table_ring(name_or_path: str) -> Ring:
-    builtins = _builtin_tables()
-    if name_or_path in builtins:
-        return builtins[name_or_path]
-    if not os.path.isfile(name_or_path):
-        raise NotARingError(f"unknown table ring {name_or_path!r}")
+_table_files = {}
+
+
+def _table_file_ring(path: str) -> Ring:
+    """The table ring in the JSON file at the absolute ``path``, cached on
+    the path and a digest of the file's bytes: a file rewritten in place
+    is read again, and the new ring is not equal to the old one."""
+    if not os.path.isfile(path):
+        raise NotARingError(f"unknown table ring {path!r}")
     try:
-        with open(name_or_path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise NotARingError(f"{name_or_path}: not a JSON table ring ({exc})") from None
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise NotARingError(f"{path}: not a JSON table ring ({exc})") from None
+    import hashlib  # here, not at the top: it adds ~5 ms to every start-up
+
+    key = (path, hashlib.sha256(raw).hexdigest())
+    ring = _table_files.get(key)
+    if ring is None:
+        ring = _table_files[key] = _parse_table_ring(path, raw, key[1])
+    return ring
+
+
+def _parse_table_ring(path: str, raw: bytes, digest: str) -> Ring:
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        raise NotARingError(f"{path}: not a JSON table ring ({exc})") from None
     if not isinstance(data, dict):
-        raise NotARingError(f"{name_or_path}: a table ring is a JSON object")
+        raise NotARingError(f"{path}: a table ring is a JSON object")
     size = data.get("size")
     if type(size) is not int or size < 1:
-        raise NotARingError(f"{name_or_path}: 'size' must be a positive integer")
+        raise NotARingError(f"{path}: 'size' must be a positive integer")
     if size > MAX_TABLE_SIZE:
         raise NotARingError(f"table ring size {size} exceeds the table cap {MAX_TABLE_SIZE}")
     for key in ("add", "mul"):
@@ -519,11 +541,11 @@ def _load_table_ring(name_or_path: str) -> Ring:
         if not isinstance(table, list) or not all(
             isinstance(row, list) and all(type(x) is int and 0 <= x < size for x in row) for row in table
         ):
-            raise NotARingError(f"{name_or_path}: {key!r} must be a table of integers 0..{size - 1}")
+            raise NotARingError(f"{path}: {key!r} must be a table of integers 0..{size - 1}")
     names = data.get("names", [str(i) for i in range(size)])
     if not isinstance(names, list) or len(names) != size or not all(isinstance(x, str) for x in names):
-        raise NotARingError(f"{name_or_path}: 'names' must be a list of {size} strings")
-    return TableRing(name_or_path, size, data["add"], data["mul"], names)
+        raise NotARingError(f"{path}: 'names' must be a list of {size} strings")
+    return TableRing(path, size, data["add"], data["mul"], names, digest)
 
 
 def make_ring(spec: str, directory: str = "") -> Ring:
@@ -531,15 +553,17 @@ def make_ring(spec: str, directory: str = "") -> Ring:
 
     Grammar: ``z:<prime-power>``, ``zpn:<p>,<nu>``, ``fpu:<p>,<nu>``,
     ``table:<builtin-name-or-json-path>``.  Rings are cached by spec.  A
-    table path is made absolute first: that path is the ring's identity,
-    so two files with the same basename are different rings, a relative
-    path names the file in ``directory`` (by default the current
-    directory), and the printed spec reloads from anywhere.
+    table path is made absolute first and is the ring's spec, so two files
+    with the same basename are different rings, a relative path names the
+    file in ``directory`` (by default the current directory), and the
+    printed spec reloads from anywhere.  A table file's ring is cached on
+    that path plus a digest of the file's bytes, which is also part of the
+    ring's identity, so a file edited in place gives a new, unequal ring.
     """
     spec = spec.strip()
     head, _, rest = spec.partition(":")
     if head.lower() == "table" and rest not in _builtin_tables():
-        spec = f"table:{os.path.abspath(os.path.join(directory, rest))}"
+        return _table_file_ring(os.path.abspath(os.path.join(directory, rest)))
     return _make_ring(spec)
 
 
@@ -564,8 +588,13 @@ def _make_ring(spec: str) -> Ring:
             raise NotPrimeError(f"bad ring spec {spec!r}") from None
         return ZpnRing(p, nu) if head == "zpn" else FpuRing(p, nu)
     if head == "table":
-        return _load_table_ring(rest)
+        return _builtin_tables()[rest]
     raise NotPrimeError(f"unknown ring spec {spec!r}")
 
 
-make_ring.cache_clear = _make_ring.cache_clear
+def _cache_clear():
+    _make_ring.cache_clear()
+    _table_files.clear()
+
+
+make_ring.cache_clear = _cache_clear

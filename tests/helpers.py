@@ -6,6 +6,7 @@ from chainmat.codes import Code
 from chainmat.linalg import Mat
 
 CHAIN_SPECS = ("z:4", "z:8", "z:9", "fpu:2,2")
+FIELD_SPECS = ("z:2", "z:3", "z:5")  # chain rings with nilpotency index 1
 TABLE_SPECS = ("table:f2xy_xx_xy_yy", "table:f2xy_xx_yy")
 
 

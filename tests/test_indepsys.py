@@ -1,6 +1,13 @@
 import pytest
 
-from chainmat.errors import ContractDependentSetError, GroundSetTooLargeError, UnknownLabelError
+import chainmat.indepsys as indepsys
+from chainmat.errors import (
+    BadValueError,
+    ContractDependentSetError,
+    GroundSetTooLargeError,
+    NotChainRingError,
+    UnknownLabelError,
+)
 from chainmat.indepsys import (
     Clutter,
     IndependenceSystem,
@@ -12,7 +19,7 @@ from chainmat.indepsys import (
     system_to_json,
     uniform_system,
 )
-from chainmat.linalg import Mat
+from chainmat.linalg import Mat, snf_exponents
 from chainmat.modindep import submodularity_gap
 from chainmat.rings import make_ring
 
@@ -126,6 +133,64 @@ def test_clutter_axioms_and_minors():
     for minor in (c2.delete, c2.contract):
         with pytest.raises(UnknownLabelError, match="unknown label 'zz'"):
             minor({"1", "zz"})
+
+
+def test_clutter_antichain_check_sees_non_adjacent_containment():
+    with pytest.raises(BadValueError, match=r"not an antichain: \{'a'\} < \{"):
+        Clutter("abc", [{"a"}, {"a", "b", "c"}])
+    # enough members that the submasks of {a, b, c} are enumerated, not
+    # the members scanned
+    pairs = [{x, y} for x in "defgh" for y in "defgh" if x < y]
+    with pytest.raises(BadValueError, match=r"not an antichain: \{'a'\} < \{"):
+        Clutter("abcdefgh", pairs + [{"a"}, {"a", "b", "c"}])
+    assert len(Clutter("abcdefgh", pairs + [{"a"}, {"b", "c"}]).members) == 12
+
+
+def test_clutter_minimize_matches_pairwise_definition():
+    rng = rng_for("clutter-minimize")
+    labels = [str(i) for i in range(7)]
+    for _ in range(300):
+        sets = [frozenset(rng.sample(labels, rng.randint(0, 7))) for _ in range(rng.randint(0, 30))]
+        want = {s for s in sets if s and not any(t and t < s for t in sets)}
+        assert Clutter.minimize(labels, sets).members == want
+
+
+def test_build_validates_method_before_testing_masks():
+    t8 = make_ring("table:f2xy_xx_xy_yy")
+    with pytest.raises(BadValueError, match="unknown method 'foo'"):
+        build_from_matrix(Mat(Z4, [], [[]]), "foo")
+    for n in range(3):
+        with pytest.raises(NotChainRingError):
+            build_from_matrix(Mat(t8, "abc"[:n], [[1] * n]), "snf")
+
+
+def test_snf_build_eliminates_only_below_the_generator_count(monkeypatch):
+    # Over a chain ring no set with more than r elements (r = number of
+    # invariant factors of the whole matrix) is tested, and the echelon
+    # transform of an independent set is built only when one of its
+    # children is tested, so only for sets with fewer than r elements.
+    calls = []
+    eliminate = indepsys._eliminate
+
+    def counting(ring, work, left=None, right=None):
+        calls.append(len(work[0]) if work else 0)
+        return eliminate(ring, work, left, right)
+
+    monkeypatch.setattr(indepsys, "_eliminate", counting)
+    rng = rng_for("snf-build-cap")
+    for spec in CHAIN_SPECS + ("z:5",):
+        ring = make_ring(spec)
+        for _ in range(6):
+            mat = random_matrix(rng, ring, 3, 7)
+            rows = [list(r) for r in mat.rows]
+            rows[2] = list(rows[rng.randrange(2)])  # r < k
+            mat = Mat(ring, mat.labels, rows)
+            r = len(snf_exponents(ring, mat.columns()))
+            calls.clear()
+            system = build_from_matrix(mat)
+            assert system.rank() == r
+            assert all(c < r for c in calls), (spec, rows, calls)
+            assert len(calls) <= sum(1 for m in system.family if 0 < m.bit_count() < r)
 
 
 def test_single_element_minor_laws():

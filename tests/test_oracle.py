@@ -17,7 +17,7 @@ from chainmat.oracle import (
 )
 from chainmat.rings import make_ring
 
-from helpers import CHAIN_SPECS, TABLE_SPECS, random_free_code, random_matrix, rng_for
+from helpers import CHAIN_SPECS, FIELD_SPECS, TABLE_SPECS, random_free_code, random_matrix, rng_for
 
 Z4 = make_ring("z:4")
 
@@ -61,6 +61,57 @@ def test_subset_scan_matches_fast_path():
             assert circuits_by_subset_scan(mat).members == enum.circuits().members
             if ring.is_chain:
                 assert enum == build_from_matrix(mat)
+
+
+def _degenerate_matrices(rng, ring):
+    """Matrices whose column module needs fewer generators than there are
+    rows (a repeated row, a row times the uniformizer, a zero row), with
+    zero and repeated columns, and with more rows than columns."""
+    mul = ring.mul
+    out = []
+    for k, n in ((2, 5), (3, 5), (3, 6), (4, 3), (3, 2)):
+        base = random_matrix(rng, ring, k, n)
+        for kind in ("repeat", "theta", "zero"):
+            rows = [list(r) for r in base.rows]
+            i, j = rng.sample(range(k), 2)
+            if kind == "repeat":
+                rows[i] = list(rows[j])
+            elif kind == "theta":
+                rows[i] = [mul(ring.uniformizer, a) for a in rows[j]]
+            else:
+                rows[i] = [0] * n
+            out.append(Mat(ring, base.labels, rows))
+        cols = [list(c) for c in zip(*base.rows)]
+        cols[rng.randrange(n)] = [0] * k
+        a, b = rng.sample(range(n), 2)
+        cols[a] = list(cols[b])
+        out.append(Mat(ring, base.labels, [list(r) for r in zip(*cols)]))
+    return out
+
+
+def test_snf_build_matches_enum_and_scan_on_degenerate_matrices():
+    # The SNF build stops at the generator count r of the column module and
+    # decides each child from its parent's echelon transform; r < k, zero
+    # and repeated columns and k > n are where a wrong cap or a wrong
+    # valuation test would show.
+    rng = rng_for("snf-kernel-degenerate")
+    for spec in CHAIN_SPECS + FIELD_SPECS:
+        ring = make_ring(spec)
+        for mat in _degenerate_matrices(rng, ring) + _degenerate_matrices(rng, ring):
+            snf = build_from_matrix(mat, method="snf")
+            assert snf == build_from_matrix(mat, method="enum"), (spec, mat)
+            assert snf.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
+
+
+def test_rank_cap_does_not_apply_off_chain_rings():
+    # Over a non-chain ring mu is not monotone: the column module of
+    # not_monotonic is R itself (one generator), yet {x, y} is independent.
+    mat = load_matrix("not_monotonic.mat")
+    assert minimal_generator_count(mat.ring, mat.columns()) == 1
+    system = build_from_matrix(mat)
+    assert system.is_independent(["1", "2"])
+    assert system.rank() == 2
+    assert circuits_by_subset_scan(mat).members == system.circuits().members
 
 
 def test_differential_mu():

@@ -217,6 +217,24 @@ def test_table_ring_identity_and_cap(tmp_path, monkeypatch):
         make_ring(f"table:{big}")
 
 
+def test_table_file_rewritten_in_place_is_reloaded(tmp_path):
+    # The cache is keyed on the path and the file's bytes, and so is ring
+    # identity: the same spec over new contents is a new, unequal ring.
+    path = tmp_path / "r.json"
+    spec = _z4_table(path)
+    z4 = make_ring(spec)
+    assert z4.add(1, 1) == 2
+    _f2u2_table(path)
+    f2u2 = make_ring(spec)
+    assert f2u2.spec == z4.spec
+    assert f2u2 != z4 and f2u2.add(1, 1) == 0
+    assert Mat(z4, ["1"], [[2]]) != Mat(f2u2, ["1"], [[2]])
+    assert parse_matrix(f"ring {spec}\ncols x\n1\n").ring is f2u2
+    _z4_table(path)
+    assert make_ring(spec) is z4
+    assert make_ring("table:f2xy_xx_yy") is make_ring("table:f2xy_xx_yy")
+
+
 def _prime_powers(limit):
     primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, p))]
     return [(p, nu) for p in primes for nu in range(1, limit.bit_length()) if p**nu <= limit]
