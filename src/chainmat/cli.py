@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable file, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ChainmatError as exc:

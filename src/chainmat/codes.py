@@ -1,11 +1,11 @@
 """Linear codes over finite local rings and their independence systems.
 
 A code carries its full codeword set (desk scale) and a generator matrix
-whose rows are a minimal generating set, picked by the Nakayama greedy of
-``modindep.minimal_generators`` from the matrix rows or the sorted
-codewords.  Over a chain ring every dual, free or not, is read off the
-Smith normal form of the generator matrix; over other rings it comes from
-the oracle's exhaustive kernel scan.
+whose rows are a minimal generating set: the Nakayama greedy of
+``modindep.minimal_generators`` over the ``span`` of the matrix rows or of
+the sorted codewords.  Over a chain ring every dual, free or not, is read
+off the Smith normal form of the generator matrix; over other rings it
+comes from the oracle's exhaustive kernel scan.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import (
+    BadValueError,
     NotChainRingError,
     NotContractibleError,
     UnknownLabelError,
@@ -55,12 +56,13 @@ class Code:
     @staticmethod
     def from_codeword_set(ring: Ring, labels, codewords) -> "Code":
         """Build from an addition/scalar-closed set of words (a submodule);
-        generators are chosen greedily from the sorted word list.  A
-        frozenset of tuples is kept as the codeword set without a copy."""
-        if not isinstance(codewords, frozenset):
-            codewords = frozenset(tuple(c) for c in codewords)
-        sub = Submodule(ring, len(labels), codewords)
-        return Code._from_submodule(labels, sub, sorted(codewords))
+        generators are chosen greedily from the sorted word list.  Words
+        that are not closed (their span is larger) are an error."""
+        words = sorted({tuple(c) for c in codewords})
+        sub = span(ring, words, len(labels))
+        if len(sub) != len(words):
+            raise BadValueError(f"{len(words)} words are not a submodule: they span {len(sub)}")
+        return Code._from_submodule(labels, sub, words)
 
     # -- basic data -----------------------------------------------------------
 
@@ -84,9 +86,9 @@ class Code:
         return build_from_matrix(self.generator)
 
     def coordinate_ideal(self, label) -> frozenset:
-        """The ideal {c_e : c in C} of projections onto one coordinate."""
+        """The ideal {c_e : c in C}: the span of the generator column."""
         j = self.labels.index(str(label))
-        return frozenset(c[j] for c in self.codewords)
+        return frozenset(a for (a,) in span(self.ring, [(r[j],) for r in self.generator.rows], 1).vectors)
 
     def __eq__(self, other):
         return (
@@ -126,7 +128,8 @@ def dual_code(c: Code) -> Code:
         if e:
             theta = ring.uniformizer_power(nu - e)
             gens.append(tuple(mul(theta, row[i]) for row in snf.right))
-    return Code.from_codeword_set(ring, c.labels, span(ring, gens, n).vectors)
+    sub = span(ring, gens, n)
+    return Code._from_submodule(c.labels, sub, sorted(sub.vectors))
 
 
 # -- puncturing and shortening ---------------------------------------------------

@@ -126,8 +126,13 @@ def parse_matrix(text: str, directory: str = "") -> Mat:
 
 def parse_matrix_file(path: str) -> Mat:
     """Parse a matrix file; a relative table-ring path names a file beside it."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix(fh.read(), os.path.dirname(path))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"not UTF-8 text ({exc.reason})", line=raw.count(b"\n", 0, exc.start) + 1) from None
+    return parse_matrix(text, os.path.dirname(path))
 
 
 def format_matrix(m: Mat) -> str:

@@ -7,12 +7,11 @@ generator count is read off the Smith normal form; everywhere else it
 falls back to exact submodule enumeration (|V| / |mV| as a power of the
 residue field size).
 
-Every submodule closure (span, m*V, module sum, the Nakayama greedy that
-picks a code's generators, and ``extend_closure``, which grows (V, m*V) by
-one vector for the enumeration build) goes through one guarded set sum,
-``_sum_sets``.  Its first operand is always a submodule, so it skips every
-vector whose coset is already in the sum and forms each vector of the
-result once.
+Every submodule closure goes through one guarded set sum, ``_sum_sets``,
+which skips every vector whose coset is already in the sum.  m*V is formed
+in one place, ``extend_closure``, which grows (V, m*V) by one vector:
+``span`` is its fold from ({0}, {0}), so every ``Submodule`` carries its
+radical m*V, which the generator counts and the Nakayama greedy read.
 """
 
 from __future__ import annotations
@@ -86,25 +85,26 @@ def _sum_sets(ring: Ring, a, b, guard: str) -> set:
 
 def extend_closure(ring: Ring, v, mv, g) -> tuple:
     """(V + R*g, m*V + m*g) from the vector sets of a submodule V and of
-    m*V.  m(V + W) = mV + mW and m*(R*g) is the sum of the R*(t*g) over
-    the generators t of m, so the child of an independent set in
-    ``build_from_matrix`` costs a few coset-skipping sums, not a fresh
-    span and m*V."""
+    m*V (unchanged when g is in V).  m*(R*g) is the sum of the R*(t*g) over
+    the generators t of m.  Every sum carries the "span" guard: m*V is
+    inside V, so it cannot overflow first."""
+    if g in v:
+        return v, mv
     mul = ring.mul
-    new_v = _sum_sets(ring, v, orbit(ring, g), "span")
-    new_mv = mv
+    v = _sum_sets(ring, v, orbit(ring, g), "span")
     for t in ring.max_ideal_generators:
-        new_mv = _sum_sets(ring, new_mv, orbit(ring, tuple(mul(t, a) for a in g)), "ideal multiple")
-    return new_v, new_mv
+        mv = _sum_sets(ring, mv, orbit(ring, tuple(mul(t, a) for a in g)), "span")
+    return v, mv
 
 
 @dataclass(frozen=True)
 class Submodule:
-    """An explicit finite submodule of R^k: its full vector set."""
+    """An explicit finite submodule V of R^k: its vector set and m*V."""
 
     ring: Ring
     ambient_power: int
     vectors: frozenset
+    radical: frozenset
 
     def __len__(self):
         return len(self.vectors)
@@ -117,40 +117,35 @@ class Submodule:
 
 
 def span(ring: Ring, vectors, ambient_power=None) -> Submodule:
-    """Smallest submodule of R^k containing the given vectors."""
+    """Smallest submodule of R^k containing the given vectors, and its m*V."""
     vectors = [tuple(v) for v in vectors]
     if ambient_power is None:
         if not vectors:
             raise BadValueError("ambient power required for an empty generator list")
         ambient_power = len(vectors[0])
-    current = {(0,) * ambient_power}
+    v = mv = {(0,) * ambient_power}
     for g in vectors:
-        current = _sum_sets(ring, current, orbit(ring, g), "span")
-    return Submodule(ring, ambient_power, frozenset(current))
+        v, mv = extend_closure(ring, v, mv, g)
+    return Submodule(ring, ambient_power, frozenset(v), frozenset(mv))
 
 
 def ideal_multiple(sub: Submodule) -> Submodule:
-    """The submodule m*V for V = sub: the sum of g*V over the generators g
-    of the maximal ideal."""
-    ring = sub.ring
-    mul = ring.mul
-    current = {(0,) * sub.ambient_power}
-    for g in ring.max_ideal_generators:
-        layer = {tuple(mul(g, a) for a in v) for v in sub.vectors}
-        current = _sum_sets(ring, current, layer, "ideal multiple")
-    return Submodule(ring, sub.ambient_power, frozenset(current))
+    """The submodule m*V for V = sub."""
+    return span(sub.ring, sub.radical, sub.ambient_power)
 
 
 def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
+    """A + B, with m(A + B) = mA + mB."""
     vecs = _sum_sets(a.ring, a.vectors, b.vectors, "submodule sum")
-    return Submodule(a.ring, a.ambient_power, frozenset(vecs))
+    radical = _sum_sets(a.ring, a.radical, b.radical, "span")
+    return Submodule(a.ring, a.ambient_power, frozenset(vecs), frozenset(radical))
 
 
 def minimal_generators(sub: Submodule, candidates) -> list:
     """A minimal generating set of ``sub`` picked from ``candidates``
     (vectors that span it) in order: v is kept unless v is in span(kept) +
     m*sub.  By Nakayama's lemma the kept vectors generate sub."""
-    acc = ideal_multiple(sub).vectors
+    acc = sub.radical
     kept = []
     for v in candidates:
         if v in acc:
@@ -161,7 +156,7 @@ def minimal_generators(sub: Submodule, candidates) -> list:
 
 
 def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
-    return Submodule(a.ring, a.ambient_power, a.vectors & b.vectors)
+    return span(a.ring, a.vectors & b.vectors, a.ambient_power)
 
 
 def _log_residue(ring: Ring, ratio: int) -> int:
@@ -180,8 +175,7 @@ def _log_residue(ring: Ring, ratio: int) -> int:
 def generator_count_of_submodule(sub: Submodule) -> int:
     """dim over the residue field of V / mV, i.e. the minimal number of
     generators, computed from cardinalities."""
-    msub = ideal_multiple(sub)
-    return _log_residue(sub.ring, len(sub) // len(msub))
+    return _log_residue(sub.ring, len(sub) // len(sub.radical))
 
 
 def minimal_generator_count(ring: Ring, vectors, method: str = "auto") -> int:
@@ -241,7 +235,7 @@ def submodularity_gap(ring: Ring, col_vectors, x_idx, y_idx):
     vy = span(ring, [col_vectors[i] for i in y_idx], len(col_vectors[0]))
     vxy = span(ring, [col_vectors[i] for i in set(x_idx) & set(y_idx)], len(col_vectors[0]))
     inter = vx.vectors & vy.vectors
-    minter = ideal_multiple(vx).vectors & ideal_multiple(vy).vectors
+    minter = vx.radical & vy.radical
     lhs = generator_count_of_submodule(vxy)
     rhs = _log_residue(ring, len(inter) // len(minter))
     return lhs, rhs

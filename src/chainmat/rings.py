@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from functools import lru_cache
 
 from .errors import BadValueError, NotARingError, NotChainRingError, NotLocalError, NotPrimeError
@@ -287,6 +288,18 @@ class Ring:
         return hash(self.identity)
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    """The integer an element token or ring spec writes in ASCII decimal
+    digits; ``int`` would also take underscores and other scripts' digits
+    (``1_0``, ``٣``), so anything else is a ValueError."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"not a decimal integer: {token!r}")
+    return int(token)
+
+
 class ZpnRing(Ring):
     """Integers modulo p^nu (includes prime fields for nu = 1)."""
 
@@ -308,7 +321,7 @@ class ZpnRing(Ring):
 
     def parse_element(self, token: str) -> int:
         try:
-            return int(token, 10) % self.size
+            return _decimal(token) % self.size
         except ValueError:
             raise BadValueError(f"bad element token {token!r} for {self.spec}") from None
 
@@ -373,7 +386,7 @@ class FpuRing(Ring):
 
     def parse_element(self, token: str) -> int:
         try:
-            return int(token, 10) % self.size
+            return _decimal(token) % self.size
         except ValueError:
             pass
         idx = 0
@@ -382,8 +395,8 @@ class FpuRing(Ring):
             if tail and not tail.startswith("^"):
                 raise BadValueError(f"bad element token {token!r} for {self.spec}")
             try:
-                c = int(head) if head or not u else 1
-                i = int(tail[1:]) if tail else int(bool(u))
+                c = _decimal(head) if head or not u else 1
+                i = _decimal(tail[1:]) if tail else int(bool(u))
             except ValueError:
                 raise BadValueError(f"bad element token {token!r} for {self.spec}") from None
             if i < 0:
@@ -442,7 +455,7 @@ class TableRing(Ring):
             if nm.replace(" ", "") == tok:
                 return i
         try:
-            v = int(token, 10)
+            v = _decimal(token)
             if 0 <= v < self.size:
                 return v
         except ValueError:
@@ -573,7 +586,7 @@ def _make_ring(spec: str) -> Ring:
     head = head.lower()
     if head == "z":
         try:
-            m = int(rest, 10)
+            m = _decimal(rest)
         except ValueError:
             raise NotPrimeError(f"bad ring spec {spec!r}") from None
         pw = _factor_prime_power(m)
@@ -583,7 +596,7 @@ def _make_ring(spec: str) -> Ring:
     if head in ("zpn", "fpu"):
         try:
             p_s, nu_s = rest.split(",")
-            p, nu = int(p_s, 10), int(nu_s, 10)
+            p, nu = _decimal(p_s), _decimal(nu_s)
         except ValueError:
             raise NotPrimeError(f"bad ring spec {spec!r}") from None
         return ZpnRing(p, nu) if head == "zpn" else FpuRing(p, nu)

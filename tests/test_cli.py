@@ -146,46 +146,11 @@ def test_iso_command(capsys):
     assert code == 1 and "not isomorphic" in out
 
 
-def test_usage_errors(capsys, monkeypatch, tmp_path):
-    duplicate_labels = tmp_path / "dup.mat"
-    duplicate_labels.write_text("ring z:4\ncols a a\n1 2\n")
-    negative_exponent = tmp_path / "neg.mat"
-    negative_exponent.write_text("ring fpu:2,2\ncols a\nu^-1\n")
-    z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
-    bad_tables = []
-    for i, table in enumerate((
-        {"add": []},
-        {"size": "4", "add": z4, "mul": z4},
-        {"size": 4, "add": z4},
-        {"size": 4, "add": z4, "mul": [["0", "1", "2", "3"]] * 4},
-        [4, z4, z4],
-        "not json",
-    )):
-        (tmp_path / f"t{i}.json").write_text(table if isinstance(table, str) else json.dumps(table))
-        bad_tables.append(tmp_path / f"t{i}.mat")
-        bad_tables[-1].write_text(f"ring table:{tmp_path / f't{i}.json'}\ncols a\n1\n")
-    code, _, err = run(capsys, "check-matroid", "/nonexistent/file.mat")
-    assert code == 2
+def test_usage_errors(capsys, monkeypatch):
+    # The bad-input corpus is in test_error_contract; these check the message.
     code, _, err = run(capsys, "snf", "data:not_monotonic")
     assert code == 2
     assert "NotChainRing" in err
-    for argv in (
-        ["verify-gallery", "nosuch"],
-        ["counting", "--ring", "z:8", "--shape", "2,x", "-s", "3"],
-        ["uniform", "--ring", "z:4", "-n", "0"],
-        ["bound", "--ring", "z:4", "-k", "20000"],
-        ["bound", "--ring", "z:4", "-k", "1000000000"],
-        ["counting", "--ring", "z:4", "--shape", "20000,0", "-s", "1"],
-        ["counting", "--ring", "z:4", "--shape", "-1,0", "-s", "1"],
-        ["minor", "data:p6_z4", "--delete", "zz"],
-        ["minor", "data:p6_z4", "--contract", "zz"],
-        ["rank", str(duplicate_labels)],
-        ["rank", str(negative_exponent)],
-        *(["rank", str(path)] for path in bad_tables),
-    ):
-        code, out, err = run(capsys, *argv)
-        assert code == 2, argv
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "abc")
     code, _, err = run(capsys, "--oracle", "rank", "data:non_matroid", "-X", "1,2")
     assert code == 2
@@ -198,3 +163,84 @@ def test_parse_error_position(tmp_path, capsys):
     code, _, err = run(capsys, "check-matroid", str(bad))
     assert code == 2
     assert "line 3" in err
+
+
+def test_error_contract(capsys, tmp_path):
+    # Every subcommand on a corpus of bad inputs: exit 2, nothing on stdout
+    # and exactly one stderr line, "error: ...", never a traceback.
+    def matrix(name, content):
+        path = tmp_path / name
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        return str(path)
+
+    z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    bad_tables = [
+        {"add": []},
+        {"size": "4", "add": z4, "mul": z4},
+        {"size": 4, "add": z4},
+        {"size": 4, "add": z4, "mul": [["0", "1", "2", "3"]] * 4},
+        [4, z4, z4],
+        "not json",
+        '{"size": 2, "add": [[0, 1], [1, 0]], "mul": ',
+    ]
+    for i, table in enumerate(bad_tables):
+        (tmp_path / f"t{i}.json").write_text(table if isinstance(table, str) else json.dumps(table))
+    bad_files = [
+        *(matrix(f"t{i}.mat", f"ring table:t{i}.json\ncols a b\n1 0\n") for i in range(len(bad_tables))),
+        matrix("negative_exponent.mat", "ring fpu:2,2\ncols a b\nu^-1 1\n"),
+        matrix("underscore.mat", "ring z:4\ncols a b\n1_0 1\n"),
+        matrix("arabic_digit.mat", "ring z:4\ncols a b\n٣ 1\n"),
+        matrix("word.mat", "ring z:4\ncols a b\n1 oops\n"),
+        matrix("fpu_underscore.mat", "ring fpu:2,2\ncols a b\n1_1u 1\n"),
+        matrix("table_underscore.mat", "ring table:f2xy_xx_yy\ncols a b\n1_0 1\n"),
+        matrix("spec_underscore.mat", "ring z:1_6\ncols a b\n1 1\n"),
+        matrix("ragged.mat", "ring z:4\ncols a b\n1 0\n1\n"),
+        matrix("empty.mat", ""),
+        matrix("duplicate.mat", "ring z:4\ncols a a\n1 2\n"),
+        matrix("latin1.mat", b"ring z:4\ncols a b\n1 \xb2\n"),
+        str(tmp_path),
+        str(tmp_path / "missing.mat"),
+    ]
+    matrix_commands = [
+        ["indep"], ["circuits"], ["rank"], ["check-matroid"], ["dual-code"], ["dual-system"],
+        ["puncture", "-X", "a"], ["shorten", "-X", "a"], ["contractible", "-e", "a"],
+        ["contract", "-X", "a"], ["minor"], ["snf"], ["systematic"],
+    ]
+    table = []
+    for path in bad_files:
+        for command in matrix_commands:
+            table.append([command[0], path, *command[1:]])
+        table += [["iso", path, "data:p6_z4"], ["iso", "data:p6_z4", path]]
+    table += [
+        # unknown labels
+        ["indep", "data:p6_z4", "-X", "zz"],
+        ["rank", "data:p6_z4", "-X", "a,zz"],
+        ["puncture", "data:p6_z4", "-X", "zz"],
+        ["shorten", "data:p6_z4", "-X", "zz"],
+        ["contractible", "data:p6_z4", "-e", "zz"],
+        ["contract", "data:p6_z4", "-X", "zz"],
+        ["minor", "data:p6_z4", "--delete", "zz"],
+        ["minor", "data:p6_z4", "--contract", "zz"],
+        ["verify-gallery", "nosuch"],
+        # bad ring specs and numbers
+        *(["uniform", "--ring", spec, "-n", "3"] for spec in ("z:1_6", "z:6", "fpu:2", "nosuch:4")),
+        *(["bound", "--ring", spec, "-k", "2"] for spec in ("z:1_6", "zpn:2,1_0")),
+        ["counting", "--ring", "z:1_6", "--shape", "1,0", "-s", "1"],
+        ["counting", "--ring", "z:8", "--shape", "2,x", "-s", "3"],
+        ["uniform", "--ring", "z:4", "-n", "0"],
+        ["bound", "--ring", "z:4", "-k", "20000"],
+        ["uniform", "--ring", "z:4", "-n", "-1"],
+        ["bound", "--ring", "z:4", "-k", "-1"],
+        ["bound", "--ring", "z:4", "-k", "1000000000"],
+        ["counting", "--ring", "z:4", "--shape", "-1,0", "-s", "1"],
+        ["counting", "--ring", "z:4", "--shape", "1,0", "-s", "-1"],
+        ["counting", "--ring", "z:4", "--shape", "20000,0", "-s", "1"],
+        # usage
+        [],
+        ["nosuch"],
+        ["rank"],
+    ]
+    for argv in table:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), (argv, code, out, err)
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, (argv, err)

@@ -10,6 +10,7 @@ from chainmat.codes import (
     shorten,
 )
 from chainmat.errors import (
+    BadValueError,
     NotChainRingError,
     NotContractibleError,
     UnknownLabelError,
@@ -20,7 +21,7 @@ from chainmat.linalg import Mat
 from chainmat.oracle import dual_by_enumeration
 from chainmat.rings import make_ring
 
-from helpers import random_code, random_free_code, rng_for
+from helpers import CHAIN_SPECS, TABLE_SPECS, random_code, random_free_code, rng_for
 
 Z4 = make_ring("z:4")
 Z8 = make_ring("z:8")
@@ -35,6 +36,32 @@ def test_code_from_matrix_reduces_to_minimal_generators():
     assert redundant.generator_count == 2
     # the matroid does not depend on which generator matrix survived
     assert redundant.matroid().family == c.matroid().family
+
+
+def test_from_codeword_set_requires_a_submodule():
+    c = Code.from_matrix(Mat(Z4, ["1", "2", "3"], [[2, 1, 1], [0, 0, 2]]))
+    rebuilt = Code.from_codeword_set(Z4, c.labels, list(c.codewords))
+    assert rebuilt == c and rebuilt.generator_count == 2
+    # A word set missing one word of its span, a set without 0 and the
+    # empty set are not codes.
+    for words in (sorted(c.codewords)[:-1], [(1, 0, 0)], []):
+        with pytest.raises(BadValueError, match="not a submodule"):
+            Code.from_codeword_set(Z4, c.labels, words)
+
+
+def test_coordinate_ideal_matches_codeword_scan():
+    rng = rng_for("coordinate-ideal")
+    for spec in CHAIN_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        radical = sorted(ring.maximal_ideal)
+        for _ in range(10):
+            k, n = rng.randint(1, 3), rng.randint(1, 4)
+            # Half the columns are drawn from m, so proper ideals occur.
+            pools = [radical if rng.random() < 0.5 else range(ring.size) for _ in range(n)]
+            rows = [[rng.choice(pools[j]) for j in range(n)] for _ in range(k)]
+            c = Code.from_matrix(Mat(ring, [str(j) for j in range(n)], rows))
+            for j, label in enumerate(c.labels):
+                assert c.coordinate_ideal(label) == frozenset(w[j] for w in c.codewords), (spec, rows, j)
 
 
 def test_free_flag():

@@ -3,7 +3,6 @@ import pytest
 from chainmat.errors import TooManyColumnsError
 from chainmat.linalg import Mat
 from chainmat.modindep import (
-    Submodule,
     generator_count_of_submodule,
     has_nonzero_maximal_minor,
     has_trivial_annihilator,
@@ -195,8 +194,9 @@ def test_closure_guard_env_override(monkeypatch):
         mu_by_enumeration(Z8, [(1, 0), (0, 1)])
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "100")
     assert len(span(Z8, [(1, 0), (0, 1)])) == 64
-    # The guard stops the expansion itself: at most limit + 1 vectors are
-    # built (three additions each), not the whole 256 * 256 of the second
+    # The guard stops the expansion itself: after the first generator's
+    # span (256 vectors) and m*V (128), at most limit + 1 vectors are built
+    # (three additions each), not the whole 256 * 256 of the second
     # generator's orbit sums.
     z256 = make_ring("z:256")
     adds = []
@@ -204,7 +204,7 @@ def test_closure_guard_env_override(monkeypatch):
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "2000")
     with pytest.raises(ClosureTooLargeError):
         span(z256, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    assert len(adds) <= 3 * (256 + 2001)
+    assert len(adds) <= 3 * (256 + 128 + 2001)
     for bad in ("abc", "0"):
         monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", bad)
         with pytest.raises(BadValueError, match=f"CHAINMAT_MAX_CLOSURE='{bad}'"):
@@ -212,16 +212,19 @@ def test_closure_guard_env_override(monkeypatch):
 
 
 def test_closure_kernel_matches_naive_span(monkeypatch):
-    # Each fold of span forms exactly |a + b| vectors (k coordinate
-    # additions each), not |a| * |b|: a vector already in the sum has its
-    # whole coset of the current span there and is skipped.
+    # Each fold of span forms exactly |V_i| + |m*V_i| vectors (k coordinate
+    # additions each; m = (2) has one generator), not |a| * |b|: a vector
+    # already in the sum has its whole coset of the current span there and
+    # is skipped.  A generator already in the span costs nothing.
     gens = [(1, 0), (2, 0), (4, 0), (0, 1)]
-    folds = [len(_naive_span(Z8, gens[:i], 2)) for i in range(1, len(gens) + 1)]
+    folds = [(1, 0), (0, 1)]  # the generators not already in the span
+    doubled = [(2, 0), (0, 2)]  # m = (2), so m*V_i is spanned by 2*g
+    sizes = [len(_naive_span(Z8, gs[:i], 2)) for gs in (folds, doubled) for i in (1, 2)]
     adds = []
     add = Z8.add
     monkeypatch.setattr(Z8, "add", lambda a, b: adds.append(None) or add(a, b))
     assert len(span(Z8, gens)) == 64
-    assert len(adds) == 2 * sum(folds)
+    assert len(adds) == 2 * sum(sizes) == 184
     monkeypatch.undo()
     rng = rng_for("closure-kernel")
     for spec in CHAIN_SPECS + TABLE_SPECS:
@@ -234,10 +237,11 @@ def test_closure_kernel_matches_naive_span(monkeypatch):
             assert sub.vectors == _naive_span(ring, gens, k)
             products = [tuple(mul(a, x) for x in v) for a in ring.maximal_ideal for v in sub.vectors]
             msub = ideal_multiple(sub).vectors
-            assert msub == _naive_span(ring, products, k)
+            assert msub == sub.radical == _naive_span(ring, products, k)
             others = random_submodule_generators(rng, ring, k, rng.randint(0, 2))
-            total = sum_submodules(sub, span(ring, others, k)).vectors
-            assert total == _naive_span(ring, gens + others, k)
+            total = sum_submodules(sub, span(ring, others, k))
+            assert total.vectors == _naive_span(ring, gens + others, k)
+            assert total.radical == span(ring, gens + others, k).radical
             # The Nakayama greedy, from the generators and from the sorted
             # vector list (the candidate orders of the two Code constructors).
             for candidates in (gens, sorted(sub.vectors)):
@@ -258,16 +262,18 @@ def test_every_closure_names_its_guard(monkeypatch):
     z8_axes = span(Z8, [(1, 0)]), span(Z8, [(0, 1)])
     f5 = make_ring("z:5")
     f5_plane = frozenset(product(range(5), repeat=2))
+    f5_sub = span(f5, f5_plane)
     monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "8")
     tail = r" guard: more than 8 vectors requested, limit 8 \(set CHAINMAT_MAX_CLOSURE to raise it\)$"
-    with pytest.raises(ClosureTooLargeError, match="^ideal multiple" + tail):
+    with pytest.raises(ClosureTooLargeError, match="^span" + tail):
         ideal_multiple(z8_plane)  # m * Z8^2 has 16 vectors
     with pytest.raises(ClosureTooLargeError, match="^submodule sum" + tail):
         sum_submodules(*z8_axes)
     # Over a field m * C = 0, so only the greedy's own closure is too large.
     with pytest.raises(ClosureTooLargeError, match="^minimal generators" + tail):
-        minimal_generators(Submodule(f5, 2, f5_plane), sorted(f5_plane))
-    with pytest.raises(ClosureTooLargeError, match="^minimal generators" + tail):
+        minimal_generators(f5_sub, sorted(f5_plane))
+    # The word set is spanned (and checked to be closed) before the greedy.
+    with pytest.raises(ClosureTooLargeError, match="^span" + tail):
         Code.from_codeword_set(f5, "ab", f5_plane)
 
 

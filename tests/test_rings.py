@@ -66,9 +66,14 @@ def test_residue_map():
     assert f2u.residue(f2u.parse_element("1+u")) == 1
     # A negative exponent would index the power table from its end (u^-2
     # as u); it and non-integer coefficients or exponents are bad tokens.
-    for token in ("u^-1", "u^-2", "xu", "u^a"):
+    for token in ("u^-1", "u^-2", "xu", "u^a", "1_1u", "u^1_0"):
         with pytest.raises(BadValueError, match=re.escape(repr(token))):
             f2u.parse_element(token)
+    # Integers are ASCII decimals: int() would read 1_0 as 10 and ٣ as 3.
+    for spec in ("z:4", "fpu:2,2", "table:f2xy_xx_yy"):
+        for token in ("1_0", "٣"):
+            with pytest.raises(BadValueError, match=re.escape(repr(token))):
+                make_ring(spec).parse_element(token)
     # kernel of the residue map is exactly m
     for spec in CHAIN_SPECS + TABLE_SPECS:
         r = make_ring(spec)
@@ -143,6 +148,9 @@ def test_not_prime_power_rejected():
         make_ring("zpn:4,1")
     with pytest.raises(NotPrimeError):
         make_ring("z:1")
+    for spec in ("z:1_6", "z:١٦", "zpn:2,1_0", "fpu:٢,2"):
+        with pytest.raises(NotPrimeError, match="bad ring spec"):
+            make_ring(spec)
 
 
 def test_table_ring_from_json_rejects_nonlocal(tmp_path):
