@@ -17,7 +17,7 @@ from .codes import Code, contract_code, dual_code, is_contractible, puncture, sh
 from .errors import BadValueError, ChainmatError, MatrixParseError, NotContractibleError
 from .indepsys import build_from_matrix, check_matroid, is_isomorphic, system_to_json, uniform_system
 from .linalg import Mat, format_matrix, parse_matrix_file, smith_normal_form, systematic_form
-from .rings import make_ring
+from .rings import _decimal, make_ring
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -31,6 +31,15 @@ def _load_matrix(path: str) -> Mat:
             name += ".mat"
         return gallery.load_matrix(name)
     return parse_matrix_file(path)
+
+
+def _integer(token: str) -> int:
+    """An integer option in ASCII decimal digits, the rule matrix files and
+    ring specs use (``int`` would also read ``1_0`` and ``٣``)."""
+    try:
+        return _decimal(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {token!r}") from None
 
 
 def _subset(arg: str) -> list:
@@ -100,7 +109,10 @@ def cmd_dual_code(args):
     mat = _load_matrix(args.matrix)
     code = Code.from_matrix(mat)
     dual = oracle.dual_by_enumeration(code) if args.oracle else dual_code(code)
-    print(format_matrix(dual.generator), end="")
+    # one printed form for both paths: the greedy over the sorted codewords
+    # (what the oracle builds), not the SNF rows that dual_code keeps
+    shown = Code.from_codeword_set(dual.ring, dual.labels, dual.codewords)
+    print(format_matrix(shown.generator), end="")
     return EXIT_OK
 
 
@@ -218,9 +230,9 @@ def cmd_bound(args):
 def cmd_counting(args):
     ring = make_ring(args.ring)
     try:
-        multiplicities = tuple(int(x) for x in args.shape.split(","))
+        multiplicities = tuple(_decimal(x.strip()) for x in args.shape.split(","))
     except ValueError:
-        raise BadValueError(f"shape {args.shape!r} is not a comma-separated list of integers") from None
+        raise BadValueError(f"shape {args.shape!r} is not a comma-separated list of decimal integers") from None
     shape = enumgeo.ModuleShape(multiplicities)
     print(enumgeo.count_cyclic_submodules(shape, ring, args.s))
     return EXIT_OK
@@ -334,19 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("uniform", help="rank-2 uniform representation over a ring")
     p.add_argument("--ring", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_integer, required=True)
     p.set_defaults(fn=cmd_uniform)
 
     p = sub.add_parser("bound", help="simple-matroid size bound for free rank-k codes")
     p.add_argument("--ring", required=True)
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_integer, required=True)
     p.add_argument("--antichain", action="store_true", help="also compute the poset width")
     p.set_defaults(fn=cmd_bound)
 
     p = sub.add_parser("counting", help="cyclic submodule count for a module shape")
     p.add_argument("--ring", required=True)
     p.add_argument("--shape", required=True, help="comma-separated multiplicities k0,k1,...")
-    p.add_argument("-s", type=int, required=True)
+    p.add_argument("-s", type=_integer, required=True)
     p.set_defaults(fn=cmd_counting)
 
     p = sub.add_parser("verify-gallery", help="verify catalog entries")

@@ -1,11 +1,13 @@
 """Linear codes over finite local rings and their independence systems.
 
 A code carries its full codeword set (desk scale) and a generator matrix
-whose rows are a minimal generating set: the Nakayama greedy of
-``modindep.minimal_generators`` over the ``span`` of the matrix rows or of
-the sorted codewords.  Over a chain ring every dual, free or not, is read
-off the Smith normal form of the generator matrix; over other rings it
-comes from the oracle's exhaustive kernel scan.
+whose rows are a minimal generating set.  ``Code.from_matrix`` and
+``Code.from_codeword_set`` pick those rows by the Nakayama greedy of
+``modindep.minimal_generators`` over the matrix rows or the sorted
+codewords.  Over a chain ring every dual, free or not, is read off the
+Smith normal form of the generator matrix, whose scaled right-transform
+columns are already a minimal generating set, so no greedy runs; over
+other rings the dual comes from the oracle's exhaustive kernel scan.
 """
 
 from __future__ import annotations
@@ -114,8 +116,17 @@ def dual_code(c: Code) -> Code:
     Over a chain ring, take L @ G @ R = D with diagonal exponents e_i
     (a missing or zero diagonal entry counts as theta^nu).  Then G x = 0
     iff x = R y with theta^e_i y_i = 0, i.e. y_i in <theta^(nu - e_i)>, so
-    the dual is spanned by the columns of R scaled by theta^(nu - e_i)
+    the dual is spanned by the columns R_i of R scaled by theta^(nu - e_i)
     (zero when e_i = 0).  Other rings use the exhaustive kernel scan.
+
+    These scaled columns are the generator rows, and they are minimal
+    (Norton & Salagean, AAECC 2000): R is invertible, so y -> R y is an
+    automorphism of R^n and the dual is the direct sum over e_i > 0 of
+    R theta^(nu - e_i) R_i, each isomorphic to R / theta^(e_i) R.  Every R_i
+    has a unit entry (a column inside m^n would put det R in m), so each
+    summand is a nonzero cyclic module, which needs exactly one generator
+    (Nakayama); mu of the dual is therefore #{i : e_i > 0}, the number of
+    rows.  All exponents zero give the zero dual and one zero row.
     """
     ring = c.ring
     if not ring.is_chain:
@@ -128,8 +139,8 @@ def dual_code(c: Code) -> Code:
         if e:
             theta = ring.uniformizer_power(nu - e)
             gens.append(tuple(mul(theta, row[i]) for row in snf.right))
-    sub = span(ring, gens, n)
-    return Code._from_submodule(c.labels, sub, sorted(sub.vectors))
+    generator = Mat(ring, c.labels, gens if gens else [(0,) * n])
+    return Code(ring, c.labels, span(ring, gens, n).vectors, generator)
 
 
 # -- puncturing and shortening ---------------------------------------------------

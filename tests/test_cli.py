@@ -1,8 +1,10 @@
 import json
 from importlib import resources
 
+import pytest
+
 from chainmat.cli import main
-from chainmat.gallery import data_path
+from chainmat.gallery import data_path, load_matrix
 from chainmat.indepsys import build_from_matrix, system_from_json, system_to_json
 from chainmat.linalg import parse_matrix
 
@@ -92,13 +94,29 @@ def test_snf_and_systematic(capsys):
 
 
 def test_dual_code_roundtrip(capsys):
-    code, out, _ = run(capsys, "dual-code", "data:duality_may_fail_G")
-    assert code == 0
+    code, out, err = run(capsys, "dual-code", "data:duality_may_fail_G")
+    # the printed form is the greedy over the dual's sorted codewords
+    assert (code, out, err) == (0, "ring zpn:2,2\ncols 1 2 3\n0 0 2\n2 1 1\n", "")
     dual = parse_matrix(out)
     want = parse_matrix(data_path("non_matroid.mat").read_text())
     assert build_from_matrix(dual).family == build_from_matrix(want).family
-    code, oracle_out, _ = run(capsys, "--oracle", "dual-code", "data:duality_may_fail_G")
-    assert oracle_out == out
+
+
+def _small_chain_ring_matrices():
+    """Packaged chain-ring matrices whose oracle kernel scan has at most
+    2^20 candidates (vamos_z8 has 8^8 and u212_z8 exceeds the guard)."""
+    data = resources.files("chainmat").joinpath("data")
+    names = sorted(p.name[:-4] for p in data.iterdir() if p.name.endswith(".mat"))
+    return [n for n in names
+            if (m := load_matrix(f"{n}.mat")).ring.is_chain and m.ring.size**m.ncols <= 1 << 20]
+
+
+@pytest.mark.parametrize("name", _small_chain_ring_matrices())
+def test_dual_code_matches_oracle(capsys, name):
+    # dual_code keeps the SNF generators; the command prints one form for both
+    fast = run(capsys, "dual-code", f"data:{name}")
+    assert fast[0] == 0
+    assert run(capsys, "--oracle", "dual-code", f"data:{name}") == fast
 
 
 def test_shorten_and_contract(capsys):
@@ -235,6 +253,12 @@ def test_error_contract(capsys, tmp_path):
         ["counting", "--ring", "z:4", "--shape", "-1,0", "-s", "1"],
         ["counting", "--ring", "z:4", "--shape", "1,0", "-s", "-1"],
         ["counting", "--ring", "z:4", "--shape", "20000,0", "-s", "1"],
+        # integer options take ASCII decimal digits only
+        ["bound", "--ring", "z:4", "-k", "٢"],
+        ["bound", "--ring", "z:4", "-k", "1_0"],
+        ["uniform", "--ring", "z:4", "-n", "３"],
+        ["counting", "--ring", "z:4", "--shape", "1,0", "-s", "٣"],
+        ["counting", "--ring", "z:4", "--shape", "1_0,1", "-s", "1"],
         # usage
         [],
         ["nosuch"],

@@ -146,9 +146,47 @@ def test_differential_duals():
             codes.append(Code.from_matrix(Mat(ring, mat.labels, rows)))
         codes.append(random_free_code(rng, ring, 2, n_max))
         for c in codes:
-            want, got = dual_by_enumeration(c), dual_code(c)
-            assert got == want, (spec, c.generator)
-            assert got.generator == want.generator, (spec, c.generator)
+            _check_dual(c)
+
+
+def _check_dual(c):
+    """dual_code equals the oracle's dual; its generator rows are a minimal
+    generating set (mu rows, none zero, or one zero row for the zero dual);
+    and the greedy over its sorted codewords, the printed form, is the
+    oracle's generator."""
+    want, got = dual_by_enumeration(c), dual_code(c)
+    assert got == want, (c.ring.spec, c.generator)
+    rows = got.generator.rows
+    assert got.generator_count == want.generator_count, (c.ring.spec, c.generator)
+    if got.generator_count:
+        assert len(rows) == got.generator_count and all(any(r) for r in rows), (c.ring.spec, c.generator)
+    else:
+        assert rows == ((0,) * c.length,), (c.ring.spec, c.generator)
+    shown = Code.from_codeword_set(got.ring, got.labels, got.codewords)
+    assert shown.generator == want.generator, (c.ring.spec, c.generator)
+
+
+def test_differential_dual_edge_codes():
+    # the zero code (its dual is the whole space, mu = n), free codes of
+    # full rank n (zero dual), and matrices with zero or repeated columns
+    for spec in CHAIN_SPECS + ("z:5",):
+        ring = make_ring(spec)
+        theta = ring.uniformizer
+        zero = Code.from_matrix(Mat(ring, "abc", [[0, 0, 0], [0, 0, 0]]))
+        assert dual_code(zero).generator_count == 3
+        full = Code.from_matrix(Mat(ring, "abc", [[1, 2, 3], [0, 1, theta], [0, 0, 1]]))
+        assert dual_code(full).codewords == frozenset({(0, 0, 0)})
+        edge = [
+            zero,
+            full,
+            Code.from_matrix(Mat(ring, "ab", [[1, 0], [0, 1]])),
+            Code.from_matrix(Mat(ring, "abcd", [[1, 0, 1, 0], [0, theta, 0, 0]])),
+            Code.from_matrix(Mat(ring, "abcd", [[theta, theta, 0, 1], [0, 0, 0, theta]])),
+            Code.from_matrix(Mat(ring, "abc", [[1, 1, 1]])),
+            Code.from_matrix(Mat(ring, "abc", [[0, theta, theta]])),
+        ]
+        for c in edge:
+            _check_dual(c)
 
 
 def _random_down_closed(rng, n):
