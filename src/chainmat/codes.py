@@ -17,14 +17,15 @@ from itertools import permutations
 
 from .errors import (
     BadValueError,
+    ClosureTooLargeError,
     NotChainRingError,
     NotContractibleError,
-    UnknownLabelError,
+    SearchSpaceTooLargeError,
     ZeroProjectionError,
 )
 from .indepsys import IndependenceSystem, build_from_matrix
-from .linalg import Mat, smith_normal_form
-from .modindep import Submodule, minimal_generators, span
+from .linalg import Mat, label_index, smith_normal_form
+from .modindep import Submodule, guard_error, guard_limit, minimal_generators, span
 from .oracle import dual_by_enumeration
 from .rings import Ring
 
@@ -89,7 +90,7 @@ class Code:
 
     def coordinate_ideal(self, label) -> frozenset:
         """The ideal {c_e : c in C}: the span of the generator column."""
-        j = self.labels.index(str(label))
+        j = label_index(self.labels, label)
         return frozenset(a for (a,) in span(self.ring, [(r[j],) for r in self.generator.rows], 1).vectors)
 
     def __eq__(self, other):
@@ -117,7 +118,8 @@ def dual_code(c: Code) -> Code:
     (a missing or zero diagonal entry counts as theta^nu).  Then G x = 0
     iff x = R y with theta^e_i y_i = 0, i.e. y_i in <theta^(nu - e_i)>, so
     the dual is spanned by the columns R_i of R scaled by theta^(nu - e_i)
-    (zero when e_i = 0).  Other rings use the exhaustive kernel scan.
+    (zero when e_i = 0).  Its size q^(e_1 + ... + e_n) is checked against
+    the "span" guard first.  Other rings use the exhaustive kernel scan.
 
     These scaled columns are the generator rows, and they are minimal
     (Norton & Salagean, AAECC 2000): R is invertible, so y -> R y is an
@@ -134,6 +136,9 @@ def dual_code(c: Code) -> Code:
     n, nu, mul = c.length, ring.nilpotency_index, ring.mul
     snf = smith_normal_form(c.generator)
     exps = snf.exponents + (nu,) * (n - len(snf.exponents))
+    size, limit = ring.residue_field_size ** sum(exps), guard_limit()
+    if size > limit:
+        raise guard_error(ClosureTooLargeError, "span", size, limit)
     gens = []
     for i, e in enumerate(exps):
         if e:
@@ -151,11 +156,9 @@ def _split_labels(c: Code, x):
     order and their indices; an unknown label is an error."""
     xs = frozenset(str(l) for l in x)
     for l in sorted(xs):
-        if l not in c.labels:
-            raise UnknownLabelError(f"unknown coordinate {l!r}")
-    keep = [l for l in c.labels if l not in xs]
-    keep_idx = [c.labels.index(l) for l in keep]
-    return xs, keep, keep_idx
+        label_index(c.labels, l)
+    keep_idx = [j for j, l in enumerate(c.labels) if l not in xs]
+    return xs, [c.labels[j] for j in keep_idx], keep_idx
 
 
 def puncture(c: Code, x) -> Code:
@@ -168,7 +171,7 @@ def puncture(c: Code, x) -> Code:
 def shorten(c: Code, x) -> Code:
     """Keep only codewords vanishing on x, then delete those coordinates."""
     xs, keep, keep_idx = _split_labels(c, x)
-    x_idx = [c.labels.index(l) for l in sorted(xs)]
+    x_idx = [j for j, l in enumerate(c.labels) if l in xs]
     words = [tuple(w[j] for j in keep_idx) for w in c.codewords if all(w[j] == 0 for j in x_idx)]
     return Code.from_codeword_set(c.ring, keep, words)
 
@@ -194,8 +197,7 @@ def is_contractible(c: Code, label) -> ContractionWitness | None:
     if not ring.is_chain:
         raise NotChainRingError(f"contractibility is defined over chain rings, got {ring.spec}")
     lab = str(label)
-    _split_labels(c, [lab])
-    j = c.labels.index(lab)
+    j = label_index(c.labels, lab)
     proj = c.coordinate_ideal(lab)
     if proj == {0}:
         raise ZeroProjectionError(f"code projects to zero at {label!r}")
@@ -212,13 +214,14 @@ def contract_code(c: Code, x):
 
     Orderings of x are searched lexicographically; the first one whose
     every step is contractible is returned with the shortened code.
-    Raises NotContractibleError when no ordering works.
+    Raises NotContractibleError when no ordering works; more than 6
+    coordinates are not searched (SearchSpaceTooLargeError).
     """
     xs = sorted(_split_labels(c, x)[0])
     if not xs:
         return c, ()
     if len(xs) > 6:
-        raise NotContractibleError("ordering search capped at 6 coordinates")
+        raise SearchSpaceTooLargeError(f"contraction ordering guard: {len(xs)} coordinates requested, limit 6")
     for ordering in permutations(xs):
         current = c
         ok = True

@@ -21,10 +21,6 @@ class NotChainRingError(ChainmatError):
     """Operation requires a chain ring (ideals linearly ordered)."""
 
 
-class ScaleByNonUnitError(ChainmatError):
-    """Row scaling is only allowed by units."""
-
-
 class NotSquareError(ChainmatError):
     """Determinant of a non-square matrix."""
 

@@ -214,7 +214,3 @@ def dual_entry(name: str) -> GalleryReport:
     checks.append("dual is a matroid")
     return GalleryReport(name=name + " (dual)", passed=True, checks=checks,
                          system=dual_system_of_dual_code)
-
-
-def verify_all() -> list:
-    return [verify_entry(n) for n in entry_names()]

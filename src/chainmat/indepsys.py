@@ -29,7 +29,7 @@ MAX_BACKTRACK = 10
 class IndependenceSystem:
     """Ground set plus an explicitly stored downward-closed family."""
 
-    def __init__(self, labels, independent_masks, provenance=None):
+    def __init__(self, labels, independent_masks):
         labels = tuple(str(l) for l in labels)
         if len(labels) > MAX_GROUND:
             raise GroundSetTooLargeError(f"{len(labels)} > {MAX_GROUND} elements")
@@ -51,7 +51,6 @@ class IndependenceSystem:
                 x ^= bit
         self.labels = labels
         self.family = fam
-        self.provenance = provenance
         self._index = {l: i for i, l in enumerate(labels)}
         self._rank_table = None
 
@@ -106,9 +105,6 @@ class IndependenceSystem:
         mask = self.full_mask if subset is None else self.mask_of(subset)
         return self._ranks()[mask]
 
-    def rank_mask(self, mask: int) -> int:
-        return self._ranks()[mask]
-
     # -- derived objects -----------------------------------------------------
 
     def circuits(self) -> "Clutter":
@@ -154,7 +150,7 @@ class IndependenceSystem:
         full = self.full_mask
         r_full = ranks[full]
         fam = [m for m in range(full + 1) if ranks[full & ~m] == r_full]
-        return IndependenceSystem(self.labels, fam, provenance=("dual", self))
+        return IndependenceSystem(self.labels, fam)
 
     def dual_rank(self, subset) -> int:
         """|X| + r(E - X) - r(E) (not the rank function of the dual unless
@@ -450,7 +446,7 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
             if _log_residue(ring, len(v) // len(mv)) == mask.bit_count():
                 fam.add(mask)
                 stack.append((mask, v, mv))
-    return IndependenceSystem(a.labels, fam, provenance=("matrix", a))
+    return IndependenceSystem(a.labels, fam)
 
 
 def _large_independent_subsets(fam, ranks, x: int, size: int) -> list:

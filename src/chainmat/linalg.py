@@ -23,10 +23,18 @@ from .errors import (
     MatrixParseError,
     NotChainRingError,
     NotSquareError,
-    ScaleByNonUnitError,
+    UnknownLabelError,
     ZeroColumnError,
 )
 from .rings import Ring, make_ring
+
+
+def label_index(labels: tuple, label) -> int:
+    """The position of ``label`` in ``labels``, or an UnknownLabelError."""
+    try:
+        return labels.index(str(label))
+    except ValueError:
+        raise UnknownLabelError(f"unknown label {str(label)!r}") from None
 
 
 class Mat:
@@ -58,14 +66,14 @@ class Mat:
         return len(self.labels)
 
     def column(self, label) -> tuple:
-        j = self.labels.index(str(label))
+        j = label_index(self.labels, label)
         return tuple(row[j] for row in self.rows)
 
     def columns(self) -> list:
         return [tuple(row[j] for row in self.rows) for j in range(self.ncols)]
 
     def submatrix(self, labels) -> "Mat":
-        idx = [self.labels.index(str(l)) for l in labels]
+        idx = [label_index(self.labels, l) for l in labels]
         return Mat(self.ring, [self.labels[j] for j in idx], [[row[j] for j in idx] for row in self.rows])
 
     def __eq__(self, other):
@@ -142,39 +150,6 @@ def format_matrix(m: Mat) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- elementary row operations -------------------------------------------------
-
-
-def row_reduce_ops(m: Mat, ops) -> Mat:
-    """Apply a list of elementary row operations.
-
-    Each op is one of ``("swap", i, j)``, ``("scale", i, unit)``,
-    ``("addmul", i, c, j)`` meaning row_i += c * row_j.  Scaling by a
-    non-unit is rejected since it can change the row span.
-    """
-    ring = m.ring
-    rows = [list(r) for r in m.rows]
-    add, mul = ring.add, ring.mul
-    for op in ops:
-        tag = op[0]
-        if tag == "swap":
-            _, i, j = op
-            rows[i], rows[j] = rows[j], rows[i]
-        elif tag == "scale":
-            _, i, u = op
-            if not ring.is_unit(u):
-                raise ScaleByNonUnitError(f"{ring.element_name(u)} is not a unit")
-            rows[i] = [mul(u, a) for a in rows[i]]
-        elif tag == "addmul":
-            _, i, c, j = op
-            if i == j:
-                raise BadValueError("addmul must use two distinct rows")
-            rows[i] = [add(a, mul(c, b)) for a, b in zip(rows[i], rows[j])]
-        else:
-            raise BadValueError(f"unknown row operation {tag!r}")
-    return Mat(ring, m.labels, rows)
-
-
 # -- determinant ---------------------------------------------------------------
 
 
@@ -236,23 +211,6 @@ class SnfResult:
     right: tuple
     diagonal: tuple
     exponents: tuple
-
-
-def _matmul(ring: Ring, a, b):
-    add, mul = ring.add, ring.mul
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(m):
-            s = 0
-            for t in range(k):
-                if ai[t]:
-                    s = add(s, mul(ai[t], b[t][j]))
-            row.append(s)
-        out.append(row)
-    return out
 
 
 def _identity(n):
@@ -437,13 +395,6 @@ def systematic_form(m: Mat):
     return SystematicForm(perm=perm, mat=Mat(ring, perm, [[row[c] for c in cols] for row in work]))
 
 
-def is_free_generator_matrix(m: Mat) -> bool:
-    """True when the rows span a free module of rank nrows (all invariant
-    factor exponents zero, none missing)."""
-    res = snf_exponents(m.ring, m.columns())
-    return len(res) == m.nrows and all(e == 0 for e in res)
-
-
 # -- minimal-generator column reduction -------------------------------------------
 
 
@@ -456,7 +407,7 @@ def minimal_generator_reduction(m: Mat, label) -> Mat:
     ring = m.ring
     if not ring.is_chain:
         raise NotChainRingError(f"minimal-generator reduction needs a chain ring, got {ring.spec}")
-    j = m.labels.index(str(label))
+    j = label_index(m.labels, label)
     col = [row[j] for row in m.rows]
     if all(a == 0 for a in col):
         raise ZeroColumnError(f"column {label!r} is zero")

@@ -26,20 +26,20 @@ from .errors import (
     TooManyColumnsError,
 )
 from .linalg import Mat, det_rows, snf_exponents
-from .rings import Ring
+from .rings import Ring, _decimal
 
 DEFAULT_MAX_CLOSURE = 1 << 24
 GUARD_ENV = "CHAINMAT_MAX_CLOSURE"
 
 
 def guard_limit(default: int = DEFAULT_MAX_CLOSURE) -> int:
-    """An enumeration guard: the positive integer in CHAINMAT_MAX_CLOSURE
-    when that is set, else ``default``."""
+    """An enumeration guard: the positive ASCII-decimal integer in
+    CHAINMAT_MAX_CLOSURE when that is set, else ``default``."""
     value = os.environ.get(GUARD_ENV)
     if not value:
         return default
     try:
-        limit = int(value)
+        limit = _decimal(value)
     except ValueError:
         limit = 0
     if limit <= 0:
@@ -63,7 +63,7 @@ def orbit(ring: Ring, v) -> set:
 
 def _sum_sets(ring: Ring, a, b, guard: str) -> set:
     """{x + y : x in a, y in b}, where ``a`` must be a submodule (every
-    caller passes one: a span, an m*V, a sum of those, or a summand).
+    caller passes one: a span or an m*V, grown by orbits).
 
     ``out`` is then a union of cosets y + a, so a y already in ``out`` has
     its whole coset there (Lagrange) and is skipped.  The sum costs |b|
@@ -134,13 +134,6 @@ def ideal_multiple(sub: Submodule) -> Submodule:
     return span(sub.ring, sub.radical, sub.ambient_power)
 
 
-def sum_submodules(a: Submodule, b: Submodule) -> Submodule:
-    """A + B, with m(A + B) = mA + mB."""
-    vecs = _sum_sets(a.ring, a.vectors, b.vectors, "submodule sum")
-    radical = _sum_sets(a.ring, a.radical, b.radical, "span")
-    return Submodule(a.ring, a.ambient_power, frozenset(vecs), frozenset(radical))
-
-
 def minimal_generators(sub: Submodule, candidates) -> list:
     """A minimal generating set of ``sub`` picked from ``candidates``
     (vectors that span it) in order: v is kept unless v is in span(kept) +
@@ -153,10 +146,6 @@ def minimal_generators(sub: Submodule, candidates) -> list:
         kept.append(v)
         acc = _sum_sets(sub.ring, acc, orbit(sub.ring, v), "minimal generators")
     return kept
-
-
-def intersect_submodules(a: Submodule, b: Submodule) -> Submodule:
-    return span(a.ring, a.vectors & b.vectors, a.ambient_power)
 
 
 def _log_residue(ring: Ring, ratio: int) -> int:

@@ -131,7 +131,6 @@ class Ring:
         else:
             self.uniformizer = None
             self.nilpotency_index = None
-        self._init_residue_labels()
         self._init_max_ideal_generators()
 
     def _power(self, a: int, e: int) -> int:
@@ -169,30 +168,6 @@ class Ring:
             frozenset(a for a in range(self.size) if ordv[a] >= t) for t in range(nu + 1)
         ]
 
-    def _init_residue_labels(self):
-        # Label the cosets of m by k for the coset of k*1; with a prime
-        # residue field every coset is hit exactly once.
-        q = self.residue_field_size
-        label = [None] * self.size
-        rep = 0
-        for k in range(q):
-            for x in self.maximal_ideal:
-                e = self.add(rep, x)
-                if label[e] is None:
-                    label[e] = k
-            rep = self.add(rep, 1)
-        if any(v is None for v in label):
-            # Non-prime residue field: fall back to the minimal coset element.
-            label = [None] * self.size
-            nxt = 0
-            for a in range(self.size):
-                if label[a] is None:
-                    k = nxt
-                    nxt += 1
-                    for x in self.maximal_ideal:
-                        label[self.add(a, x)] = k
-        self._residue = label
-
     def _init_max_ideal_generators(self):
         if self.is_chain:
             self.max_ideal_generators = (self.uniformizer,) if self.uniformizer else ()
@@ -224,12 +199,6 @@ class Ring:
 
     def neg(self, a: int) -> int:
         return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self._neg[b])
-
-    def is_unit(self, a: int) -> bool:
-        return a in self.units
 
     def inverse(self, a: int) -> int:
         return self._inverse[a]
@@ -267,10 +236,6 @@ class Ring:
         """{x : x*a == 0}; over a chain ring this is <theta^(nu-ord(a))>."""
         mul = self.mul
         return frozenset(x for x in range(self.size) if mul(x, a) == 0)
-
-    def residue(self, a: int) -> int:
-        """Canonical image of a in the residue field (0..q-1)."""
-        return self._residue[a]
 
     def element_name(self, a: int) -> str:
         return self.names[a]

@@ -40,3 +40,21 @@ def random_free_code(rng, ring, k, n) -> Code:
 
 def random_submodule_generators(rng, ring, k, count):
     return [tuple(rng.randrange(ring.size) for _ in range(k)) for _ in range(count)]
+
+
+def matmul(ring, a, b):
+    """The product of two matrices given as lists of rows."""
+    add, mul = ring.add, ring.mul
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    out = []
+    for i in range(n):
+        ai = a[i]
+        row = []
+        for j in range(m):
+            s = 0
+            for t in range(k):
+                if ai[t]:
+                    s = add(s, mul(ai[t], b[t][j]))
+            row.append(s)
+        out.append(row)
+    return out

@@ -173,6 +173,12 @@ def test_usage_errors(capsys, monkeypatch):
     code, _, err = run(capsys, "--oracle", "rank", "data:non_matroid", "-X", "1,2")
     assert code == 2
     assert "CHAINMAT_MAX_CLOSURE='abc'" in err
+    # the guard takes ASCII decimal digits only, like every integer input
+    for value in ("1_0", "٣٠٠"):
+        monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", value)
+        code, out, err = run(capsys, "dual-code", "data:vamos_z8")
+        assert (code, out) == (2, "")
+        assert f"CHAINMAT_MAX_CLOSURE={value!r}" in err and err.count("\n") == 1
 
 
 def test_parse_error_position(tmp_path, capsys):
@@ -240,6 +246,10 @@ def test_error_contract(capsys, tmp_path):
         ["minor", "data:p6_z4", "--delete", "zz"],
         ["minor", "data:p6_z4", "--contract", "zz"],
         ["verify-gallery", "nosuch"],
+        # a dual over the closure guard fails before it is spanned (8^10 words)
+        ["dual-code", "data:u212_z8"],
+        # more coordinates than the contraction search takes
+        ["contract", "data:vamos_z8", "-X", "a,b,c,d,e,f,g"],
         # bad ring specs and numbers
         *(["uniform", "--ring", spec, "-n", "3"] for spec in ("z:1_6", "z:6", "fpu:2", "nosuch:4")),
         *(["bound", "--ring", spec, "-k", "2"] for spec in ("z:1_6", "zpn:2,1_0")),

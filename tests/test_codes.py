@@ -13,6 +13,7 @@ from chainmat.errors import (
     BadValueError,
     NotChainRingError,
     NotContractibleError,
+    SearchSpaceTooLargeError,
     UnknownLabelError,
     ZeroProjectionError,
 )
@@ -224,6 +225,9 @@ def test_contract_code():
         contract_code(c12, ["1"])
     same, order = contract_code(c12, [])
     assert same == c12 and order == ()
+    # The ordering search is capped; past the cap nothing is decided.
+    with pytest.raises(SearchSpaceTooLargeError, match="^contraction ordering guard: 7 coordinates requested, limit 6$"):
+        contract_code(vamos, list("abcdefg"))
 
 
 def test_shortening_counterexamples():

@@ -5,19 +5,16 @@ from chainmat.errors import (
     MatrixParseError,
     NotChainRingError,
     NotSquareError,
-    ScaleByNonUnitError,
+    UnknownLabelError,
     ZeroColumnError,
 )
 from chainmat.indepsys import build_from_matrix
 from chainmat.linalg import (
     Mat,
-    _matmul,
     det,
     format_matrix,
-    is_free_generator_matrix,
     minimal_generator_reduction,
     parse_matrix,
-    row_reduce_ops,
     smith_normal_form,
     snf_exponents,
     systematic_form,
@@ -25,7 +22,7 @@ from chainmat.linalg import (
 from chainmat.modindep import generator_count_of_submodule, span
 from chainmat.rings import make_ring
 
-from helpers import CHAIN_SPECS, random_matrix, rng_for
+from helpers import CHAIN_SPECS, matmul, random_matrix, rng_for
 
 Z4 = make_ring("z:4")
 Z8 = make_ring("z:8")
@@ -55,7 +52,7 @@ def test_det_multiplicative_on_random_pairs():
             n = rng.randint(1, 4)
             a = random_matrix(rng, ring, n, n)
             b = random_matrix(rng, ring, n, n)
-            ab = _matmul(ring, [list(r) for r in a.rows], [list(r) for r in b.rows])
+            ab = matmul(ring, [list(r) for r in a.rows], [list(r) for r in b.rows])
             lhs = det(Mat(ring, a.labels, ab))
             assert lhs == ring.mul(det(a), det(b))
 
@@ -83,11 +80,11 @@ def test_snf_soundness_random():
             k, n = rng.randint(1, 5), rng.randint(1, 5)
             m = random_matrix(rng, ring, k, n)
             res = smith_normal_form(m)
-            pa = _matmul(ring, [list(r) for r in res.left], [list(r) for r in m.rows])
-            paq = _matmul(ring, pa, [list(r) for r in res.right])
+            pa = matmul(ring, [list(r) for r in res.left], [list(r) for r in m.rows])
+            paq = matmul(ring, pa, [list(r) for r in res.right])
             assert tuple(tuple(r) for r in paq) == res.diagonal
-            assert ring.is_unit(det(Mat(ring, [str(i) for i in range(k)], res.left)))
-            assert ring.is_unit(det(Mat(ring, [str(i) for i in range(n)], res.right)))
+            assert det(Mat(ring, [str(i) for i in range(k)], res.left)) in ring.units
+            assert det(Mat(ring, [str(i) for i in range(n)], res.right)) in ring.units
             assert list(res.exponents) == sorted(res.exponents)
             assert snf_exponents(ring, m.columns()) == res.exponents
             for i, row in enumerate(res.diagonal):
@@ -126,17 +123,6 @@ def test_snf_requires_chain_ring():
         smith_normal_form(Mat(t8, "ab", [[1, 0], [0, 1]]))
 
 
-def test_row_ops_examples():
-    eye = Mat(Z4, "ab", [[1, 0], [0, 1]])
-    swapped = row_reduce_ops(eye, [("swap", 0, 1)])
-    assert swapped.rows == ((0, 1), (1, 0))
-    m = Mat(Z4, ["1", "2", "3"], [[1, 1, 2], [0, 2, 2]])
-    out = row_reduce_ops(m, [("addmul", 1, Z4.neg(2), 0)])
-    assert out.rows == ((1, 1, 2), (2, 0, 2))
-    with pytest.raises(ScaleByNonUnitError):
-        row_reduce_ops(m, [("scale", 0, 2)])
-
-
 def test_row_ops_preserve_independence_system():
     rng = rng_for("rowops-preserve")
     for spec in CHAIN_SPECS:
@@ -144,18 +130,21 @@ def test_row_ops_preserve_independence_system():
         for _ in range(25):
             k, n = rng.randint(1, 3), rng.randint(1, 5)
             m = random_matrix(rng, ring, k, n)
-            ops = []
+            # swaps, scalings by units and row additions keep the row span
+            rows = [list(r) for r in m.rows]
             for _ in range(rng.randint(1, 6)):
                 kind = rng.choice(["swap", "scale", "addmul"])
                 if kind == "swap" and k >= 2:
                     i, j = rng.sample(range(k), 2)
-                    ops.append(("swap", i, j))
+                    rows[i], rows[j] = rows[j], rows[i]
                 elif kind == "scale":
-                    ops.append(("scale", rng.randrange(k), rng.choice(sorted(ring.units))))
+                    i, u = rng.randrange(k), rng.choice(sorted(ring.units))
+                    rows[i] = [ring.mul(u, a) for a in rows[i]]
                 elif k >= 2:
                     i, j = rng.sample(range(k), 2)
-                    ops.append(("addmul", i, rng.randrange(ring.size), j))
-            out = row_reduce_ops(m, ops)
+                    c = rng.randrange(ring.size)
+                    rows[i] = [ring.add(a, ring.mul(c, b)) for a, b in zip(rows[i], rows[j])]
+            out = Mat(ring, m.labels, rows)
             assert build_from_matrix(out).family == build_from_matrix(m).family
 
 
@@ -168,8 +157,6 @@ def test_systematic_form():
     for i in range(k):
         for j in range(k):
             assert sf.mat.rows[i][j] == int(i == j)
-    assert is_free_generator_matrix(VAMOS)
-    assert not is_free_generator_matrix(Mat(Z4, "abc", [[1, 2, 0], [0, 2, 2]]))
 
 
 def _row_mixed(rng, ring, rows):
@@ -238,6 +225,21 @@ def test_minimal_generator_reduction():
     assert minimal_generator_reduction(eye, "a") == eye
     with pytest.raises(ZeroColumnError):
         minimal_generator_reduction(Mat(Z4, "ab", [[1, 0], [3, 0]]), "b")
+
+
+@pytest.mark.parametrize(
+    "lookup",
+    [
+        lambda m: m.column("zz"),
+        lambda m: m.submatrix(["a", "zz"]),
+        lambda m: minimal_generator_reduction(m, "zz"),
+        lambda m: Code.from_matrix(m).coordinate_ideal("zz"),
+    ],
+    ids=["column", "submatrix", "minimal_generator_reduction", "coordinate_ideal"],
+)
+def test_unknown_label_is_an_unknown_label_error(lookup):
+    with pytest.raises(UnknownLabelError, match="^unknown label 'zz'$"):
+        lookup(Mat(Z4, "ab", [[1, 2], [0, 2]]))
 
 
 def test_matrix_text_roundtrip():

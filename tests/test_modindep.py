@@ -7,12 +7,10 @@ from chainmat.modindep import (
     has_nonzero_maximal_minor,
     has_trivial_annihilator,
     ideal_multiple,
-    intersect_submodules,
     is_modular_independent,
     minimal_generator_count,
     minimal_generators,
     span,
-    sum_submodules,
 )
 from chainmat.oracle import _naive_span, dual_by_enumeration, mu_by_enumeration
 from chainmat.rings import make_ring
@@ -137,11 +135,12 @@ def test_generator_count_supermodular_with_equality_condition():
         ring = make_ring(spec)
         for _ in range(25):
             k = rng.randint(1, 2)
-            v1 = span(ring, random_submodule_generators(rng, ring, k, rng.randint(0, 2)), k)
-            v2 = span(ring, random_submodule_generators(rng, ring, k, rng.randint(0, 2)), k)
+            gens_a = random_submodule_generators(rng, ring, k, rng.randint(0, 2))
+            gens_b = random_submodule_generators(rng, ring, k, rng.randint(0, 2))
+            v1, v2 = span(ring, gens_a, k), span(ring, gens_b, k)
             lhs = generator_count_of_submodule(v1) + generator_count_of_submodule(v2)
-            total = sum_submodules(v1, v2)
-            inter = intersect_submodules(v1, v2)
+            total = span(ring, gens_a + gens_b, k)
+            inter = span(ring, v1.vectors & v2.vectors, k)
             rhs = generator_count_of_submodule(total) + generator_count_of_submodule(inter)
             assert lhs <= rhs
             equal_condition = ideal_multiple(v1).vectors & ideal_multiple(v2).vectors == ideal_multiple(inter).vectors
@@ -238,10 +237,6 @@ def test_closure_kernel_matches_naive_span(monkeypatch):
             products = [tuple(mul(a, x) for x in v) for a in ring.maximal_ideal for v in sub.vectors]
             msub = ideal_multiple(sub).vectors
             assert msub == sub.radical == _naive_span(ring, products, k)
-            others = random_submodule_generators(rng, ring, k, rng.randint(0, 2))
-            total = sum_submodules(sub, span(ring, others, k))
-            assert total.vectors == _naive_span(ring, gens + others, k)
-            assert total.radical == span(ring, gens + others, k).radical
             # The Nakayama greedy, from the generators and from the sorted
             # vector list (the candidate orders of the two Code constructors).
             for candidates in (gens, sorted(sub.vectors)):
@@ -255,11 +250,11 @@ def test_closure_kernel_matches_naive_span(monkeypatch):
 def test_every_closure_names_its_guard(monkeypatch):
     from itertools import product
 
-    from chainmat.codes import Code
+    from chainmat.codes import Code, dual_code
     from chainmat.errors import ClosureTooLargeError
 
     z8_plane = span(Z8, [(1, 0), (0, 1)])
-    z8_axes = span(Z8, [(1, 0)]), span(Z8, [(0, 1)])
+    z8_line = Code.from_matrix(Mat(Z8, "abc", [[1, 1, 1]]))
     f5 = make_ring("z:5")
     f5_plane = frozenset(product(range(5), repeat=2))
     f5_sub = span(f5, f5_plane)
@@ -267,8 +262,12 @@ def test_every_closure_names_its_guard(monkeypatch):
     tail = r" guard: more than 8 vectors requested, limit 8 \(set CHAINMAT_MAX_CLOSURE to raise it\)$"
     with pytest.raises(ClosureTooLargeError, match="^span" + tail):
         ideal_multiple(z8_plane)  # m * Z8^2 has 16 vectors
-    with pytest.raises(ClosureTooLargeError, match="^submodule sum" + tail):
-        sum_submodules(*z8_axes)
+    # A chain-ring dual's size, 8^2 here, is checked before it is spanned.
+    with pytest.raises(ClosureTooLargeError) as exc:
+        dual_code(z8_line)
+    assert str(exc.value) == (
+        "span guard: 64 vectors requested, limit 8 (set CHAINMAT_MAX_CLOSURE to raise it)"
+    )
     # Over a field m * C = 0, so only the greedy's own closure is too large.
     with pytest.raises(ClosureTooLargeError, match="^minimal generators" + tail):
         minimal_generators(f5_sub, sorted(f5_plane))
