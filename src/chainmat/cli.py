@@ -110,8 +110,9 @@ def cmd_dual_code(args):
     code = Code.from_matrix(mat)
     dual = oracle.dual_by_enumeration(code) if args.oracle else dual_code(code)
     # one printed form for both paths: the greedy over the sorted codewords
-    # (what the oracle builds), not the SNF rows that dual_code keeps
-    shown = Code.from_codeword_set(dual.ring, dual.labels, dual.codewords)
+    # (what the oracle builds), not the rows that dual_code keeps; it starts
+    # from the m*C^perp that the dual's own span formed
+    shown = Code.from_submodule(dual.labels, dual.submodule, sorted(dual.codewords))
     print(format_matrix(shown.generator), end="")
     return EXIT_OK
 

@@ -1,13 +1,16 @@
 """Linear codes over finite local rings and their independence systems.
 
-A code carries its full codeword set (desk scale) and a generator matrix
-whose rows are a minimal generating set.  ``Code.from_matrix`` and
-``Code.from_codeword_set`` pick those rows by the Nakayama greedy of
-``modindep.minimal_generators`` over the matrix rows or the sorted
-codewords.  Over a chain ring every dual, free or not, is read off the
-Smith normal form of the generator matrix, whose scaled right-transform
-columns are already a minimal generating set, so no greedy runs; over
-other rings the dual comes from the oracle's exhaustive kernel scan.
+A code carries its full codeword set (desk scale), as the ``Submodule``
+that also holds m*C, and a generator matrix whose rows are a minimal
+generating set.  ``Code.from_matrix`` and ``Code.from_codeword_set`` pick
+those rows by the Nakayama greedy of ``modindep.minimal_generators`` over
+the matrix rows or the sorted codewords.  Over a chain ring every dual,
+free or not, is read off the Smith normal form of the generator matrix,
+whose scaled right-transform columns are already a minimal generating set,
+so no greedy runs.  Over other rings the dual is the kernel of x -> G x
+read off a Howell form over Z/p^a, with a Nakayama greedy decided by span
+sizes.  Every code's size is checked against the "span" guard before its
+codewords are built.
 """
 
 from __future__ import annotations
@@ -24,37 +27,61 @@ from .errors import (
     ZeroProjectionError,
 )
 from .indepsys import IndependenceSystem, build_from_matrix
-from .linalg import Mat, label_index, smith_normal_form
+from .linalg import Mat, label_index, smith_normal_form, snf_exponents
 from .modindep import Submodule, guard_error, guard_limit, minimal_generators, span
-from .oracle import dual_by_enumeration
 from .rings import Ring
+
+
+def _check_span_size(size: int) -> None:
+    """The "span" guard, applied to a size known before the span is built."""
+    limit = guard_limit()
+    if size > limit:
+        raise guard_error(ClosureTooLargeError, "span", size, limit)
+
+
+def _span_size(ring: Ring, vectors) -> int:
+    """|R-span of ``vectors``| without building it: q^sum(nu - e_i) from
+    the invariant-factor exponents over a chain ring (the span is the sum
+    of the theta^e_i R), p^log from a Howell form of R*v over any other."""
+    if ring.is_chain:
+        nu = ring.nilpotency_index
+        return ring.residue_field_size ** sum(nu - e for e in snf_exponents(ring, vectors))
+    from .howell import span_logs  # here: chain-ring commands never compile it
+
+    return ring.additive.p ** span_logs(ring, vectors)[0]
 
 
 class Code:
     """An R-submodule of R^E with labelled coordinates."""
 
-    def __init__(self, ring: Ring, labels, codewords: frozenset, generator: Mat):
-        self.ring = ring
+    def __init__(self, labels, sub: Submodule, generator: Mat):
+        self.ring = sub.ring
         self.labels = tuple(str(l) for l in labels)
-        self.codewords = codewords
+        self.submodule = sub
+        self.codewords = sub.vectors
         self.generator = generator
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def _from_submodule(labels, sub: Submodule, candidates) -> "Code":
+    def from_submodule(labels, sub: Submodule, candidates) -> "Code":
         """The code ``sub``, its generator rows chosen greedily from
-        ``candidates`` in their order."""
+        ``candidates`` (vectors that span it) in their order."""
         gens = minimal_generators(sub, candidates)
         gen = Mat(sub.ring, labels, gens if gens else [(0,) * sub.ambient_power])
-        return Code(sub.ring, labels, sub.vectors, gen)
+        return Code(labels, sub, gen)
 
     @staticmethod
     def from_matrix(g: Mat) -> "Code":
-        """The row span of ``g``; its generator rows are chosen greedily
-        from the rows of ``g`` in order."""
+        """The row span of ``g``, its size checked against the "span" guard
+        before it is built; its generator rows are chosen greedily from the
+        rows of ``g`` in order."""
         rows = [tuple(r) for r in g.rows]
-        return Code._from_submodule(g.labels, span(g.ring, rows, g.ncols), rows)
+        # k rows span at most |R|^min(k, n) words, so a smaller bound needs
+        # no elimination
+        if g.ring.size ** min(len(rows), g.ncols) > guard_limit():
+            _check_span_size(_span_size(g.ring, rows))
+        return Code.from_submodule(g.labels, span(g.ring, rows, g.ncols), rows)
 
     @staticmethod
     def from_codeword_set(ring: Ring, labels, codewords) -> "Code":
@@ -65,7 +92,7 @@ class Code:
         sub = span(ring, words, len(labels))
         if len(sub) != len(words):
             raise BadValueError(f"{len(words)} words are not a submodule: they span {len(sub)}")
-        return Code._from_submodule(labels, sub, words)
+        return Code.from_submodule(labels, sub, words)
 
     # -- basic data -----------------------------------------------------------
 
@@ -119,7 +146,9 @@ def dual_code(c: Code) -> Code:
     iff x = R y with theta^e_i y_i = 0, i.e. y_i in <theta^(nu - e_i)>, so
     the dual is spanned by the columns R_i of R scaled by theta^(nu - e_i)
     (zero when e_i = 0).  Its size q^(e_1 + ... + e_n) is checked against
-    the "span" guard first.  Other rings use the exhaustive kernel scan.
+    the "span" guard first.  Over other rings the dual and its minimal
+    generators come from Howell forms (``howell.dual_generators``), after
+    |R^n| / |G R^n| is checked against the guard.
 
     These scaled columns are the generator rows, and they are minimal
     (Norton & Salagean, AAECC 2000): R is invertible, so y -> R y is an
@@ -130,22 +159,25 @@ def dual_code(c: Code) -> Code:
     (Nakayama); mu of the dual is therefore #{i : e_i > 0}, the number of
     rows.  All exponents zero give the zero dual and one zero row.
     """
-    ring = c.ring
-    if not ring.is_chain:
-        return dual_by_enumeration(c)
-    n, nu, mul = c.length, ring.nilpotency_index, ring.mul
-    snf = smith_normal_form(c.generator)
-    exps = snf.exponents + (nu,) * (n - len(snf.exponents))
-    size, limit = ring.residue_field_size ** sum(exps), guard_limit()
-    if size > limit:
-        raise guard_error(ClosureTooLargeError, "span", size, limit)
-    gens = []
-    for i, e in enumerate(exps):
-        if e:
-            theta = ring.uniformizer_power(nu - e)
-            gens.append(tuple(mul(theta, row[i]) for row in snf.right))
+    ring, n = c.ring, c.length
+    if ring.is_chain:
+        nu, mul = ring.nilpotency_index, ring.mul
+        snf = smith_normal_form(c.generator)
+        exps = snf.exponents + (nu,) * (n - len(snf.exponents))
+        _check_span_size(ring.residue_field_size ** sum(exps))
+        gens = []
+        for i, e in enumerate(exps):
+            if e:
+                theta = ring.uniformizer_power(nu - e)
+                gens.append(tuple(mul(theta, row[i]) for row in snf.right))
+    else:
+        from .howell import dual_generators  # here: chain-ring commands never compile it
+
+        # |dual| = |R^n| / |G R^n|, and G R^n is the span of G's columns
+        _check_span_size(ring.size**n // _span_size(ring, c.generator.columns()))
+        gens = dual_generators(ring, c.generator.rows)
     generator = Mat(ring, c.labels, gens if gens else [(0,) * n])
-    return Code(ring, c.labels, span(ring, gens, n).vectors, generator)
+    return Code(c.labels, span(ring, gens, n), generator)
 
 
 # -- puncturing and shortening ---------------------------------------------------

@@ -1,0 +1,271 @@
+"""Spans over a finite local ring sized by Howell forms over Z/p^a.
+
+A finite local ring R has characteristic p^a, and (R, +) embeds in
+(Z/p^a)^d, additively and injectively (``additive_coordinates``; it is
+``Ring.additive``).  Applied entrywise to R^k, the embedding preserves the
+size of every subgroup, and it carries R-submodules to Z/p^a-spans: with b
+over additive generators of R and t over those of m, R*v is the additive
+span of the b*v (r = sum c_i b_i gives r*v = sum c_i b_i*v) and m*v that
+of the t*v.  ``howell_insert`` keeps a Howell form of such a span, which
+gives its size exactly without building a vector set, so the generator
+count mu(V) = log_q |V| / |mV| (Nakayama) and a dual code's kernel come
+from integer row operations.
+
+Only the non-chain routes of ``modindep``, ``indepsys`` and ``codes`` use
+this module, and they import it when they first run: commands over chain
+rings never compile it.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+from .rings import Ring, _factor_prime_power
+
+
+def howell_insert(form: dict, row, p: int, a: int) -> int:
+    """Insert ``row``, a list of integers modulo p^a, into the Howell form
+    ``form`` in place and return by how much log_p of its span's size grew.
+
+    ``form`` maps a lead column to the one row led there: zero before that
+    column, p^e (e < a) at it.  A row is reduced by the stored row at its
+    lead while that row's lead divides its own; otherwise it is scaled by
+    the inverse of its unit part and stored, the row it displaces (whose
+    lead it now divides) goes on being reduced, and p^(a-e) times it, zero
+    at its lead, is inserted too.  That re-insertion keeps the Howell
+    property (Howell 1986; Storjohann & Mulders, ESA 1998): the vectors of
+    the span that vanish before a column are spanned by the stored rows
+    led at or after it.  Every vector of the span is then
+    sum c_j * row_j with 0 <= c_j < p^(a - e_j) in exactly one way (the
+    first nonzero c_j would make its lead entry c_j * p^e_j nonzero), so
+    |span| = prod p^(a - e_j).
+    """
+    q = p**a
+    n = len(row)
+    grown = 0
+    pending = [row]
+    while pending:
+        r = pending.pop()
+        j = 0
+        while j < n:
+            x = r[j]
+            if not x:
+                j += 1
+                continue
+            h = form.get(j)
+            if h is not None and x % h[j] == 0:
+                c = x // h[j]
+                r = [(s - c * t) % q for s, t in zip(r, h)]
+                j += 1
+                continue
+            e = 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            if x != 1:
+                inv = pow(x, -1, q)
+                r = [s * inv % q for s in r]
+            form[j] = r
+            grown += a - e
+            if e:
+                pending.append([s * p ** (a - e) % q for s in r])
+            if h is None:
+                break
+            # the displaced row's lead p^f (f > e) is now divisible
+            x, f = h[j], 0
+            while x > 1:
+                x //= p
+                f += 1
+            grown -= a - f
+            r = h
+    return grown
+
+
+# -- additive coordinates ------------------------------------------------------------
+
+
+class AdditiveCoordinates(NamedTuple):
+    """(R, +) inside (Z/p^a)^d, where p^a is the characteristic of R.
+
+    ``coords[x]`` is the image of the element x, a d-tuple of integers
+    modulo p^a; the map is additive and injective, and ``element`` inverts
+    it on its image.  ``ring_gens`` and ``radical_gens`` generate R and its
+    maximal ideal m as abelian groups.  ``residue_degree`` is f with
+    q = p^f.
+    """
+
+    p: int
+    exponent: int
+    coords: tuple
+    element: dict
+    ring_gens: tuple
+    radical_gens: tuple
+    residue_degree: int
+
+
+def _multiples(add, x) -> list:
+    """[0, x, 2x, ..., (o - 1)x] for o the additive order of x."""
+    out, y = [0], x
+    while y:
+        out.append(y)
+        y = add(y, x)
+    return out
+
+
+def _cyclic_basis(group, add, p: int) -> list:
+    """Elements g_1, g_2, ... such that ``group`` (a finite abelian p-group
+    given as a set of elements with its addition, 0 the identity) is the
+    direct sum of the cyclic groups <g_i>, largest first.
+
+    Brute force, for tables of at most ``rings.MAX_TABLE_SIZE`` elements:
+    the next g is the first element of largest order whose cyclic group
+    meets the sum K so far only in 0 and keeps K + <g> pure
+    (p^n G & K = p^n K for every n).  It always exists: a pure subgroup of a
+    finite abelian group is a direct summand, and K plus the cyclic group
+    of an element of largest order in a complement of K is again one.  In
+    characteristic p purity is automatic and this is a greedy F_p basis."""
+    times_p = {}
+    for x in group:
+        y = 0
+        for _ in range(p):
+            y = add(y, x)
+        times_p[x] = y
+
+    layers = [set(group)]  # p^n G for n = 0, 1, ... until it is {0}
+    while len(layers[-1]) > 1:
+        layers.append({times_p[x] for x in layers[-1]})
+
+    def pure(k: set) -> bool:
+        pk = k
+        for layer in layers[1:]:
+            pk = {times_p[x] for x in pk}
+            if not layer & k <= pk:
+                return False
+        return True
+
+    cyclic = {x: _multiples(add, x) for x in group}
+    candidates = sorted(group, key=lambda x: (-len(cyclic[x]), x))
+    span, basis = {0}, []
+    while len(span) < len(group):
+        for x in candidates:
+            cyc = cyclic[x]
+            if any(y in span for y in cyc[1:]):
+                continue
+            k = {add(s, y) for s in span for y in cyc}
+            if pure(k):
+                span = k
+                basis.append(x)
+                break
+    return basis
+
+
+def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
+    """The coordinates of (R, +), from ``add`` alone.
+
+    The additive order of 1 is the characteristic p^a, which every
+    element's order divides.  A cyclic basis g_i of (R, +), g_i of order
+    p^(a_i), gives the coordinates of sum c_i g_i as the integers
+    c_i * p^(a - a_i) modulo p^a."""
+    add = ring.add
+    p, a = _factor_prime_power(len(_multiples(add, 1)))
+    basis = _cyclic_basis(range(ring.size), add, p)
+    coords = {0: ()}
+    for g in basis:
+        mult = _multiples(add, g)
+        scale = p**a // len(mult)
+        coords = {add(x, y): c + (i * scale,) for x, c in coords.items() for i, y in enumerate(mult)}
+    return AdditiveCoordinates(
+        p=p,
+        exponent=a,
+        coords=tuple(coords[x] for x in range(ring.size)),
+        element={c: x for x, c in coords.items()},
+        ring_gens=tuple(basis),
+        radical_gens=tuple(_cyclic_basis(ring.maximal_ideal, add, p)),
+        residue_degree=_factor_prime_power(ring.residue_field_size)[1],
+    )
+
+
+# -- submodule sizes ------------------------------------------------------------------
+
+# (Howell form of V, log_p |V|, Howell form of m*V, log_p |m*V|) for V = 0;
+# extend_sizes copies the forms before it inserts, so this is never changed
+NO_SIZES = ({}, 0, {}, 0)
+
+
+def coordinate_rows(ring: Ring, v) -> tuple:
+    """Two lists of rows of integers modulo p^a, the coordinates of the b*v
+    over the additive generators b of R and of the t*v over those of m:
+    their Z/p^a-spans are R*v and m*v."""
+    additive, mul = ring.additive, ring.mul
+    coords = additive.coords
+    return tuple(
+        [[c for x in v for c in coords[mul(b, x)]] for b in gens]
+        for gens in (additive.ring_gens, additive.radical_gens)
+    )
+
+
+def grow(ring: Ring, form: dict, rows) -> int:
+    """Insert ``rows`` into the Howell form ``form`` in place; return the
+    growth of log_p of its span's size."""
+    p, a = ring.additive.p, ring.additive.exponent
+    return sum(howell_insert(form, row, p, a) for row in rows)
+
+
+def extend_sizes(ring: Ring, sizes: tuple, rows) -> tuple:
+    """The ``NO_SIZES``-shaped tuple of V + R*g from that of V (which is
+    not changed), where ``rows`` is ``coordinate_rows(ring, g)``."""
+    vform, vlog, mform, mlog = sizes
+    vform, mform = dict(vform), dict(mform)
+    vlog += grow(ring, vform, rows[0])
+    mlog += grow(ring, mform, rows[1])
+    return vform, vlog, mform, mlog
+
+
+def span_logs(ring: Ring, vectors) -> tuple:
+    """log_p |V| and log_p |m*V| for V the span of ``vectors``."""
+    sizes = NO_SIZES
+    for v in vectors:
+        sizes = extend_sizes(ring, sizes, coordinate_rows(ring, v))
+    return sizes[1], sizes[3]
+
+
+# -- dual codes -------------------------------------------------------------------------
+
+
+def dual_generators(ring: Ring, rows) -> list:
+    """A minimal generating set of {x in R^n : G x = 0}, for the matrix G
+    with the given rows (at least one, each of length n).
+
+    In the coordinates phi (applied entrywise), with b over additive
+    generators of R, the rows [phi(G b e_j) | phi(b e_j)] span the graph
+    {(phi(G x), phi(x))} of x -> G x.  By the Howell property the rows led
+    inside the second block span its vectors with a zero first block,
+    {0} x phi(dual), so their second blocks are generators of the dual.
+    The Nakayama greedy keeps a word w unless R*w adds nothing to the span
+    of the kept words plus m*dual, decided by Howell sizes."""
+    additive, mul = ring.additive, ring.mul
+    coords = additive.coords
+    d, n = len(coords[0]), len(rows[0])
+    width = d * len(rows)
+    form = {}
+    for j in range(n):
+        for b in additive.ring_gens:
+            unit = [0] * (d * n)
+            unit[j * d:(j + 1) * d] = coords[b]
+            grow(ring, form, [[x for row in rows for x in coords[mul(b, row[j])]] + unit])
+    words = [
+        tuple(additive.element[tuple(row[t:t + d])] for t in range(width, width + d * n, d))
+        for lead, row in sorted(form.items())
+        if lead >= width
+    ]
+    word_rows = [coordinate_rows(ring, w) for w in words]
+    acc = {}  # Howell form of span(kept) + m*dual
+    for _, m_rows in word_rows:
+        grow(ring, acc, m_rows)
+    kept = []
+    for w, (r_rows, _) in zip(words, word_rows):
+        trial = dict(acc)
+        if grow(ring, trial, r_rows):
+            kept.append(w)
+            acc = trial
+    return kept

@@ -362,8 +362,9 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
     """Column independence system of a matrix: S independent iff the
     columns labelled by S are modular independent.
 
-    ``method`` is "snf" (chain rings only), "enum", or "auto" (SNF over a
-    chain ring).  Masks are decided in increasing order, so every subset of
+    ``method`` is "snf" (chain rings only), "enum" (vector sets, the
+    reference), or "auto": SNF over a chain ring, Howell forms over any
+    other.  Masks are decided in increasing order, so every subset of
     a mask is decided before it; a mask is tested only when all its
     maximal proper subsets are independent.  The parent of a mask x is
     x & (x - 1), x without its lowest element, and in increasing order the
@@ -374,6 +375,22 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
 
     The enumeration path carries (V, m*V): the child is one
     ``extend_closure`` away, and S is independent iff |V| / |m*V| = q^|S|.
+
+    The Howell path decides the same equation without a vector set.  R has
+    characteristic p^a, and ``Ring.additive`` embeds (R, +) in (Z/p^a)^d,
+    additively and injectively; it extends coordinatewise to R^k, so a
+    subgroup of R^k and its image have the same size.  With b running over
+    additive generators of R and t over those of m, R*s is the additive
+    span of the b*s (r = sum c_i b_i gives r*s = sum c_i b_i*s), and
+    m*s = {t'*s : t' in m} that of the t*s; so V = sum over s in S of R*s
+    and m*V = sum of m*s are the Z/p^a-spans of the rows b*s and t*s.
+    Their Howell forms give |V| = p^(log V) and |m*V| = p^(log mV)
+    exactly, and S is independent iff log V - log mV = f*|S| with q = p^f.
+    Each ancestor carries both forms and both logs
+    (``howell.extend_sizes``), so a child inserts d + d_m rows, the numbers
+    of generators b and t, into copies of its parent's forms.  Like the
+    "enum" path it is never capped, because over a non-chain ring mu is
+    not monotone.
 
     The SNF path relies on the paper's characterisation of chain rings:
     there the generator count mu is monotone on submodules, so
@@ -408,15 +425,28 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
     ring = a.ring
-    if method == "auto":
-        method = "snf" if ring.is_chain else "enum"
-    elif method not in ("snf", "enum"):
+    if method not in ("auto", "snf", "enum"):
         raise BadValueError(f"unknown method {method!r}")
     if method == "snf" and not ring.is_chain:
         raise NotChainRingError(f"{ring.spec} is not a chain ring")
     cols = a.columns()
     fam = {0}
-    if method == "snf":
+    if method == "auto" and not ring.is_chain:
+        # imported here: chain-ring commands never compile it
+        from .howell import NO_SIZES, coordinate_rows, extend_sizes
+
+        rows = [coordinate_rows(ring, c) for c in cols]
+        f = ring.additive.residue_degree
+        stack = [(0, NO_SIZES)]  # (mask, its extend_sizes tuple) of independent ancestors
+        for mask in _candidates(fam, n, n):
+            parent = mask & (mask - 1)
+            while stack[-1][0] != parent:
+                stack.pop()
+            sizes = extend_sizes(ring, stack[-1][1], rows[(mask ^ parent).bit_length() - 1])
+            if sizes[1] - sizes[3] == f * mask.bit_count():
+                fam.add(mask)
+                stack.append((mask, sizes))
+    elif method != "enum":
         r = len(snf_exponents(ring, cols))
         supports = [[(i, x) for i, x in enumerate(c) if x] for c in cols]
         k = a.nrows

@@ -2,16 +2,19 @@
 
 A family of vectors is modular independent when every vanishing linear
 combination has all coefficients in the maximal ideal; equivalently the
-span needs as many generators as there are vectors.  Over chain rings the
-generator count is read off the Smith normal form; everywhere else it
-falls back to exact submodule enumeration (|V| / |mV| as a power of the
-residue field size).
+span needs as many generators as there are vectors.  The generator count
+is mu(V) = log_q |V| / |mV| (Nakayama).  Over chain rings it is read off
+the Smith normal form.  Over every other ring both sizes come from Howell
+forms over Z/p^a, p^a the characteristic (``howell``), without a vector
+set.
 
-Every submodule closure goes through one guarded set sum, ``_sum_sets``,
-which skips every vector whose coset is already in the sum.  m*V is formed
-in one place, ``extend_closure``, which grows (V, m*V) by one vector:
-``span`` is its fold from ({0}, {0}), so every ``Submodule`` carries its
-radical m*V, which the generator counts and the Nakayama greedy read.
+Every submodule closure (a ``Submodule`` with its vector set, for codes and
+for the "enum" reference paths) goes through one guarded set sum,
+``_sum_sets``, which skips every vector whose coset is already in the sum.
+m*V is formed in one place, ``extend_closure``, which grows (V, m*V) by one
+vector: ``span`` is its fold from ({0}, {0}), so every ``Submodule``
+carries its radical m*V, which the generator counts and the Nakayama greedy
+read.
 """
 
 from __future__ import annotations
@@ -170,15 +173,19 @@ def generator_count_of_submodule(sub: Submodule) -> int:
 def minimal_generator_count(ring: Ring, vectors, method: str = "auto") -> int:
     """Minimal number of generators of the span of ``vectors``.
 
-    ``method`` forces a code path: "snf" (chain rings only), "enum", or
-    "auto" (SNF when the ring is a chain ring).
+    ``method`` forces a code path: "snf" (chain rings only), "enum"
+    (vector sets), or "auto": SNF over a chain ring, else |V| and |m*V|
+    from Howell forms (``howell.span_logs``).
     """
     vectors = [tuple(v) for v in vectors]
     if not vectors:
         return 0
-    if method == "auto":
-        method = "snf" if ring.is_chain else "enum"
-    if method == "snf":
+    if method == "auto" and not ring.is_chain:
+        from .howell import span_logs  # here: chain-ring commands never compile it
+
+        vlog, mlog = span_logs(ring, vectors)
+        return _log_residue(ring, ring.additive.p ** (vlog - mlog))
+    if method in ("auto", "snf"):
         return len(snf_exponents(ring, vectors))
     if method == "enum":
         return generator_count_of_submodule(span(ring, vectors))

@@ -14,6 +14,8 @@ from ``add`` and ``mul``: the maximal ideal is the set of nilpotents, the
 ring is local iff every other element is a unit (checked by Lagrange's
 theorem in the unit group), and it is a chain ring iff the maximal ideal
 is principal (Dinh and Lopez-Permouth, IEEE T-IT 2004, Prop. 2.1).
+``Ring.additive`` embeds (R, +) in (Z/p^a)^d, p^a the characteristic, on
+first use (``howell``); the non-chain routes size spans there.
 
 Elements are canonical integer indices ``0 .. size-1``; vectors are plain
 tuples of indices.  Every handle is immutable after construction and all
@@ -25,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import BadValueError, NotARingError, NotChainRingError, NotLocalError, NotPrimeError
 
@@ -194,6 +196,14 @@ class Ring:
                 gens.append(a)
                 acc = {add(s, mul(r, a)) for s in acc for r in range(self.size)}
         self.max_ideal_generators = tuple(gens)
+
+    @cached_property
+    def additive(self):
+        """The additive coordinates of ``howell.additive_coordinates``,
+        built on first use."""
+        from .howell import additive_coordinates  # here: chain-ring commands never compile it
+
+        return additive_coordinates(self)
 
     # -- element level operations ---------------------------------------------
 

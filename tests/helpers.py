@@ -1,5 +1,6 @@
 """Shared generators for the randomized suites (seeded, deterministic)."""
 
+import os
 import random
 
 from chainmat.codes import Code
@@ -7,7 +8,14 @@ from chainmat.linalg import Mat
 
 CHAIN_SPECS = ("z:4", "z:8", "z:9", "fpu:2,2")
 FIELD_SPECS = ("z:2", "z:3", "z:5")  # chain rings with nilpotency index 1
-TABLE_SPECS = ("table:f2xy_xx_xy_yy", "table:f2xy_xx_yy")
+# The non-chain rings: the two built-in F_2-algebras, and Z4[x]/(2x, x^2),
+# whose characteristic 4 and (R, +) = Z/4 + Z/2 exercise the Howell paths
+# beyond F_2 (its m = {0, 2, x, 2+x} needs the two generators 2 and x).
+TABLE_SPECS = (
+    "table:f2xy_xx_xy_yy",
+    "table:f2xy_xx_yy",
+    "table:" + os.path.join(os.path.dirname(os.path.abspath(__file__)), "z4x_2x_xx.json"),
+)
 
 
 def rng_for(name: str) -> random.Random:

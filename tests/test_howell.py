@@ -1,0 +1,76 @@
+from chainmat.howell import howell_insert
+from chainmat.rings import make_ring
+
+from helpers import CHAIN_SPECS, TABLE_SPECS, rng_for
+
+
+def test_howell_insert_sizes_spans():
+    # |span| = prod p^(a - e) over the stored leads, and the Howell
+    # property: the stored rows led at column j or later span exactly the
+    # vectors of the span that vanish before j.  Checked against the naive
+    # additive closure over Z/4, Z/8, Z/9 and Z/27 (p odd, a up to 3).
+    rng = rng_for("howell-insert")
+    for p, a in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        q = p**a
+        for _ in range(40):
+            n = rng.randint(1, 3 if q < 27 else 2)
+            rows = [[rng.choice((0, rng.randrange(q), p * rng.randrange(q) % q)) for _ in range(n)]
+                    for _ in range(rng.randint(1, 4))]
+            form, logs = {}, 0
+            for row in rows:
+                logs += howell_insert(form, list(row), p, a)
+            closure = {(0,) * n}
+            for row in rows:
+                while True:
+                    grown = closure | {tuple((s + t) % q for s, t in zip(v, row)) for v in closure}
+                    if grown == closure:
+                        break
+                    closure = grown
+            assert p**logs == len(closure), (q, rows, form)
+            for lead, row in form.items():
+                assert not any(row[:lead]) and row[lead] in {p**e for e in range(a)}, (q, rows, form)
+            for j in range(n + 1):
+                tail = {(0,) * n}
+                for lead in sorted(form):
+                    if lead >= j:
+                        row = form[lead]
+                        tail = {tuple((s + c * t) % q for s, t in zip(v, row)) for v in tail for c in range(q)}
+                assert tail == {v for v in closure if not any(v[:j])}, (q, rows, form, j)
+
+
+def _additive_closure(ring, gens) -> set:
+    out = {0}
+    for g in gens:
+        while True:
+            grown = out | {ring.add(x, g) for x in out}
+            if grown == out:
+                break
+            out = grown
+    return out
+
+
+def test_additive_coordinates_embed_the_group():
+    # (R, +) sits in (Z/p^a)^d additively and injectively, p^a the additive
+    # order of 1, and the generator lists span R and m as abelian groups.
+    for spec in CHAIN_SPECS + TABLE_SPECS + ("z:27", "fpu:3,2", "zpn:2,5"):
+        r = make_ring(spec)
+        additive = r.additive
+        q = additive.p**additive.exponent
+        char, one = 1, 1
+        while one:
+            one, char = r.add(one, 1), char + 1
+        assert q == char, spec
+        coords = additive.coords
+        assert len(set(coords)) == r.size and all(additive.element[coords[x]] == x for x in range(r.size)), spec
+        for x in range(r.size):
+            for y in range(r.size):
+                assert coords[r.add(x, y)] == tuple((s + t) % q for s, t in zip(coords[x], coords[y])), spec
+        assert len(additive.ring_gens) == len(coords[0]), spec
+        assert _additive_closure(r, additive.ring_gens) == set(range(r.size)), spec
+        assert _additive_closure(r, additive.radical_gens) == r.maximal_ideal, spec
+        assert additive.p**additive.residue_degree == r.residue_field_size, spec
+    # Z4[x]/(2x, x^2): (R, +) = Z/4 + Z/2 and m = {0, 2, x, 2+x} = Z/2 + Z/2
+    r = make_ring(TABLE_SPECS[2])
+    assert (r.additive.p, r.additive.exponent) == (2, 2)
+    assert [len(_additive_closure(r, [g])) for g in r.additive.ring_gens] == [4, 2]
+    assert sorted(r.additive.radical_gens) == [r.parse_element("2"), r.parse_element("x")]

@@ -255,6 +255,8 @@ def test_every_closure_names_its_guard(monkeypatch):
 
     z8_plane = span(Z8, [(1, 0), (0, 1)])
     z8_line = Code.from_matrix(Mat(Z8, "abc", [[1, 1, 1]]))
+    t16 = make_ring("table:f2xy_xx_yy")
+    t16_line = Code.from_matrix(Mat(t16, "abc", [[1, 1, 1]]))
     f5 = make_ring("z:5")
     f5_plane = frozenset(product(range(5), repeat=2))
     f5_sub = span(f5, f5_plane)
@@ -268,6 +270,20 @@ def test_every_closure_names_its_guard(monkeypatch):
     assert str(exc.value) == (
         "span guard: 64 vectors requested, limit 8 (set CHAINMAT_MAX_CLOSURE to raise it)"
     )
+    # So is a code's, from the invariant factors over a chain ring (8^2)
+    # and from a Howell form over a non-chain ring (16), and a non-chain
+    # dual's (16^2).
+    oversized = (
+        (lambda: Code.from_matrix(Mat(Z8, "ab", [[1, 0], [0, 1]])), 64),
+        (lambda: Code.from_matrix(Mat(t16, "ab", [[1, 0]])), 16),
+        (lambda: dual_code(t16_line), 256),
+    )
+    for build, size in oversized:
+        with pytest.raises(ClosureTooLargeError) as exc:
+            build()
+        assert str(exc.value) == (
+            f"span guard: {size} vectors requested, limit 8 (set CHAINMAT_MAX_CLOSURE to raise it)"
+        )
     # Over a field m * C = 0, so only the greedy's own closure is too large.
     with pytest.raises(ClosureTooLargeError, match="^minimal generators" + tail):
         minimal_generators(f5_sub, sorted(f5_plane))

@@ -52,15 +52,15 @@ def test_subset_scan_matches_fast_path():
         for _ in range(8):
             mat = random_matrix(rng, ring, rng.randint(1, 2), rng.randint(1, 4))
             assert circuits_by_subset_scan(mat).members == build_from_matrix(mat).circuits().members
-        # The enumeration build grows each closure from its parent's on a
-        # stack of independent ancestors; wider matrices exercise deep
-        # stacks, and over chain rings it must agree with the SNF build.
+        # Both builds grow each child from its parent's entry on a stack of
+        # independent ancestors; wider matrices exercise deep stacks, and
+        # the "auto" build (SNF over chain rings, Howell forms elsewhere)
+        # must agree with the enumeration build.
         for _ in range(4):
             mat = random_matrix(rng, ring, rng.randint(1, 3), rng.randint(5, 7))
             enum = build_from_matrix(mat, method="enum")
             assert circuits_by_subset_scan(mat).members == enum.circuits().members
-            if ring.is_chain:
-                assert enum == build_from_matrix(mat)
+            assert enum == build_from_matrix(mat)
 
 
 def _degenerate_matrices(rng, ring):
@@ -103,6 +103,39 @@ def test_snf_build_matches_enum_and_scan_on_degenerate_matrices():
             assert snf.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
 
 
+def _nonchain_matrices(rng, ring):
+    """Matrices over a non-chain ring with a zero column, a repeated column
+    and columns inside m^k, ones with every entry in m (the subset scan
+    over those is slow past 14 entries), and widths up to 7 (deep ancestor
+    stacks)."""
+    radical = sorted(ring.maximal_ideal)
+    out = []
+    for k, n in ((1, 5), (2, 5), (2, 7), (3, 7), (4, 3)):
+        labels = [str(j + 1) for j in range(n)]
+        cols = [[rng.randrange(ring.size) for _ in range(k)] for _ in range(n)]
+        for j in rng.sample(range(n), n // 2):
+            cols[j] = [rng.choice(radical) for _ in range(k)]
+        cols[rng.randrange(n)] = [0] * k
+        a, b = rng.sample(range(n), 2)
+        cols[a] = list(cols[b])
+        out.append(Mat(ring, labels, [list(r) for r in zip(*cols)]))
+        if k * n <= 14:
+            out.append(Mat(ring, labels, [[rng.choice(radical) for _ in range(n)] for _ in range(k)]))
+    return out
+
+
+def test_howell_build_matches_enum_and_scan_on_degenerate_matrices():
+    # Over a non-chain ring the "auto" build decides each child from the
+    # Howell forms of V and m*V on its parent's stack entry.
+    rng = rng_for("howell-build-degenerate")
+    for spec in TABLE_SPECS:
+        ring = make_ring(spec)
+        for mat in _nonchain_matrices(rng, ring):
+            auto = build_from_matrix(mat)
+            assert auto == build_from_matrix(mat, method="enum"), (spec, mat)
+            assert auto.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
+
+
 def test_rank_cap_does_not_apply_off_chain_rings():
     # Over a non-chain ring mu is not monotone: the column module of
     # not_monotonic is R itself (one generator), yet {x, y} is independent.
@@ -124,9 +157,21 @@ def test_differential_mu():
             assert minimal_generator_count(ring, vecs, "snf") == mu_by_enumeration(ring, vecs)
     for spec in TABLE_SPECS:
         ring = make_ring(spec)
+        radical = sorted(ring.maximal_ideal)
         for _ in range(20):
             vecs = [(rng.randrange(ring.size),) for _ in range(rng.randint(0, 3))]
             assert minimal_generator_count(ring, vecs, "enum") == mu_by_enumeration(ring, vecs)
+        # "auto" sizes V and m*V by Howell forms; zero, repeated and
+        # all-in-m vectors are where a wrong size would show
+        for _ in range(40):
+            k = rng.randint(1, 3)
+            vecs = [tuple(rng.choice((rng.randrange(ring.size), rng.choice(radical))) for _ in range(k))
+                    for _ in range(rng.randint(0, 4))]
+            if vecs and rng.random() < 0.3:
+                vecs.append(rng.choice(vecs))
+            if rng.random() < 0.2:
+                vecs.append((0,) * k)
+            assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs), (spec, vecs)
 
 
 def test_differential_duals():
@@ -149,11 +194,36 @@ def test_differential_duals():
             _check_dual(c)
 
 
+def test_differential_nonchain_duals():
+    # Over a non-chain ring the dual is the kernel read off a Howell form,
+    # with generators chosen by a Nakayama greedy decided by sizes.
+    rng = rng_for("diff-dual-nonchain")
+    for spec in TABLE_SPECS:
+        ring = make_ring(spec)
+        n_max = 4 if ring.size <= 8 else 3
+        radical = sorted(ring.maximal_ideal)
+        codes = [Code.from_matrix(Mat(ring, "abc", [[0, 0, 0]]))]  # the zero code
+        codes.append(Code.from_matrix(Mat(ring, "abc", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])))  # zero dual
+        for _ in range(10):
+            k, n = rng.randint(1, 3), rng.randint(2, n_max)
+            mat = random_matrix(rng, ring, k, n)
+            codes.append(Code.from_matrix(mat))
+            # a row inside m^n, a zero column and a repeated column
+            rows = [list(r) for r in mat.rows]
+            rows[rng.randrange(k)] = [rng.choice(radical) for _ in range(n)]
+            for r in rows:
+                r[0], r[-1] = 0, r[1]
+            codes.append(Code.from_matrix(Mat(ring, mat.labels, rows)))
+            codes.append(Code.from_matrix(Mat(ring, mat.labels, [[rng.choice(radical) for _ in range(n)]])))
+        for c in codes:
+            _check_dual(c)
+
+
 def _check_dual(c):
     """dual_code equals the oracle's dual; its generator rows are a minimal
     generating set (mu rows, none zero, or one zero row for the zero dual);
-    and the greedy over its sorted codewords, the printed form, is the
-    oracle's generator."""
+    and the printed form of ``chainmat dual-code``, the greedy over its
+    sorted codewords from its own m*C^perp, is the oracle's generator."""
     want, got = dual_by_enumeration(c), dual_code(c)
     assert got == want, (c.ring.spec, c.generator)
     rows = got.generator.rows
@@ -162,7 +232,7 @@ def _check_dual(c):
         assert len(rows) == got.generator_count and all(any(r) for r in rows), (c.ring.spec, c.generator)
     else:
         assert rows == ((0,) * c.length,), (c.ring.spec, c.generator)
-    shown = Code.from_codeword_set(got.ring, got.labels, got.codewords)
+    shown = Code.from_submodule(got.labels, got.submodule, sorted(got.codewords))
     assert shown.generator == want.generator, (c.ring.spec, c.generator)
 
 
