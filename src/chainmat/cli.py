@@ -108,11 +108,15 @@ def cmd_check_matroid(args):
 def cmd_dual_code(args):
     mat = _load_matrix(args.matrix)
     code = Code.from_matrix(mat)
-    dual = oracle.dual_by_enumeration(code) if args.oracle else dual_code(code)
-    # one printed form for both paths: the greedy over the sorted codewords
-    # (what the oracle builds), not the rows that dual_code keeps; it starts
-    # from the m*C^perp that the dual's own span formed
-    shown = Code.from_submodule(dual.labels, dual.submodule, sorted(dual.codewords))
+    if args.oracle:
+        # its generator is already the greedy over the sorted codewords
+        shown = oracle.dual_by_enumeration(code)
+    else:
+        # one printed form for both paths: the oracle's greedy, not the rows
+        # that dual_code keeps; it starts from the m*C^perp that the dual's
+        # own span formed
+        dual = dual_code(code)
+        shown = Code.from_submodule(dual.labels, dual.submodule, sorted(dual.codewords))
     print(format_matrix(shown.generator), end="")
     return EXIT_OK
 

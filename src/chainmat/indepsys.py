@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress
+from math import comb
 
 from .errors import (
     BadValueError,
@@ -25,6 +27,57 @@ from .modindep import _log_residue, extend_closure
 MAX_GROUND = 16
 MAX_BACKTRACK = 10
 
+# -- power-set bitsets: a family of masks over n elements is a 2^n-bit integer
+# with bit m set for each member m, so a question about the whole subset
+# lattice takes n shifts of it (Yates's zeta transform)
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+
+
+@lru_cache(maxsize=None)
+def _lows(n: int) -> tuple:
+    """For each element i < n, the set of the masks without i."""
+    ones = (1 << (1 << n)) - 1
+    return tuple(ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n))
+
+
+def _bits(masks, n: int) -> int:
+    """The set of ``masks``, each in [0, 2^n)."""
+    if n > MAX_GROUND:
+        raise GroundSetTooLargeError(f"{n} > {MAX_GROUND} elements")
+    top = (1 << n) - 1
+    buf = bytearray(b"0") * (top + 1)
+    for m in masks:
+        buf[top - m] = 49  # "1"; the string is read most significant first
+    return int(buf, 2)
+
+
+def _flags(bits: int, n: int) -> bytes:
+    """2^n bytes, byte m 1 when mask m is in the set and 0 otherwise."""
+    return format(bits, f"0{1 << n}b").encode().translate(_ZERO_ONE)[::-1]
+
+
+def _masks(bits: int, n: int) -> list:
+    """The masks in the set, in increasing order."""
+    return list(compress(range(1 << n), _flags(bits, n)))
+
+
+def _shrink(bits: int, n: int) -> int:
+    """The masks that are a member less one element."""
+    out = 0
+    for i, lo in enumerate(_lows(n)):
+        out |= (bits & ~lo) >> (1 << i)
+    return out
+
+
+def _above(bits: int, n: int) -> int:
+    """The masks that strictly contain a member: after element i, ``out``
+    holds those whose excess over some member lies in {0, ..., i}."""
+    out = 0
+    for i, lo in enumerate(_lows(n)):
+        out |= ((bits | out) & lo) << (1 << i)
+    return out
+
 
 class IndependenceSystem:
     """Ground set plus an explicitly stored downward-closed family."""
@@ -38,19 +91,15 @@ class IndependenceSystem:
         fam = frozenset(independent_masks)
         if 0 not in fam:
             raise BadValueError("the empty set must be independent")
-        full = (1 << len(labels)) - 1
-        for m in fam:
-            if m & ~full:
-                raise BadValueError("independent mask outside the ground set")
-        for m in fam:
-            x = m
-            while x:
-                bit = x & -x
-                if (m ^ bit) not in fam:
-                    raise BadValueError("independent family is not downward closed")
-                x ^= bit
+        n = len(labels)
+        if min(fam) < 0 or max(fam) >> n:
+            raise BadValueError("independent mask outside the ground set")
+        bits = _bits(fam, n)
+        if _shrink(bits, n) & ~bits:
+            raise BadValueError("independent family is not downward closed")
         self.labels = labels
         self.family = fam
+        self._bits = bits
         self._index = {l: i for i, l in enumerate(labels)}
         self._rank_table = None
 
@@ -66,7 +115,7 @@ class IndependenceSystem:
         return m
 
     def subset_of(self, mask: int) -> frozenset:
-        return frozenset(self.labels[i] for i in range(len(self.labels)) if mask >> i & 1)
+        return frozenset(compress(self.labels, bin(mask)[:1:-1].encode().translate(_ZERO_ONE)))
 
     @property
     def full_mask(self) -> int:
@@ -80,25 +129,19 @@ class IndependenceSystem:
 
     # -- rank --------------------------------------------------------------
 
-    def _ranks(self):
+    def _ranks(self) -> bytes:
+        """Byte m is the rank of mask m.  The family is downward closed, so
+        r(X) >= k iff X contains a member with at least k elements, and the
+        table is the byte-lane sum over k >= 1 of the upward closures of
+        those members; the members strictly above them have at least k + 1."""
         if self._rank_table is None:
             n = len(self.labels)
-            table = [0] * (1 << n)
-            fam = self.family
-            for mask in range(1, 1 << n):
-                if mask in fam:
-                    table[mask] = mask.bit_count()
-                else:
-                    best = 0
-                    x = mask
-                    while x:
-                        bit = x & -x
-                        r = table[mask ^ bit]
-                        if r > best:
-                            best = r
-                        x ^= bit
-                    table[mask] = best
-            self._rank_table = table
+            total, members = 0, self._bits ^ 1  # the nonempty members
+            while members:
+                above = _above(members, n)
+                total += int.from_bytes(_flags(members | above, n), "little")
+                members = self._bits & above
+            self._rank_table = total.to_bytes(1 << n, "little")
         return self._rank_table
 
     def rank(self, subset=None) -> int:
@@ -108,49 +151,28 @@ class IndependenceSystem:
     # -- derived objects -----------------------------------------------------
 
     def circuits(self) -> "Clutter":
-        fam = self.family
+        """The minimal non-members: the non-members that strictly contain
+        no non-member."""
         n = len(self.labels)
-        members = []
-        for mask in range(1, 1 << n):
-            if mask in fam:
-                continue
-            minimal = True
-            x = mask
-            while x:
-                bit = x & -x
-                if (mask ^ bit) not in fam:
-                    minimal = False
-                    break
-                x ^= bit
-            if minimal:
-                members.append(mask)
-        return Clutter(self.labels, [self.subset_of(m) for m in members])
+        dependent = self._bits ^ ((1 << (1 << n)) - 1)
+        return Clutter(self.labels, map(self.subset_of, _masks(dependent & ~_above(dependent, n), n)))
 
     def bases(self) -> list:
         r = self.rank()
         return [m for m in self.family if m.bit_count() == r]
 
-    def maximal_independent_masks(self) -> list:
-        fam = self.family
-        n = len(self.labels)
-        out = []
-        for m in fam:
-            if all((m | (1 << i)) not in fam for i in range(n) if not m >> i & 1):
-                out.append(m)
-        return out
-
     def is_pure(self) -> bool:
-        sizes = {m.bit_count() for m in self.maximal_independent_masks()}
-        return len(sizes) <= 1
+        """Every maximal member has the same size."""
+        maximal = _masks(self._bits & ~_shrink(self._bits, len(self.labels)), len(self.labels))
+        return len({m.bit_count() for m in maximal}) <= 1
 
     def dual(self) -> "IndependenceSystem":
         """Dual via rank complementation: X independent in the dual iff
-        the complement of X still has full rank."""
+        the complement of X still has full rank.  Byte m of the reversed
+        rank table is the rank of the complement of m."""
         ranks = self._ranks()
-        full = self.full_mask
-        r_full = ranks[full]
-        fam = [m for m in range(full + 1) if ranks[full & ~m] == r_full]
-        return IndependenceSystem(self.labels, fam)
+        full_rank = bytes(r == ranks[-1] for r in range(256))
+        return IndependenceSystem(self.labels, compress(range(len(ranks)), ranks.translate(full_rank)[::-1]))
 
     def dual_rank(self, subset) -> int:
         """|X| + r(E - X) - r(E) (not the rank function of the dual unless
@@ -177,7 +199,7 @@ class IndependenceSystem:
 
 def _label_set(labels, t) -> frozenset:
     """``t`` as a set of labels, each of which must be one of ``labels``."""
-    t = frozenset(str(x) for x in t)
+    t = frozenset(map(str, t))
     unknown = sorted(t.difference(labels))
     if unknown:
         raise UnknownLabelError(f"unknown label {unknown[0]!r}")
@@ -185,28 +207,9 @@ def _label_set(labels, t) -> frozenset:
 
 
 def _label_masks(labels, sets) -> dict:
-    """{bitmask over ``labels``: label set} for the label sets ``sets``."""
-    index = {l: i for i, l in enumerate(labels)}
-    return {sum(1 << index[x] for x in t): t for t in sets}
-
-
-def _proper_submember(b: int, members) -> int:
-    """A mask in ``members`` (nonzero masks) that is a proper subset of the
-    mask b, or 0 when there is none.  When b has fewer proper submasks
-    than there are members, they are enumerated with s = (s - 1) & b and
-    looked up; otherwise the members are scanned.  Over a family of masks
-    that costs O(sum of min(2^|b|, |members|)), not every pair."""
-    if 1 << b.bit_count() <= len(members):
-        s = (b - 1) & b
-        while s:
-            if s in members:
-                return s
-            s = (s - 1) & b
-        return 0
-    for a in members:
-        if a != b and a & b == a:
-            return a
-    return 0
+    """{bitmask over ``labels``: label set} for the sets ``sets`` of labels."""
+    bit = {l: 1 << i for i, l in enumerate(labels)}
+    return {sum(map(bit.__getitem__, t)): t for t in (_label_set(labels, s) for s in sets)}
 
 
 class Clutter:
@@ -214,23 +217,26 @@ class Clutter:
 
     def __init__(self, labels, members):
         labels = tuple(str(l) for l in labels)
-        mems = {_label_set(labels, m) for m in members}
-        if frozenset() in mems:
+        by_mask = _label_masks(labels, members)
+        if 0 in by_mask:
             raise BadValueError("clutter members must be nonempty")
-        by_mask = _label_masks(labels, mems)
-        for b, m in by_mask.items():
-            a = _proper_submember(b, by_mask)
-            if a:
-                raise BadValueError(f"clutter is not an antichain: {set(by_mask[a])} < {set(m)}")
+        bits = _bits(by_mask, len(labels))
+        above = bits & _above(bits, len(labels))
+        if above:
+            b = above.bit_length() - 1
+            a = next(a for a in by_mask if a != b and a & b == a)
+            raise BadValueError(f"clutter is not an antichain: {set(by_mask[a])} < {set(by_mask[b])}")
         self.labels = labels
-        self.members = frozenset(mems)
+        self.members = frozenset(by_mask.values())
 
     @staticmethod
     def minimize(labels, sets) -> "Clutter":
         """The inclusion-minimal members of ``sets``, empty sets dropped."""
         labels = tuple(str(l) for l in labels)
-        by_mask = _label_masks(labels, {_label_set(labels, s) for s in sets if s})
-        return Clutter(labels, [m for b, m in by_mask.items() if not _proper_submember(b, by_mask)])
+        n = len(labels)
+        by_mask = _label_masks(labels, [s for s in sets if s])
+        bits = _bits(by_mask, n)
+        return Clutter(labels, map(by_mask.__getitem__, _masks(bits & ~_above(bits, n), n)))
 
     def delete(self, t) -> "Clutter":
         t = _label_set(self.labels, t)
@@ -251,18 +257,14 @@ class Clutter:
         return frozenset(next(iter(m)) for m in self.members if len(m) == 1)
 
     def isthmuses(self) -> frozenset:
-        touched = set()
-        for m in self.members:
-            touched |= m
-        return frozenset(l for l in self.labels if l not in touched)
+        return frozenset(self.labels).difference(*self.members)
 
     def to_system(self) -> IndependenceSystem:
         """Independent sets = subsets containing no member."""
         n = len(self.labels)
-        idx = {l: i for i, l in enumerate(self.labels)}
-        member_masks = [sum(1 << idx[x] for x in m) for m in self.members]
-        fam = [m for m in range(1 << n) if not any(mm & ~m == 0 for mm in member_masks)]
-        return IndependenceSystem(self.labels, fam)
+        members = _bits(_label_masks(self.labels, self.members), n)
+        dependent = members | _above(members, n)
+        return IndependenceSystem(self.labels, _masks(dependent ^ ((1 << (1 << n)) - 1), n))
 
     def __eq__(self, other):
         return (
@@ -576,10 +578,8 @@ def uniform_system(k: int, n: int, labels=None) -> IndependenceSystem:
 
 def _uniform_rank(m: IndependenceSystem):
     """k when the system is the uniform one of rank k, else None."""
-    n = len(m.labels)
     k = m.rank()
-    expected = sum(1 for mask in range(1 << n) if mask.bit_count() <= k)
-    return k if len(m.family) == expected else None
+    return k if len(m.family) == sum(comb(len(m.labels), i) for i in range(k + 1)) else None
 
 
 def is_isomorphic(m1: IndependenceSystem, m2: IndependenceSystem):

@@ -167,6 +167,63 @@ def exchange_violations_by_pair_scan(m) -> list:
     return violations
 
 
+def ranks_by_family_scan(m) -> list:
+    """The rank of every mask of an independence system: each member's
+    size at the member, then the largest value below each mask, carried
+    up one element at a time in increasing mask order."""
+    n = len(m.labels)
+    table = [0] * (1 << n)
+    for i in m.family:
+        table[i] = i.bit_count()
+    for x in range(1 << n):
+        for e in range(n):
+            if x >> e & 1 and table[x ^ 1 << e] > table[x]:
+                table[x] = table[x ^ 1 << e]
+    return table
+
+
+def circuits_by_mask_scan(m) -> set:
+    """The minimal non-members of a downward-closed family, as masks: the
+    non-members whose every one-smaller subset is a member."""
+    fam = m.family
+    n = len(m.labels)
+    return {
+        x for x in range(1 << n)
+        if x not in fam and all(x ^ 1 << e in fam for e in range(n) if x >> e & 1)
+    }
+
+
+def dual_by_rank_complement(m) -> set:
+    """The dual family as masks: X such that r(E - X) = r(E)."""
+    ranks = ranks_by_family_scan(m)
+    full = (1 << len(m.labels)) - 1
+    return {x for x in range(full + 1) if ranks[full ^ x] == ranks[full]}
+
+
+def clutter_system_by_superset_marking(c) -> set:
+    """The masks containing no member of the clutter c: every superset of
+    every member is marked dependent, and the rest returned."""
+    index = {l: i for i, l in enumerate(c.labels)}
+    full = (1 << len(c.labels)) - 1
+    dependent = set()
+    for member in c.members:
+        low = sum(1 << index[l] for l in member)
+        rest = s = full & ~low
+        while True:
+            dependent.add(low | s)
+            if not s:
+                break
+            s = (s - 1) & rest
+    return set(range(full + 1)) - dependent
+
+
+def minimal_sets_by_pair_scan(sets) -> set:
+    """The nonempty sets among ``sets`` with no nonempty proper subset
+    among them, comparing every pair."""
+    sets = {frozenset(map(str, s)) for s in sets}
+    return {s for s in sets if s and not any(t and t < s for t in sets)}
+
+
 def rank_submodular_by_pair_scan(m):
     """Submodularity of the rank function over every pair X, Y of subsets.
 

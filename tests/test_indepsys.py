@@ -376,6 +376,33 @@ def test_ground_set_cap():
         IndependenceSystem([str(i) for i in range(17)], [0])
 
 
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_constructor_rejects_bad_families_with_exact_messages(n):
+    labels = [str(i) for i in range(n)]
+    full = (1 << n) - 1
+    cases = [
+        ([0, full], "independent family is not downward closed"),
+        # every mask but the top one less its highest element
+        ([m for m in range(full + 1) if m != full >> 1], "independent family is not downward closed"),
+        # the highest singleton missing under a pair
+        ([0, 1, 1 | 1 << (n - 1)], "independent family is not downward closed"),
+        ([0, 1 << n], "independent mask outside the ground set"),
+        ([0, 1, -1], "independent mask outside the ground set"),
+        ([1], "the empty set must be independent"),
+        (range(1, full + 1), "the empty set must be independent"),
+    ]
+    for masks, message in cases:
+        with pytest.raises(BadValueError, match=f"^{message}$"):
+            IndependenceSystem(labels, masks)
+
+
+def test_clutter_ground_set_cap():
+    with pytest.raises(GroundSetTooLargeError):
+        Clutter([str(i) for i in range(17)], [{"0"}])
+    with pytest.raises(GroundSetTooLargeError):
+        Clutter.minimize([str(i) for i in range(17)], [{"0"}])
+
+
 def test_json_roundtrip():
     m = build_from_matrix(NON_MATROID)
     assert system_from_json(system_to_json(m)) == m

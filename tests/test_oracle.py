@@ -3,17 +3,29 @@ from importlib import resources
 from chainmat.codes import Code, dual_code
 from chainmat.errors import NonIntegralDimensionError
 from chainmat.gallery import load_matrix
-from chainmat.indepsys import IndependenceSystem, build_from_matrix, check_matroid, is_rank_submodular
+from chainmat.indepsys import (
+    Clutter,
+    IndependenceSystem,
+    build_from_matrix,
+    check_matroid,
+    is_rank_submodular,
+    uniform_system,
+)
 from chainmat.linalg import Mat
 from chainmat.modindep import minimal_generator_count
 from chainmat.oracle import (
+    circuits_by_mask_scan,
     circuits_by_subset_scan,
+    clutter_system_by_superset_marking,
     cyclic_submodule_census,
     cyclic_submodule_census_by_sets,
     dual_by_enumeration,
+    dual_by_rank_complement,
     exchange_violations_by_pair_scan,
+    minimal_sets_by_pair_scan,
     mu_by_enumeration,
     rank_submodular_by_pair_scan,
+    ranks_by_family_scan,
 )
 from chainmat.rings import make_ring
 
@@ -290,6 +302,30 @@ def test_differential_matroid_certification():
         assert report.is_matroid == (not want), m
         verdicts.append(report.is_matroid)
     assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
+def _check_power_set_paths(rng, m):
+    """Rank, circuits, dual, Clutter.to_system and Clutter.minimize of m
+    against their loop-per-mask references."""
+    assert list(m._ranks()) == ranks_by_family_scan(m), m
+    circuits = m.circuits()
+    assert {m.mask_of(c) for c in circuits.members} == circuits_by_mask_scan(m), m
+    assert m.dual().family == dual_by_rank_complement(m), m
+    assert circuits.to_system().family == clutter_system_by_superset_marking(circuits) == m.family, m
+    sets = [rng.sample(m.labels, rng.randint(0, len(m.labels))) for _ in range(rng.randint(0, 40))]
+    sets += sorted(circuits.members, key=sorted)[:40]
+    assert Clutter.minimize(m.labels, sets).members == minimal_sets_by_pair_scan(sets), m
+
+
+def test_differential_power_set_paths():
+    rng = rng_for("diff-power-set")
+    systems = [_random_down_closed(rng, rng.randint(0, 10)) for _ in range(300)]
+    systems += [uniform_system(8, 16), IndependenceSystem([], [0])]
+    for m in systems:
+        _check_power_set_paths(rng, m)
+    assert {len(m.labels) for m in systems} == set(range(11)) | {16}
+    assert Clutter([], []).to_system() == IndependenceSystem([], [0])
+    assert Clutter.minimize([], [set()]).members == frozenset()
 
 
 def test_local_submodularity_matches_pair_scan():
