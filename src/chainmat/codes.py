@@ -46,7 +46,7 @@ def _span_size(ring: Ring, vectors) -> int:
     if ring.is_chain:
         nu = ring.nilpotency_index
         return ring.residue_field_size ** sum(nu - e for e in snf_exponents(ring, vectors))
-    from .howell import span_logs  # here: chain-ring commands never compile it
+    from .howell import span_logs  # here: `import chainmat` never compiles it
 
     return ring.additive.p ** span_logs(ring, vectors)[0]
 
@@ -171,7 +171,7 @@ def dual_code(c: Code) -> Code:
                 theta = ring.uniformizer_power(nu - e)
                 gens.append(tuple(mul(theta, row[i]) for row in snf.right))
     else:
-        from .howell import dual_generators  # here: chain-ring commands never compile it
+        from .howell import dual_generators  # here: `import chainmat` never compiles it
 
         # |dual| = |R^n| / |G R^n|, and G R^n is the span of G's columns
         _check_span_size(ring.size**n // _span_size(ring, c.generator.columns()))

@@ -11,9 +11,10 @@ gives its size exactly without building a vector set, so the generator
 count mu(V) = log_q |V| / |mV| (Nakayama) and a dual code's kernel come
 from integer row operations.
 
-Only the non-chain routes of ``modindep``, ``indepsys`` and ``codes`` use
-this module, and they import it when they first run: commands over chain
-rings never compile it.
+``indepsys.build_from_matrix`` decides independence here over every
+ring, and the non-chain routes of ``modindep`` and ``codes`` size spans
+and duals here.  Each imports this module when it first runs, so
+``import chainmat`` never compiles it.
 """
 
 from __future__ import annotations
@@ -43,21 +44,22 @@ def howell_insert(form: dict, row, p: int, a: int) -> int:
     q = p**a
     n = len(row)
     grown = 0
-    pending = [row]
+    pending = [(row, 0)]  # a row and the column before which it is zero
     while pending:
-        r = pending.pop()
-        j = 0
+        r, j = pending.pop()
         while j < n:
             x = r[j]
             if not x:
                 j += 1
                 continue
             h = form.get(j)
-            if h is not None and x % h[j] == 0:
-                c = x // h[j]
-                r = [(s - c * t) % q for s, t in zip(r, h)]
-                j += 1
-                continue
+            if h is not None:
+                y = h[j]
+                if x % y == 0:
+                    c = x // y
+                    r = [(s - c * t) % q for s, t in zip(r, h)]
+                    j += 1
+                    continue
             e = 0
             while x % p == 0:
                 x //= p
@@ -68,13 +70,14 @@ def howell_insert(form: dict, row, p: int, a: int) -> int:
             form[j] = r
             grown += a - e
             if e:
-                pending.append([s * p ** (a - e) % q for s in r])
+                scale = p ** (a - e)
+                pending.append(([s * scale % q for s in r], j + 1))
             if h is None:
                 break
-            # the displaced row's lead p^f (f > e) is now divisible
-            x, f = h[j], 0
-            while x > 1:
-                x //= p
+            # the displaced row's lead y = p^f (f > e) is now divisible
+            f = 0
+            while y > 1:
+                y //= p
                 f += 1
             grown -= a - f
             r = h
@@ -112,24 +115,32 @@ def _multiples(add, x) -> list:
     return out
 
 
+def _times(add, x, k: int):
+    """k*x, by doubling."""
+    out = 0
+    while k:
+        if k & 1:
+            out = add(out, x)
+        x = add(x, x)
+        k >>= 1
+    return out
+
+
 def _cyclic_basis(group, add, p: int) -> list:
     """Elements g_1, g_2, ... such that ``group`` (a finite abelian p-group
     given as a set of elements with its addition, 0 the identity) is the
     direct sum of the cyclic groups <g_i>, largest first.
 
-    Brute force, for tables of at most ``rings.MAX_TABLE_SIZE`` elements:
+    Brute force, for groups of at most ``rings.MAX_RING_SIZE`` elements:
     the next g is the first element of largest order whose cyclic group
     meets the sum K so far only in 0 and keeps K + <g> pure
     (p^n G & K = p^n K for every n).  It always exists: a pure subgroup of a
     finite abelian group is a direct summand, and K plus the cyclic group
     of an element of largest order in a complement of K is again one.  In
-    characteristic p purity is automatic and this is a greedy F_p basis."""
-    times_p = {}
-    for x in group:
-        y = 0
-        for _ in range(p):
-            y = add(y, x)
-        times_p[x] = y
+    characteristic p purity is automatic and this is a greedy F_p basis.
+    Orders come from the table of p*x; a cyclic group is listed only for
+    an element tried outside K."""
+    times_p = {x: _times(add, x, p) for x in group}
 
     layers = [set(group)]  # p^n G for n = 0, 1, ... until it is {0}
     while len(layers[-1]) > 1:
@@ -143,12 +154,22 @@ def _cyclic_basis(group, add, p: int) -> list:
                 return False
         return True
 
-    cyclic = {x: _multiples(add, x) for x in group}
-    candidates = sorted(group, key=lambda x: (-len(cyclic[x]), x))
+    order = {}
+    for x in group:
+        y, o = x, 1
+        while y:
+            y, o = times_p[y], o * p
+        order[x] = o
+    candidates = sorted(group, key=lambda x: (-order[x], x))
+    cyclic = {}
     span, basis = {0}, []
     while len(span) < len(group):
         for x in candidates:
-            cyc = cyclic[x]
+            if x in span:
+                continue
+            cyc = cyclic.get(x)
+            if cyc is None:
+                cyc = cyclic[x] = _multiples(add, x)
             if any(y in span for y in cyc[1:]):
                 continue
             k = {add(s, y) for s in span for y in cyc}
@@ -214,10 +235,13 @@ def grow(ring: Ring, form: dict, rows) -> int:
 def extend_sizes(ring: Ring, sizes: tuple, rows) -> tuple:
     """The ``NO_SIZES``-shaped tuple of V + R*g from that of V (which is
     not changed), where ``rows`` is ``coordinate_rows(ring, g)``."""
+    p, a = ring.additive.p, ring.additive.exponent
     vform, vlog, mform, mlog = sizes
     vform, mform = dict(vform), dict(mform)
-    vlog += grow(ring, vform, rows[0])
-    mlog += grow(ring, mform, rows[1])
+    for row in rows[0]:
+        vlog += howell_insert(vform, row, p, a)
+    for row in rows[1]:
+        mlog += howell_insert(mform, row, p, a)
     return vform, vlog, mform, mlog
 
 

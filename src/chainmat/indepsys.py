@@ -18,11 +18,10 @@ from .errors import (
     BadValueError,
     ContractDependentSetError,
     GroundSetTooLargeError,
-    NotChainRingError,
     UnknownLabelError,
 )
-from .linalg import Mat, _eliminate, _identity, snf_exponents
-from .modindep import _log_residue, extend_closure
+from .linalg import Mat
+from .modindep import _log_residue, extend_closure, minimal_generator_count
 
 MAX_GROUND = 16
 MAX_BACKTRACK = 10
@@ -316,57 +315,12 @@ def _candidates(fam, n: int, cap: int):
         mask += 1
 
 
-def _column_image(ring, left, support) -> list:
-    """left * g for the column g whose nonzero entries are ``support``,
-    a list of (index, entry) pairs."""
-    add, mul = ring.add, ring.mul
-    out = []
-    for row in left:
-        s = 0
-        for j, a in support:
-            c = row[j]
-            if c:
-                s = add(s, mul(c, a))
-        out.append(s)
-    return out
-
-
-def _extend_echelon(ring, echelon, support) -> tuple:
-    """(L', exps', L'*A_S) for S = P + g from P's (L, exps, L*A_P), where g
-    has the nonzero entries ``support``: ``_eliminate`` on [L*A_P | L*g],
-    which is in row echelon form but for its last column, with the row
-    operations applied to a copy of L."""
-    left, _, work = echelon
-    work = [row + [x] for row, x in zip(work, _column_image(ring, left, support))]
-    left = [row[:] for row in left]
-    exps, _ = _eliminate(ring, work, left)
-    return left, exps, work
-
-
-def _extends_independent(ring, left, exps, support) -> bool:
-    """True when P + g is independent, for an independent P with left
-    transform ``left`` and pivot valuations ``exps`` and g with the nonzero
-    entries ``support`` (the criterion is derived in ``build_from_matrix``).
-    The rows below the pivots come first: a unit there (w = 0) makes
-    t* = nu."""
-    nu = ring.nilpotency_index
-    ordv = ring.valuation
-    p = len(exps)
-    w = min(map(ordv, _column_image(ring, left[p:], support)), default=nu)
-    if w == 0:
-        return True
-    slack = [e - ordv(x) for e, x in zip(exps, _column_image(ring, left[:p], support))]
-    t = max(0, nu - w, *slack)  # below nu, as w > 0 and every e_i < nu
-    return t > 0 and t not in slack
-
-
 def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
     """Column independence system of a matrix: S independent iff the
     columns labelled by S are modular independent.
 
-    ``method`` is "snf" (chain rings only), "enum" (vector sets, the
-    reference), or "auto": SNF over a chain ring, Howell forms over any
-    other.  Masks are decided in increasing order, so every subset of
+    ``method`` is "auto" (Howell forms) or "enum" (vector sets, the
+    reference).  Masks are decided in increasing order, so every subset of
     a mask is decided before it; a mask is tested only when all its
     maximal proper subsets are independent.  The parent of a mask x is
     x & (x - 1), x without its lowest element, and in increasing order the
@@ -375,10 +329,11 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
     what each path reuses, and each child S = P + g is decided from its
     parent's entry.
 
-    The enumeration path carries (V, m*V): the child is one
-    ``extend_closure`` away, and S is independent iff |V| / |m*V| = q^|S|.
+    Both paths decide Nakayama's count: S is independent iff
+    |V| / |m*V| = q^|S| for V the span of S.  The "enum" path carries
+    (V, m*V) as vector sets, and the child is one ``extend_closure`` away.
 
-    The Howell path decides the same equation without a vector set.  R has
+    The "auto" path decides the same equation without a vector set.  R has
     characteristic p^a, and ``Ring.additive`` embeds (R, +) in (Z/p^a)^d,
     additively and injectively; it extends coordinatewise to R^k, so a
     subgroup of R^k and its image have the same size.  With b running over
@@ -390,83 +345,41 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
     exactly, and S is independent iff log V - log mV = f*|S| with q = p^f.
     Each ancestor carries both forms and both logs
     (``howell.extend_sizes``), so a child inserts d + d_m rows, the numbers
-    of generators b and t, into copies of its parent's forms.  Like the
-    "enum" path it is never capped, because over a non-chain ring mu is
-    not monotone.
+    of generators b and t, into copies of its parent's forms.
 
-    The SNF path relies on the paper's characterisation of chain rings:
-    there the generator count mu is monotone on submodules, so
-    mu(span S) <= r, the number of invariant factors of the whole matrix,
-    and no S with more than r elements is tested.  Each ancestor P with
-    fewer than r elements carries, computed when its first child is
-    tested, a left transform L that brings A_P to row echelon form and the
-    pivot valuations e_0..e_{p-1}: ``_eliminate`` on [L'*A_P' | L'*g'],
-    from the entry of P's own parent P' = P - g', with the row operations
-    applied to a copy of L'.  So each internal node costs one elimination
-    of a matrix already in echelon form but for one column, and a child
-    costs one product b = L*g and no elimination.  With v_i = ord(b_i),
-    w = min_{i >= p} v_i (nu when p = k) and
-    t* = max(0, nu - w, max_{i<p}(e_i - v_i)), S is dependent iff t* < nu
-    and (t* = 0 or e_i - v_i = t* for some i < p).  The "enum" path is
-    never capped, because over a non-chain ring mu is not monotone.
-
-    Derivation: L*A_P is D*U after a column permutation, with
-    D = diag(theta^e_i) over zero rows and U upper triangular with units on
-    its diagonal (each pivot has the least valuation in its row), and P is
-    independent.  So S is dependent iff c_0*g + A_P*c = 0 for some
-    c_0 = theta^t (a unit multiple of any c_0) and c with a unit entry.
-    Multiplying by L and substituting c' = U*c (c' has a unit entry iff
-    c does) turns this into theta^t*b_i = 0 for i >= p and
-    theta^e_i*c'_i = -theta^t*b_i for i < p.  These are solvable iff
-    t + w >= nu and t + v_i >= e_i for every i < p, that is t >= t*.  For
-    t = 0 the relation already has a unit coefficient.  For t > 0 some c'_i
-    must be a unit, which happens iff ord(theta^t*b_i) = e_i < nu, that is
-    t = e_i - v_i; as t >= e_i - v_i for every i, such a t can only be t*.
+    The "auto" path is capped by the paper's characterisation of chain
+    rings: there the generator count mu is monotone on submodules, so
+    mu(span S) <= r, the generator count of the whole column module, and no
+    S with more than r elements is tested; an independent S with r elements
+    has no child to decide and goes on no stack.  Over a non-chain ring mu
+    is not monotone, so r = n there, and the "enum" reference is never
+    capped.
     """
     n = a.ncols
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
     ring = a.ring
-    if method not in ("auto", "snf", "enum"):
+    if method not in ("auto", "enum"):
         raise BadValueError(f"unknown method {method!r}")
-    if method == "snf" and not ring.is_chain:
-        raise NotChainRingError(f"{ring.spec} is not a chain ring")
     cols = a.columns()
     fam = {0}
-    if method == "auto" and not ring.is_chain:
-        # imported here: chain-ring commands never compile it
+    if method == "auto":
+        # here: `import chainmat` never compiles it
         from .howell import NO_SIZES, coordinate_rows, extend_sizes
 
+        r = minimal_generator_count(ring, cols) if ring.is_chain else n
         rows = [coordinate_rows(ring, c) for c in cols]
         f = ring.additive.residue_degree
         stack = [(0, NO_SIZES)]  # (mask, its extend_sizes tuple) of independent ancestors
-        for mask in _candidates(fam, n, n):
+        for mask in _candidates(fam, n, r):
             parent = mask & (mask - 1)
             while stack[-1][0] != parent:
                 stack.pop()
             sizes = extend_sizes(ring, stack[-1][1], rows[(mask ^ parent).bit_length() - 1])
             if sizes[1] - sizes[3] == f * mask.bit_count():
                 fam.add(mask)
-                stack.append((mask, sizes))
-    elif method != "enum":
-        r = len(snf_exponents(ring, cols))
-        supports = [[(i, x) for i, x in enumerate(c) if x] for c in cols]
-        k = a.nrows
-        # [mask, its lowest element, (L, exps, L*A_P) or None until its
-        # first child is tested] for each independent ancestor
-        stack = [[0, None, (_identity(k), [], [[] for _ in range(k)])]]
-        for mask in _candidates(fam, n, r):
-            parent = mask & (mask - 1)
-            while stack[-1][0] != parent:
-                stack.pop()
-            if stack[-1][2] is None:
-                stack[-1][2] = _extend_echelon(ring, stack[-2][2], supports[stack[-1][1]])
-            left, exps, _ = stack[-1][2]
-            e = (mask ^ parent).bit_length() - 1
-            if _extends_independent(ring, left, exps, supports[e]):
-                fam.add(mask)
                 if mask.bit_count() < r:
-                    stack.append([mask, e, None])
+                    stack.append((mask, sizes))
     else:
         zero = (0,) * a.nrows
         stack = [(0, {zero}, {zero})]  # (mask, V, m*V) of independent ancestors

@@ -96,9 +96,9 @@ class Mat:
 
 
 def parse_matrix(text: str, directory: str = "") -> Mat:
-    """Parse the text format: ``ring <spec>``, ``cols <l> ...``, then rows.
-    A relative table-ring path names a file in ``directory`` (by default
-    the current directory)."""
+    """Parse the text format: ``ring <spec>``, ``cols <l> ...`` (a bare
+    ``cols`` for no columns), then rows.  A relative table-ring path names
+    a file in ``directory`` (by default the current directory)."""
     ring = None
     labels = None
     rows = []
@@ -112,7 +112,7 @@ def parse_matrix(text: str, directory: str = "") -> Mat:
                 raise MatrixParseError("expected 'ring <spec>'", line=lineno)
             ring = make_ring(toks[1], directory)
         elif labels is None:
-            if toks[0] != "cols" or len(toks) < 2:
+            if toks[0] != "cols":
                 raise MatrixParseError("expected 'cols <label> ...'", line=lineno)
             labels = toks[1:]
         else:
@@ -129,7 +129,9 @@ def parse_matrix(text: str, directory: str = "") -> Mat:
             rows.append(row)
     if ring is None or labels is None:
         raise MatrixParseError("matrix text must declare a ring and column labels")
-    return Mat(ring, labels, rows)
+    # the rows of a matrix without columns are blank lines, skipped above:
+    # it reads as the one empty row that a code of length 0 is generated by
+    return Mat(ring, labels, rows if labels else [[]])
 
 
 def parse_matrix_file(path: str) -> Mat:

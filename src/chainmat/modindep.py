@@ -181,7 +181,7 @@ def minimal_generator_count(ring: Ring, vectors, method: str = "auto") -> int:
     if not vectors:
         return 0
     if method == "auto" and not ring.is_chain:
-        from .howell import span_logs  # here: chain-ring commands never compile it
+        from .howell import span_logs  # here: `import chainmat` never compiles it
 
         vlog, mlog = span_logs(ring, vectors)
         return _log_residue(ring, ring.additive.p ** (vlog - mlog))

@@ -15,7 +15,8 @@ ring is local iff every other element is a unit (checked by Lagrange's
 theorem in the unit group), and it is a chain ring iff the maximal ideal
 is principal (Dinh and Lopez-Permouth, IEEE T-IT 2004, Prop. 2.1).
 ``Ring.additive`` embeds (R, +) in (Z/p^a)^d, p^a the characteristic, on
-first use (``howell``); the non-chain routes size spans there.
+first use (``howell``); the system build and the non-chain routes size
+spans there.
 
 Elements are canonical integer indices ``0 .. size-1``; vectors are plain
 tuples of indices.  Every handle is immutable after construction and all
@@ -201,7 +202,7 @@ class Ring:
     def additive(self):
         """The additive coordinates of ``howell.additive_coordinates``,
         built on first use."""
-        from .howell import additive_coordinates  # here: chain-ring commands never compile it
+        from .howell import additive_coordinates  # here: `import chainmat` never compiles it
 
         return additive_coordinates(self)
 

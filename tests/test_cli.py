@@ -23,7 +23,7 @@ def test_check_matroid_violation_exit_code(capsys):
 
 def test_oracle_check_matroid_agrees(capsys):
     # --oracle builds every packaged matrix by submodule enumeration, also
-    # over chain rings, and must print what the SNF build prints.
+    # over chain rings, and must print what the Howell build prints.
     data = resources.files("chainmat").joinpath("data")
     names = sorted(p.name[:-4] for p in data.iterdir() if p.name.endswith(".mat"))
     assert len(names) >= 19

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
+import chainmat
 from chainmat.howell import howell_insert
 from chainmat.rings import make_ring
 
-from helpers import CHAIN_SPECS, TABLE_SPECS, rng_for
+from helpers import CHAIN_SPECS, FIELD_SPECS, TABLE_SPECS, rng_for
 
 
 def test_howell_insert_sizes_spans():
@@ -52,7 +57,8 @@ def _additive_closure(ring, gens) -> set:
 def test_additive_coordinates_embed_the_group():
     # (R, +) sits in (Z/p^a)^d additively and injectively, p^a the additive
     # order of 1, and the generator lists span R and m as abelian groups.
-    for spec in CHAIN_SPECS + TABLE_SPECS + ("z:27", "fpu:3,2", "zpn:2,5"):
+    more = ("z:27", "fpu:3,2", "zpn:2,5", "fpu:2,8", "fpu:5,3")
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS + more:
         r = make_ring(spec)
         additive = r.additive
         q = additive.p**additive.exponent
@@ -74,3 +80,19 @@ def test_additive_coordinates_embed_the_group():
     assert (r.additive.p, r.additive.exponent) == (2, 2)
     assert [len(_additive_closure(r, [g])) for g in r.additive.ring_gens] == [4, 2]
     assert sorted(r.additive.radical_gens) == [r.parse_element("2"), r.parse_element("x")]
+    # Z/2^a up to the ring cap is cyclic on 1, and m is cyclic on 2
+    for spec in ("z:1024", "z:4096"):
+        r = make_ring(spec)
+        assert r.additive.coords == tuple((x,) for x in range(r.size)), spec
+        assert (r.additive.ring_gens, r.additive.radical_gens) == ((1,), (2,)), spec
+
+
+def test_import_does_not_load_howell():
+    # Every command pays for compiling what ``import chainmat`` loads, so
+    # ``howell`` is imported only when a route that needs it first runs.
+    src = os.path.dirname(os.path.dirname(chainmat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    for module in ("chainmat", "chainmat.cli"):
+        code = f"import sys, {module}; print('chainmat.howell' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "False\n", (module, out.stderr)

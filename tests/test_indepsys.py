@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import chainmat.indepsys as indepsys
@@ -5,7 +7,6 @@ from chainmat.errors import (
     BadValueError,
     ContractDependentSetError,
     GroundSetTooLargeError,
-    NotChainRingError,
     UnknownLabelError,
 )
 from chainmat.indepsys import (
@@ -157,27 +158,31 @@ def test_clutter_minimize_matches_pairwise_definition():
 
 
 def test_build_validates_method_before_testing_masks():
+    # no "snf" route: Howell forms build over every ring
     t8 = make_ring("table:f2xy_xx_xy_yy")
-    with pytest.raises(BadValueError, match="unknown method 'foo'"):
-        build_from_matrix(Mat(Z4, [], [[]]), "foo")
-    for n in range(3):
-        with pytest.raises(NotChainRingError):
-            build_from_matrix(Mat(t8, "abc"[:n], [[1] * n]), "snf")
+    for method in ("foo", "snf"):
+        for ring in (Z4, make_ring("z:5"), t8):
+            for n in range(3):
+                with pytest.raises(BadValueError, match=f"unknown method '{method}'"):
+                    build_from_matrix(Mat(ring, "abc"[:n], [[1] * n]), method)
 
 
-def test_snf_build_eliminates_only_below_the_generator_count(monkeypatch):
-    # Over a chain ring no set with more than r elements (r = number of
-    # invariant factors of the whole matrix) is tested, and the echelon
-    # transform of an independent set is built only when one of its
-    # children is tested, so only for sets with fewer than r elements.
-    calls = []
-    eliminate = indepsys._eliminate
+def test_build_tests_only_up_to_the_generator_count(monkeypatch):
+    # Over a chain ring mu is monotone, so no set with more than r elements
+    # (r = number of invariant factors of the whole matrix) is tested, and
+    # an independent set with r elements has no child to decide, so it
+    # never gets an entry on the stack of independent ancestors.
+    tested, stacked = [], []
+    candidates = indepsys._candidates
 
-    def counting(ring, work, left=None, right=None):
-        calls.append(len(work[0]) if work else 0)
-        return eliminate(ring, work, left, right)
+    def spying(fam, n, cap):
+        build = sys._getframe(1)  # the build_from_matrix call drawing the masks
+        for mask in candidates(fam, n, cap):
+            tested.append(mask)
+            yield mask
+            stacked.extend(m for m, _ in build.f_locals["stack"])
 
-    monkeypatch.setattr(indepsys, "_eliminate", counting)
+    monkeypatch.setattr(indepsys, "_candidates", spying)
     rng = rng_for("snf-build-cap")
     for spec in CHAIN_SPECS + ("z:5",):
         ring = make_ring(spec)
@@ -187,11 +192,12 @@ def test_snf_build_eliminates_only_below_the_generator_count(monkeypatch):
             rows[2] = list(rows[rng.randrange(2)])  # r < k
             mat = Mat(ring, mat.labels, rows)
             r = len(snf_exponents(ring, mat.columns()))
-            calls.clear()
+            tested.clear()
+            stacked.clear()
             system = build_from_matrix(mat)
-            assert system.rank() == r
-            assert all(c < r for c in calls), (spec, rows, calls)
-            assert len(calls) <= sum(1 for m in system.family if 0 < m.bit_count() < r)
+            assert system.rank() == r, (spec, rows)
+            assert max(map(int.bit_count, tested)) <= r, (spec, rows)
+            assert max(map(int.bit_count, stacked)) < r, (spec, rows)
 
 
 def test_single_element_minor_laws():

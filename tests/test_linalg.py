@@ -1,6 +1,6 @@
 import pytest
 
-from chainmat.codes import Code
+from chainmat.codes import Code, puncture
 from chainmat.errors import (
     MatrixParseError,
     NotChainRingError,
@@ -252,6 +252,16 @@ def test_matrix_text_roundtrip():
     t8 = make_ring("table:f2xy_xx_xy_yy")
     m = parse_matrix("ring table:f2xy_xx_xy_yy\ncols 1 2\nx 1+y\n0 1\n")
     assert m.rows[0] == (t8.parse_element("x"), t8.parse_element("1+y"))
+
+
+def test_zero_column_matrix_text_roundtrip():
+    # puncturing every coordinate leaves a code of length 0, whose generator
+    # is one empty row under a bare "cols" line
+    m = puncture(Code.from_matrix(VAMOS), VAMOS.labels).generator
+    assert m.ncols == 0
+    assert format_matrix(m) == f"ring {Z8.spec}\ncols \n\n"
+    assert parse_matrix(format_matrix(m)) == m
+    assert build_from_matrix(parse_matrix(format_matrix(m))).family == {0}
 
 
 def test_matrix_parse_errors_carry_position():

@@ -66,8 +66,8 @@ def test_subset_scan_matches_fast_path():
             assert circuits_by_subset_scan(mat).members == build_from_matrix(mat).circuits().members
         # Both builds grow each child from its parent's entry on a stack of
         # independent ancestors; wider matrices exercise deep stacks, and
-        # the "auto" build (SNF over chain rings, Howell forms elsewhere)
-        # must agree with the enumeration build.
+        # the "auto" build (Howell forms) must agree with the enumeration
+        # build.
         for _ in range(4):
             mat = random_matrix(rng, ring, rng.randint(1, 3), rng.randint(5, 7))
             enum = build_from_matrix(mat, method="enum")
@@ -101,20 +101,6 @@ def _degenerate_matrices(rng, ring):
     return out
 
 
-def test_snf_build_matches_enum_and_scan_on_degenerate_matrices():
-    # The SNF build stops at the generator count r of the column module and
-    # decides each child from its parent's echelon transform; r < k, zero
-    # and repeated columns and k > n are where a wrong cap or a wrong
-    # valuation test would show.
-    rng = rng_for("snf-kernel-degenerate")
-    for spec in CHAIN_SPECS + FIELD_SPECS:
-        ring = make_ring(spec)
-        for mat in _degenerate_matrices(rng, ring) + _degenerate_matrices(rng, ring):
-            snf = build_from_matrix(mat, method="snf")
-            assert snf == build_from_matrix(mat, method="enum"), (spec, mat)
-            assert snf.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
-
-
 def _nonchain_matrices(rng, ring):
     """Matrices over a non-chain ring with a zero column, a repeated column
     and columns inside m^k, ones with every entry in m (the subset scan
@@ -137,12 +123,17 @@ def _nonchain_matrices(rng, ring):
 
 
 def test_howell_build_matches_enum_and_scan_on_degenerate_matrices():
-    # Over a non-chain ring the "auto" build decides each child from the
-    # Howell forms of V and m*V on its parent's stack entry.
-    rng = rng_for("howell-build-degenerate")
-    for spec in TABLE_SPECS:
+    # The "auto" build decides each child from the Howell forms of V and
+    # m*V on its parent's stack entry, and over a chain ring stops at the
+    # generator count r of the column module.  r < k, zero and repeated
+    # columns and k > n are where a wrong cap would show; columns inside
+    # m^k and deep stacks are where a wrong Howell form would.
+    nonchain, chain = rng_for("howell-build-degenerate"), rng_for("snf-kernel-degenerate")
+    cases = [(nonchain, spec, _nonchain_matrices) for spec in TABLE_SPECS]
+    cases += [(chain, spec, _degenerate_matrices) for spec in CHAIN_SPECS + FIELD_SPECS for _ in range(2)]
+    for rng, spec, matrices in cases:
         ring = make_ring(spec)
-        for mat in _nonchain_matrices(rng, ring):
+        for mat in matrices(rng, ring):
             auto = build_from_matrix(mat)
             assert auto == build_from_matrix(mat, method="enum"), (spec, mat)
             assert auto.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
