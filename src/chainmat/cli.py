@@ -4,32 +4,33 @@ Exit codes: 0 success / property verified, 1 verification failure (not a
 matroid, not isomorphic, unrepresentable, gallery mismatch), 2 usage or
 input errors.  Matrix arguments are file paths; the prefix ``data:``
 resolves a packaged example (e.g. ``data:non_matroid``).
+
+Each command imports what it calls, inside its ``cmd_*`` function, so it
+compiles only the modules it uses: ``oracle`` only under ``--oracle``,
+``gallery`` only for ``verify-gallery``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import enumgeo, gallery, oracle
-from .codes import Code, contract_code, dual_code, is_contractible, puncture, shorten
 from .errors import BadValueError, ChainmatError, MatrixParseError, NotContractibleError
-from .indepsys import build_from_matrix, check_matroid, is_isomorphic, system_to_json, uniform_system
-from .linalg import Mat, format_matrix, parse_matrix_file, smith_normal_form, systematic_form
-from .rings import _decimal, make_ring
+from .rings import _decimal
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _load_matrix(path: str) -> Mat:
+def _load_matrix(path: str):
+    from .linalg import parse_matrix, parse_matrix_file, read_data
+
     if path.startswith("data:"):
         name = path[len("data:"):]
         if not name.endswith(".mat"):
             name += ".mat"
-        return gallery.load_matrix(name)
+        return parse_matrix(read_data(name))
     return parse_matrix_file(path)
 
 
@@ -47,6 +48,8 @@ def _subset(arg: str) -> list:
 
 
 def _print_system(m, as_json: bool):
+    from .indepsys import check_matroid, system_to_json
+
     report = check_matroid(m)
     if as_json:
         print(system_to_json(m, report))
@@ -62,6 +65,8 @@ def _print_system(m, as_json: bool):
 
 
 def _build_system(args):
+    from .indepsys import build_from_matrix
+
     mat = _load_matrix(args.matrix)
     method = "enum" if args.oracle else "auto"
     return mat, build_from_matrix(mat, method=method)
@@ -79,10 +84,16 @@ def cmd_indep(args):
 
 
 def cmd_circuits(args):
+    import json
+
     mat = _load_matrix(args.matrix)
     if args.oracle:
-        clutter = oracle.circuits_by_subset_scan(mat)
+        from .oracle import circuits_by_subset_scan
+
+        clutter = circuits_by_subset_scan(mat)
     else:
+        from .indepsys import build_from_matrix
+
         clutter = build_from_matrix(mat).circuits()
     body = sorted(sorted(c) for c in clutter.members)
     if args.json:
@@ -106,11 +117,16 @@ def cmd_check_matroid(args):
 
 
 def cmd_dual_code(args):
+    from .codes import Code, dual_code
+    from .linalg import format_matrix
+
     mat = _load_matrix(args.matrix)
     code = Code.from_matrix(mat)
     if args.oracle:
+        from .oracle import dual_by_enumeration
+
         # its generator is already the greedy over the sorted codewords
-        shown = oracle.dual_by_enumeration(code)
+        shown = dual_by_enumeration(code)
     else:
         # one printed form for both paths: the oracle's greedy, not the rows
         # that dual_code keeps; it starts from the m*C^perp that the dual's
@@ -128,6 +144,9 @@ def cmd_dual_system(args):
 
 
 def cmd_puncture(args):
+    from .codes import Code, puncture
+    from .linalg import format_matrix
+
     mat = _load_matrix(args.matrix)
     code = puncture(Code.from_matrix(mat), _subset(args.subset))
     print(format_matrix(code.generator), end="")
@@ -135,6 +154,9 @@ def cmd_puncture(args):
 
 
 def cmd_shorten(args):
+    from .codes import Code, shorten
+    from .linalg import format_matrix
+
     mat = _load_matrix(args.matrix)
     code = shorten(Code.from_matrix(mat), _subset(args.subset))
     print(format_matrix(code.generator), end="")
@@ -142,6 +164,8 @@ def cmd_shorten(args):
 
 
 def cmd_contractible(args):
+    from .codes import Code, is_contractible
+
     mat = _load_matrix(args.matrix)
     code = Code.from_matrix(mat)
     witness = is_contractible(code, args.element)
@@ -153,6 +177,9 @@ def cmd_contractible(args):
 
 
 def cmd_contract(args):
+    from .codes import Code, contract_code
+    from .linalg import format_matrix
+
     mat = _load_matrix(args.matrix)
     code = Code.from_matrix(mat)
     try:
@@ -166,6 +193,8 @@ def cmd_contract(args):
 
 
 def cmd_minor(args):
+    from .indepsys import system_to_json
+
     mat, system = _build_system(args)
     clutter = system.circuits()
     if args.delete:
@@ -182,6 +211,8 @@ def cmd_minor(args):
 
 
 def cmd_snf(args):
+    from .linalg import smith_normal_form
+
     mat = _load_matrix(args.matrix)
     res = smith_normal_form(mat)
     ring = mat.ring
@@ -200,6 +231,8 @@ def cmd_snf(args):
 
 
 def cmd_systematic(args):
+    from .linalg import format_matrix, systematic_form
+
     mat = _load_matrix(args.matrix)
     sf = systematic_form(mat)
     if sf is None:
@@ -211,8 +244,13 @@ def cmd_systematic(args):
 
 
 def cmd_uniform(args):
+    from .enumgeo import uniform_rank2_representation
+    from .indepsys import build_from_matrix, is_isomorphic, uniform_system
+    from .linalg import format_matrix
+    from .rings import make_ring
+
     ring = make_ring(args.ring)
-    mat = enumgeo.uniform_rank2_representation(ring, args.n)
+    mat = uniform_rank2_representation(ring, args.n)
     if mat is None:
         bound = ring.size + len(ring.maximal_ideal)
         print(f"unrepresentable: n > {bound}")
@@ -225,25 +263,33 @@ def cmd_uniform(args):
 
 
 def cmd_bound(args):
+    from .enumgeo import cyc_antichain_bound, simple_size_bound
+    from .rings import make_ring
+
     ring = make_ring(args.ring)
-    print("simple-size bound:", enumgeo.simple_size_bound(ring, args.k))
+    print("simple-size bound:", simple_size_bound(ring, args.k))
     if args.antichain:
-        print("cyclic antichain width:", enumgeo.cyc_antichain_bound(ring, args.k))
+        print("cyclic antichain width:", cyc_antichain_bound(ring, args.k))
     return EXIT_OK
 
 
 def cmd_counting(args):
+    from .enumgeo import ModuleShape, count_cyclic_submodules
+    from .rings import make_ring
+
     ring = make_ring(args.ring)
     try:
         multiplicities = tuple(_decimal(x.strip()) for x in args.shape.split(","))
     except ValueError:
         raise BadValueError(f"shape {args.shape!r} is not a comma-separated list of decimal integers") from None
-    shape = enumgeo.ModuleShape(multiplicities)
-    print(enumgeo.count_cyclic_submodules(shape, ring, args.s))
+    shape = ModuleShape(multiplicities)
+    print(count_cyclic_submodules(shape, ring, args.s))
     return EXIT_OK
 
 
 def cmd_verify_gallery(args):
+    from . import gallery
+
     # an unknown name is a usage error, raised before any entry is verified
     names = gallery.entry_names() if args.all or not args.name else [gallery.get_entry(args.name)["name"]]
     failed = False
@@ -258,6 +304,10 @@ def cmd_verify_gallery(args):
 
 
 def cmd_iso(args):
+    import json
+
+    from .indepsys import build_from_matrix, is_isomorphic
+
     m1 = build_from_matrix(_load_matrix(args.matrix_a))
     m2 = build_from_matrix(_load_matrix(args.matrix_b))
     bij = is_isomorphic(m1, m2)

@@ -15,8 +15,8 @@ codewords are built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .errors import (
     BadValueError,
@@ -26,10 +26,9 @@ from .errors import (
     SearchSpaceTooLargeError,
     ZeroProjectionError,
 )
-from .indepsys import IndependenceSystem, build_from_matrix
 from .linalg import Mat, label_index, smith_normal_form, snf_exponents
-from .modindep import Submodule, guard_error, guard_limit, minimal_generators, span
-from .rings import Ring
+from .modindep import Submodule, minimal_generators, span
+from .rings import Ring, guard_error, guard_limit
 
 
 def _check_span_size(size: int) -> None:
@@ -46,7 +45,7 @@ def _span_size(ring: Ring, vectors) -> int:
     if ring.is_chain:
         nu = ring.nilpotency_index
         return ring.residue_field_size ** sum(nu - e for e in snf_exponents(ring, vectors))
-    from .howell import span_logs  # here: `import chainmat` never compiles it
+    from .howell import span_logs  # here: only a route that runs it compiles it
 
     return ring.additive.p ** span_logs(ring, vectors)[0]
 
@@ -113,6 +112,8 @@ class Code:
         return len(self.codewords) == self.ring.size**self.generator_count
 
     def matroid(self) -> IndependenceSystem:
+        from .indepsys import build_from_matrix  # here: the code commands never compile indepsys
+
         return build_from_matrix(self.generator)
 
     def coordinate_ideal(self, label) -> frozenset:
@@ -171,7 +172,7 @@ def dual_code(c: Code) -> Code:
                 theta = ring.uniformizer_power(nu - e)
                 gens.append(tuple(mul(theta, row[i]) for row in snf.right))
     else:
-        from .howell import dual_generators  # here: `import chainmat` never compiles it
+        from .howell import dual_generators  # here: only a route that runs it compiles it
 
         # |dual| = |R^n| / |G R^n|, and G R^n is the span of G's columns
         _check_span_size(ring.size**n // _span_size(ring, c.generator.columns()))
@@ -211,8 +212,7 @@ def shorten(c: Code, x) -> Code:
 # -- contraction ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContractionWitness:
+class ContractionWitness(NamedTuple):
     """Codeword certifying contractibility at one coordinate: its entry
     there is a unit multiple of the projection generator and every entry
     lies in the projection ideal."""

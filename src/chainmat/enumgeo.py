@@ -3,7 +3,6 @@ matroid representations over chain rings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import log10
 
 from .errors import (
@@ -12,24 +11,31 @@ from .errors import (
     ClosureTooLargeError,
     NotChainRingError,
 )
-from .linalg import Mat
-from .modindep import guard_error, guard_limit, orbit
-from .rings import Ring
+from .rings import Ring, guard_error, guard_limit, orbit
 
 # CPython's default limit on converting an int to decimal text.
 MAX_ANSWER_DIGITS = 4300
 
 
-@dataclass(frozen=True)
 class ModuleShape:
     """Multiplicities (k_0, ..., k_{nu-1}) of the invariant-factor summands:
     k_0 free copies of R, then k_i copies of R/<theta^(nu-i)>."""
 
-    multiplicities: tuple
+    __slots__ = ("multiplicities",)
 
-    def __post_init__(self):
-        if any(k < 0 for k in self.multiplicities):
+    def __init__(self, multiplicities: tuple):
+        if any(k < 0 for k in multiplicities):
             raise BadValueError("multiplicities must be nonnegative")
+        self.multiplicities = multiplicities
+
+    def __repr__(self):
+        return f"ModuleShape(multiplicities={self.multiplicities!r})"
+
+    def __eq__(self, other):
+        return isinstance(other, ModuleShape) and self.multiplicities == other.multiplicities
+
+    def __hash__(self):
+        return hash(self.multiplicities)
 
     def component_valuations(self) -> list:
         """One valuation per summand; summand of valuation t is the ideal
@@ -99,6 +105,8 @@ def uniform_rank2_representation(ring: Ring, n: int) -> Mat | None:
     """A 2 x n matrix representing the rank-2 uniform matroid on n
     elements, or None when n exceeds |R| + |m| (then no representation
     exists at all)."""
+    from .linalg import Mat  # here: bound and counting never compile linalg
+
     _require_chain(ring)
     if n < 1:
         raise BadValueError("n must be positive")

@@ -10,9 +10,8 @@ system from the matrix and checks everything the entry claims.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
 from itertools import combinations
+from typing import NamedTuple
 
 from .codes import Code, dual_code
 from .errors import NotFreeError, UnknownEntryError, VerificationFailedError
@@ -23,7 +22,7 @@ from .indepsys import (
     is_isomorphic,
     uniform_system,
 )
-from .linalg import Mat, parse_matrix
+from .linalg import DATA_DIR, Mat, parse_matrix, read_data
 
 # 4-circuits of the rank-4 Vamos matroid under the standard labelling;
 # its 5-circuits are exactly the 5-subsets containing none of these.
@@ -48,25 +47,23 @@ AG_DIAGONAL_PLANES = [
 AG_TWISTED_PLANE = frozenset("bdeg")
 
 
-def _data_text(name: str) -> str:
-    return resources.files("chainmat").joinpath("data").joinpath(name).read_text(encoding="utf-8")
-
-
 def data_path(name: str):
     """Filesystem path of a packaged data file (matrices, fixtures)."""
-    return resources.files("chainmat").joinpath("data").joinpath(name)
+    from pathlib import Path
+
+    return Path(DATA_DIR, name)
 
 
 def load_matrix(name: str) -> Mat:
-    return parse_matrix(_data_text(name))
+    return parse_matrix(read_data(name))
 
 
 def _manifest() -> list:
-    return json.loads(_data_text("manifest.json"))
+    return json.loads(read_data("manifest.json"))
 
 
 def _fixtures() -> dict:
-    return json.loads(_data_text("circuit_fixtures.json"))
+    return json.loads(read_data("circuit_fixtures.json"))
 
 
 def entry_names() -> list:
@@ -80,11 +77,10 @@ def get_entry(name: str) -> dict:
     raise UnknownEntryError(f"no gallery entry named {name!r}")
 
 
-@dataclass
-class GalleryReport:
+class GalleryReport(NamedTuple):
     name: str
     passed: bool
-    checks: list = field(default_factory=list)
+    checks: list
     system: IndependenceSystem | None = None
 
     def line(self) -> str:

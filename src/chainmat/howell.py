@@ -13,8 +13,8 @@ from integer row operations.
 
 ``indepsys.build_from_matrix`` decides independence here over every
 ring, and the non-chain routes of ``modindep`` and ``codes`` size spans
-and duals here.  Each imports this module when it first runs, so
-``import chainmat`` never compiles it.
+and duals here.  Each imports this module when it first runs, so a
+command that takes none of these routes never compiles it.
 """
 
 from __future__ import annotations

@@ -8,11 +8,10 @@ elements.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, compress
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     BadValueError,
@@ -280,8 +279,7 @@ class Clutter:
         return f"Clutter({list(self.labels)}, {body})"
 
 
-@dataclass
-class MatroidReport:
+class MatroidReport(NamedTuple):
     """Outcome of the exchange-axiom certification."""
 
     is_matroid: bool
@@ -364,7 +362,7 @@ def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
     cols = a.columns()
     fam = {0}
     if method == "auto":
-        # here: `import chainmat` never compiles it
+        # here: only a route that runs it compiles it
         from .howell import NO_SIZES, coordinate_rows, extend_sizes
 
         r = minimal_generator_count(ring, cols) if ring.is_chain else n
@@ -583,6 +581,8 @@ def is_isomorphic(m1: IndependenceSystem, m2: IndependenceSystem):
 
 
 def system_to_json(m: IndependenceSystem, report: MatroidReport | None = None) -> str:
+    import json  # here: only the --json commands need it
+
     if report is None:
         report = check_matroid(m)
     blob = {
@@ -597,6 +597,8 @@ def system_to_json(m: IndependenceSystem, report: MatroidReport | None = None) -
 
 
 def system_from_json(text: str) -> IndependenceSystem:
+    import json
+
     blob = json.loads(text)
     labels = blob["ground"]
     idx = {str(l): i for i, l in enumerate(labels)}

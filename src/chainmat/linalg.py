@@ -16,7 +16,7 @@ which never divides at all (the rings have zero divisors).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadValueError,
@@ -145,6 +145,17 @@ def parse_matrix_file(path: str) -> Mat:
     return parse_matrix(text, os.path.dirname(path))
 
 
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+
+def read_data(name: str) -> str:
+    """The text of a packaged data file: a matrix (``data:<name>`` on the
+    command line, the gallery's entries), the gallery manifest or its
+    circuit fixtures."""
+    with open(os.path.join(DATA_DIR, name), encoding="utf-8") as fh:
+        return fh.read()
+
+
 def format_matrix(m: Mat) -> str:
     lines = [f"ring {m.ring.spec}", "cols " + " ".join(m.labels)]
     for row in m.rows:
@@ -200,8 +211,7 @@ def det_rows(ring: Ring, rows) -> int:
 # -- Smith normal form ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Invertible left/right transforms with left @ A @ right diagonal.
 
     ``exponents`` lists the valuations of the nonzero diagonal entries in
@@ -355,8 +365,7 @@ def snf_exponents(ring: Ring, vectors) -> tuple:
 # -- systematic form -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystematicForm:
+class SystematicForm(NamedTuple):
     """Column permutation and the matrix [I_k | A] it produces.
 
     ``perm`` lists the original column labels in their new order (identity

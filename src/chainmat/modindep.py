@@ -19,9 +19,6 @@ read.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 from .errors import (
     BadValueError,
     ClosureTooLargeError,
@@ -29,40 +26,7 @@ from .errors import (
     TooManyColumnsError,
 )
 from .linalg import Mat, det_rows, snf_exponents
-from .rings import Ring, _decimal
-
-DEFAULT_MAX_CLOSURE = 1 << 24
-GUARD_ENV = "CHAINMAT_MAX_CLOSURE"
-
-
-def guard_limit(default: int = DEFAULT_MAX_CLOSURE) -> int:
-    """An enumeration guard: the positive ASCII-decimal integer in
-    CHAINMAT_MAX_CLOSURE when that is set, else ``default``."""
-    value = os.environ.get(GUARD_ENV)
-    if not value:
-        return default
-    try:
-        limit = _decimal(value)
-    except ValueError:
-        limit = 0
-    if limit <= 0:
-        raise BadValueError(f"{GUARD_ENV}={value!r} is not a positive integer")
-    return limit
-
-
-def guard_error(error_type, guard: str, requested, limit: int):
-    """The error an enumeration guard raises: it names the guard, the size
-    requested (``None`` when it is only known to exceed the limit), the
-    limit and the variable that raises it."""
-    size = f"more than {limit}" if requested is None else requested
-    return error_type(f"{guard} guard: {size} vectors requested, limit {limit} (set {GUARD_ENV} to raise it)")
-
-
-def orbit(ring: Ring, v) -> set:
-    """The cyclic submodule R*v as a set of vectors."""
-    mul = ring.mul
-    return {tuple(mul(c, a) for a in v) for c in range(ring.size)}
-
+from .rings import Ring, guard_error, guard_limit, orbit
 
 def _sum_sets(ring: Ring, a, b, guard: str) -> set:
     """{x + y : x in a, y in b}, where ``a`` must be a submodule (every
@@ -100,14 +64,21 @@ def extend_closure(ring: Ring, v, mv, g) -> tuple:
     return v, mv
 
 
-@dataclass(frozen=True)
 class Submodule:
-    """An explicit finite submodule V of R^k: its vector set and m*V."""
+    """An explicit finite submodule V of R^k: its vector set and m*V.
+    Equal, and hashed, by the vector set alone."""
 
-    ring: Ring
-    ambient_power: int
-    vectors: frozenset
-    radical: frozenset
+    __slots__ = ("ring", "ambient_power", "vectors", "radical")
+
+    def __init__(self, ring: Ring, ambient_power: int, vectors: frozenset, radical: frozenset):
+        self.ring = ring
+        self.ambient_power = ambient_power
+        self.vectors = vectors
+        self.radical = radical
+
+    def __repr__(self):
+        return (f"Submodule(ring={self.ring!r}, ambient_power={self.ambient_power!r}, "
+                f"vectors={self.vectors!r}, radical={self.radical!r})")
 
     def __len__(self):
         return len(self.vectors)
@@ -181,7 +152,7 @@ def minimal_generator_count(ring: Ring, vectors, method: str = "auto") -> int:
     if not vectors:
         return 0
     if method == "auto" and not ring.is_chain:
-        from .howell import span_logs  # here: `import chainmat` never compiles it
+        from .howell import span_logs  # here: only a route that runs it compiles it
 
         vlog, mlog = span_logs(ring, vectors)
         return _log_residue(ring, ring.additive.p ** (vlog - mlog))

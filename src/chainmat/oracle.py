@@ -16,8 +16,7 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .linalg import Mat
-from .modindep import guard_error, guard_limit
-from .rings import Ring
+from .rings import Ring, guard_error, guard_limit
 
 DEFAULT_MAX_SCAN = 1 << 26
 

@@ -25,7 +25,6 @@ operations are pure, so rings can be shared freely.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from functools import cached_property, lru_cache
@@ -202,7 +201,7 @@ class Ring:
     def additive(self):
         """The additive coordinates of ``howell.additive_coordinates``,
         built on first use."""
-        from .howell import additive_coordinates  # here: `import chainmat` never compiles it
+        from .howell import additive_coordinates  # here: only a route that runs it compiles it
 
         return additive_coordinates(self)
 
@@ -274,6 +273,43 @@ def _decimal(token: str) -> int:
     if not _DECIMAL.fullmatch(token):
         raise ValueError(f"not a decimal integer: {token!r}")
     return int(token)
+
+
+# -- the enumeration guard ----------------------------------------------------
+# One reader for every module that enumerates vectors (modindep, codes,
+# enumgeo, oracle); here, so that enumgeo reads it without loading modindep.
+
+DEFAULT_MAX_CLOSURE = 1 << 24
+GUARD_ENV = "CHAINMAT_MAX_CLOSURE"
+
+
+def guard_limit(default: int = DEFAULT_MAX_CLOSURE) -> int:
+    """An enumeration guard: the positive ASCII-decimal integer in
+    CHAINMAT_MAX_CLOSURE when that is set, else ``default``."""
+    value = os.environ.get(GUARD_ENV)
+    if not value:
+        return default
+    try:
+        limit = _decimal(value)
+    except ValueError:
+        limit = 0
+    if limit <= 0:
+        raise BadValueError(f"{GUARD_ENV}={value!r} is not a positive integer")
+    return limit
+
+
+def guard_error(error_type, guard: str, requested, limit: int):
+    """The error an enumeration guard raises: it names the guard, the size
+    requested (``None`` when it is only known to exceed the limit), the
+    limit and the variable that raises it."""
+    size = f"more than {limit}" if requested is None else requested
+    return error_type(f"{guard} guard: {size} vectors requested, limit {limit} (set {GUARD_ENV} to raise it)")
+
+
+def orbit(ring: Ring, v) -> set:
+    """The cyclic submodule R*v as a set of vectors."""
+    mul = ring.mul
+    return {tuple(mul(c, a) for a in v) for c in range(ring.size)}
 
 
 class ZpnRing(Ring):
@@ -514,6 +550,8 @@ def _table_file_ring(path: str) -> Ring:
 
 
 def _parse_table_ring(path: str, raw: bytes, digest: str) -> Ring:
+    import json  # here: only table files need it
+
     try:
         data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:

@@ -246,6 +246,9 @@ def test_error_contract(capsys, tmp_path):
         ["minor", "data:p6_z4", "--delete", "zz"],
         ["minor", "data:p6_z4", "--contract", "zz"],
         ["verify-gallery", "nosuch"],
+        # packaged matrices that do not exist
+        ["check-matroid", "data:nope"],
+        ["check-matroid", "data:"],
         # a dual over the closure guard fails before it is spanned (8^10 words)
         ["dual-code", "data:u212_z8"],
         # more coordinates than the contraction search takes

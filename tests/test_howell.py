@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-
-import chainmat
 from chainmat.howell import howell_insert
 from chainmat.rings import make_ring
 
@@ -86,13 +81,3 @@ def test_additive_coordinates_embed_the_group():
         assert r.additive.coords == tuple((x,) for x in range(r.size)), spec
         assert (r.additive.ring_gens, r.additive.radical_gens) == ((1,), (2,)), spec
 
-
-def test_import_does_not_load_howell():
-    # Every command pays for compiling what ``import chainmat`` loads, so
-    # ``howell`` is imported only when a route that needs it first runs.
-    src = os.path.dirname(os.path.dirname(chainmat.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    for module in ("chainmat", "chainmat.cli"):
-        code = f"import sys, {module}; print('chainmat.howell' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        assert out.stdout == "False\n", (module, out.stderr)
