@@ -1,16 +1,21 @@
 """Linear codes over finite local rings and their independence systems.
 
-A code carries its full codeword set (desk scale), as the ``Submodule``
-that also holds m*C, and a generator matrix whose rows are a minimal
-generating set.  ``Code.from_matrix`` and ``Code.from_codeword_set`` pick
-those rows by the Nakayama greedy of ``modindep.minimal_generators`` over
-the matrix rows or the sorted codewords.  Over a chain ring every dual,
-free or not, is read off the Smith normal form of the generator matrix,
-whose scaled right-transform columns are already a minimal generating set,
-so no greedy runs.  Over other rings the dual is the kernel of x -> G x
-read off a Howell form over Z/p^a, with a Nakayama greedy decided by span
-sizes.  Every code's size is checked against the "span" guard before its
-codewords are built.
+A code is generator-first.  It holds its labelled generator rows, a
+minimal generating set, and a Howell form of its span in the additive
+coordinates of R (``howell``), so its size p^(sum of a - e_j over the
+leads p^e_j) and its freeness are read off the form, and two codes are
+equal when their reduced Howell forms are, that form being canonical.
+``Code.from_matrix`` picks the generator rows from the matrix rows in
+order by the size-decided Nakayama greedy (``howell.nakayama_greedy``),
+which makes the decisions of ``modindep.minimal_generators``.  Puncturing
+re-forms the punctured generator rows; shortening by X reads C n {x_X = 0}
+off a Howell form whose first coordinates are X's.  No codeword is built
+by any of them, nor by the dual.
+
+The codeword set (``codewords``, and ``submodule``, which also holds m*C)
+is spanned on first read and then kept, after |C| is checked against the
+"span" guard.  The contractibility witness scan, the printed dual form of
+``chainmat dual-code`` and ``circuits_from_dual`` read it.
 """
 
 from __future__ import annotations
@@ -26,67 +31,49 @@ from .errors import (
     SearchSpaceTooLargeError,
     ZeroProjectionError,
 )
-from .linalg import Mat, label_index, smith_normal_form, snf_exponents
-from .modindep import Submodule, minimal_generators, span
+from .howell import dual_generators, nakayama_greedy, reduced_form, span_form, vanishing_part
+from .linalg import Mat, label_index, smith_normal_form
 from .rings import Ring, guard_error, guard_limit
 
 
-def _check_span_size(size: int) -> None:
-    """The "span" guard, applied to a size known before the span is built."""
-    limit = guard_limit()
-    if size > limit:
-        raise guard_error(ClosureTooLargeError, "span", size, limit)
-
-
-def _span_size(ring: Ring, vectors) -> int:
-    """|R-span of ``vectors``| without building it: q^sum(nu - e_i) from
-    the invariant-factor exponents over a chain ring (the span is the sum
-    of the theta^e_i R), p^log from a Howell form of R*v over any other."""
-    if ring.is_chain:
-        nu = ring.nilpotency_index
-        return ring.residue_field_size ** sum(nu - e for e in snf_exponents(ring, vectors))
-    from .howell import span_logs  # here: only a route that runs it compiles it
-
-    return ring.additive.p ** span_logs(ring, vectors)[0]
-
-
 class Code:
-    """An R-submodule of R^E with labelled coordinates."""
+    """An R-submodule C of R^E with labelled coordinates: its generator
+    matrix (a minimal generating set, or one zero row for the zero code),
+    a Howell form of C and log_p |C|; the codewords are spanned when read."""
 
-    def __init__(self, labels, sub: Submodule, generator: Mat):
-        self.ring = sub.ring
-        self.labels = tuple(str(l) for l in labels)
-        self.submodule = sub
-        self.codewords = sub.vectors
+    def __init__(self, generator: Mat, form: dict, log: int, submodule=None):
+        self.ring = generator.ring
+        self.labels = generator.labels
         self.generator = generator
+        self._form = form
+        self._log = log
+        self._submodule = submodule
+        self._canonical = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def from_submodule(labels, sub: Submodule, candidates) -> "Code":
-        """The code ``sub``, its generator rows chosen greedily from
-        ``candidates`` (vectors that span it) in their order."""
-        gens = minimal_generators(sub, candidates)
-        gen = Mat(sub.ring, labels, gens if gens else [(0,) * sub.ambient_power])
-        return Code(labels, sub, gen)
+    def from_submodule(labels, sub, candidates) -> "Code":
+        """The code ``sub`` (a ``modindep.Submodule``), its generator rows
+        chosen greedily from ``candidates`` (vectors that span it) in their
+        order."""
+        from .modindep import minimal_generators  # here: only a route that spans codewords compiles it
+
+        return _code(sub.ring, labels, minimal_generators(sub, candidates), submodule=sub)
 
     @staticmethod
     def from_matrix(g: Mat) -> "Code":
-        """The row span of ``g``, its size checked against the "span" guard
-        before it is built; its generator rows are chosen greedily from the
-        rows of ``g`` in order."""
-        rows = [tuple(r) for r in g.rows]
-        # k rows span at most |R|^min(k, n) words, so a smaller bound needs
-        # no elimination
-        if g.ring.size ** min(len(rows), g.ncols) > guard_limit():
-            _check_span_size(_span_size(g.ring, rows))
-        return Code.from_submodule(g.labels, span(g.ring, rows, g.ncols), rows)
+        """The row span of ``g``, its generator rows chosen greedily from the
+        rows of ``g`` in order; no codeword is built."""
+        return _from_rows(g.ring, g.labels, g.rows)
 
     @staticmethod
     def from_codeword_set(ring: Ring, labels, codewords) -> "Code":
         """Build from an addition/scalar-closed set of words (a submodule);
         generators are chosen greedily from the sorted word list.  Words
         that are not closed (their span is larger) are an error."""
+        from .modindep import span  # here: only a route that spans codewords compiles it
+
         words = sorted({tuple(c) for c in codewords})
         sub = span(ring, words, len(labels))
         if len(sub) != len(words):
@@ -100,6 +87,11 @@ class Code:
         return len(self.labels)
 
     @property
+    def size(self) -> int:
+        """|C|, read off the Howell form."""
+        return self.ring.additive.p**self._log
+
+    @property
     def generator_count(self) -> int:
         """mu_R(C): rows of the reduced generator matrix (0 for the zero code)."""
         rows = [r for r in self.generator.rows if any(r)]
@@ -109,7 +101,24 @@ class Code:
     def is_free(self) -> bool:
         # over any finite local ring: free of rank mu iff the canonical
         # surjection from R^mu is injective (mu = 0 is the zero module)
-        return len(self.codewords) == self.ring.size**self.generator_count
+        return self.size == self.ring.size**self.generator_count
+
+    @property
+    def submodule(self):
+        """C as a ``modindep.Submodule``, its codewords and m*C, spanned on
+        first read after |C| is checked against the "span" guard."""
+        if self._submodule is None:
+            limit = guard_limit()
+            if self.size > limit:
+                raise guard_error(ClosureTooLargeError, "span", self.size, limit)
+            from .modindep import span  # here: only a route that spans codewords compiles it
+
+            self._submodule = span(self.ring, self.generator.rows, self.length)
+        return self._submodule
+
+    @property
+    def codewords(self) -> frozenset:
+        return self.submodule.vectors
 
     def matroid(self) -> IndependenceSystem:
         from .indepsys import build_from_matrix  # here: the code commands never compile indepsys
@@ -118,40 +127,59 @@ class Code:
 
     def coordinate_ideal(self, label) -> frozenset:
         """The ideal {c_e : c in C}: the span of the generator column."""
+        from .modindep import span  # here: read only beside the witness scan, which spans C
+
         j = label_index(self.labels, label)
         return frozenset(a for (a,) in span(self.ring, [(r[j],) for r in self.generator.rows], 1).vectors)
+
+    def _reduced_form(self) -> tuple:
+        if self._canonical is None:
+            additive = self.ring.additive
+            self._canonical = reduced_form(self._form, additive.p, additive.exponent)
+        return self._canonical
 
     def __eq__(self, other):
         return (
             isinstance(other, Code)
             and self.ring == other.ring
             and self.labels == other.labels
-            and self.codewords == other.codewords
+            and self._reduced_form() == other._reduced_form()
         )
 
     def __hash__(self):
-        return hash((self.ring, self.labels, self.codewords))
+        return hash((self.ring, self.labels, self._reduced_form()))
 
     def __repr__(self):
-        return f"Code({self.ring.spec}, n={self.length}, |C|={len(self.codewords)}, mu={self.generator_count})"
+        return f"Code({self.ring.spec}, n={self.length}, |C|={self.size}, mu={self.generator_count})"
+
+
+def _code(ring: Ring, labels, gens, sizes=None, submodule=None) -> Code:
+    """The code generated by ``gens``, a minimal generating set (empty for
+    the zero code); ``sizes`` is its Howell form and log_p |C| when known."""
+    form, log = sizes or span_form(ring, gens)
+    return Code(Mat(ring, labels, gens or [(0,) * len(labels)]), form, log, submodule)
+
+
+def _from_rows(ring: Ring, labels, rows) -> Code:
+    """The span of ``rows``, generated by those the Nakayama greedy keeps."""
+    kept, form, log = nakayama_greedy(ring, rows)
+    return _code(ring, labels, kept, (form, log))
 
 
 # -- duality -----------------------------------------------------------------
 
 
 def dual_code(c: Code) -> Code:
-    """The dual code.
+    """The dual code, from the generator rows alone: no codeword is built.
 
     Over a chain ring, take L @ G @ R = D with diagonal exponents e_i
     (a missing or zero diagonal entry counts as theta^nu).  Then G x = 0
     iff x = R y with theta^e_i y_i = 0, i.e. y_i in <theta^(nu - e_i)>, so
     the dual is spanned by the columns R_i of R scaled by theta^(nu - e_i)
-    (zero when e_i = 0).  Its size q^(e_1 + ... + e_n) is checked against
-    the "span" guard first.  Over other rings the dual and its minimal
-    generators come from Howell forms (``howell.dual_generators``), after
-    |R^n| / |G R^n| is checked against the guard.
+    (zero when e_i = 0).  Over other rings the dual and its minimal
+    generators come from Howell forms (``howell.dual_generators``).
 
-    These scaled columns are the generator rows, and they are minimal
+    The scaled columns are the generator rows, and they are minimal
     (Norton & Salagean, AAECC 2000): R is invertible, so y -> R y is an
     automorphism of R^n and the dual is the direct sum over e_i > 0 of
     R theta^(nu - e_i) R_i, each isomorphic to R / theta^(e_i) R.  Every R_i
@@ -159,26 +187,21 @@ def dual_code(c: Code) -> Code:
     summand is a nonzero cyclic module, which needs exactly one generator
     (Nakayama); mu of the dual is therefore #{i : e_i > 0}, the number of
     rows.  All exponents zero give the zero dual and one zero row.
+    Reading the dual's codewords checks its size against the "span" guard.
     """
     ring, n = c.ring, c.length
     if ring.is_chain:
         nu, mul = ring.nilpotency_index, ring.mul
         snf = smith_normal_form(c.generator)
         exps = snf.exponents + (nu,) * (n - len(snf.exponents))
-        _check_span_size(ring.residue_field_size ** sum(exps))
         gens = []
         for i, e in enumerate(exps):
             if e:
                 theta = ring.uniformizer_power(nu - e)
                 gens.append(tuple(mul(theta, row[i]) for row in snf.right))
     else:
-        from .howell import dual_generators  # here: only a route that runs it compiles it
-
-        # |dual| = |R^n| / |G R^n|, and G R^n is the span of G's columns
-        _check_span_size(ring.size**n // _span_size(ring, c.generator.columns()))
         gens = dual_generators(ring, c.generator.rows)
-    generator = Mat(ring, c.labels, gens if gens else [(0,) * n])
-    return Code(c.labels, span(ring, gens, n), generator)
+    return _code(ring, c.labels, gens)
 
 
 # -- puncturing and shortening ---------------------------------------------------
@@ -195,18 +218,21 @@ def _split_labels(c: Code, x):
 
 
 def puncture(c: Code, x) -> Code:
-    """Delete the coordinates in x from every codeword."""
+    """Delete the coordinates in x from every codeword: the span of the
+    punctured generator rows."""
     xs, keep, keep_idx = _split_labels(c, x)
-    rows = [[row[j] for j in keep_idx] for row in c.generator.rows]
-    return Code.from_matrix(Mat(c.ring, keep, rows if rows else [[]]))
+    return _from_rows(c.ring, keep, [tuple(row[j] for j in keep_idx) for row in c.generator.rows])
 
 
 def shorten(c: Code, x) -> Code:
-    """Keep only codewords vanishing on x, then delete those coordinates."""
+    """Keep only codewords vanishing on x, then delete those coordinates.
+
+    With x's coordinates put first, ``howell.vanishing_part`` of the
+    generator rows spans those codewords without them."""
     xs, keep, keep_idx = _split_labels(c, x)
-    x_idx = [j for j, l in enumerate(c.labels) if l in xs]
-    words = [tuple(w[j] for j in keep_idx) for w in c.codewords if all(w[j] == 0 for j in x_idx)]
-    return Code.from_codeword_set(c.ring, keep, words)
+    order = [j for j, l in enumerate(c.labels) if l in xs] + keep_idx
+    rows = [tuple(row[j] for j in order) for row in c.generator.rows]
+    return _from_rows(c.ring, keep, vanishing_part(c.ring, rows, len(xs)))
 
 
 # -- contraction ------------------------------------------------------------------

@@ -12,9 +12,13 @@ count mu(V) = log_q |V| / |mV| (Nakayama) and a dual code's kernel come
 from integer row operations.
 
 ``indepsys.build_from_matrix`` decides independence here over every
-ring, and the non-chain routes of ``modindep`` and ``codes`` size spans
-and duals here.  Each imports this module when it first runs, so a
-command that takes none of these routes never compiles it.
+ring, and the non-chain route of ``modindep`` sizes spans here; each
+imports this module when that route first runs.  ``codes`` holds every
+code as a Howell form (``span_form``, ``nakayama_greedy``), compares codes
+by their reduced forms (``reduced_form``), shortens by ``vanishing_part``
+and, off chain rings, dualises by ``dual_generators``, so it imports this
+module when it loads.  A command that takes none of these routes never
+compiles it.
 """
 
 from __future__ import annotations
@@ -253,43 +257,94 @@ def span_logs(ring: Ring, vectors) -> tuple:
     return sizes[1], sizes[3]
 
 
-# -- dual codes -------------------------------------------------------------------------
+# -- codes -------------------------------------------------------------------------------
+
+
+def reduced_form(form: dict, p: int, a: int) -> tuple:
+    """The reduced Howell form of the span of the Howell form ``form``
+    (which is not changed): its rows in lead order, each entry above a lead
+    p^e reduced modulo p^e.
+
+    A pass over the leads in increasing order subtracts from every earlier
+    row the multiple of the row led at j that leaves its entry at j below
+    the lead.  That row is zero before j, so entries at earlier leads stay
+    reduced, and the rows led at or after any column keep their span, so
+    the Howell property holds.  The reduced Howell form of a span is unique
+    (Howell 1986; Storjohann & Mulders, ESA 1998): two spans are equal
+    exactly when their reduced forms are."""
+    q = p**a
+    leads = sorted(form)
+    rows = [form[j] for j in leads]
+    for t, j in enumerate(leads):
+        h = rows[t]
+        y = h[j]
+        for i in range(t):
+            c = rows[i][j] // y
+            if c:
+                rows[i] = [(s - c * u) % q for s, u in zip(rows[i], h)]
+    return tuple(map(tuple, rows))
+
+
+def span_form(ring: Ring, vectors) -> tuple:
+    """A Howell form of the span of ``vectors`` (vectors of R^n) in the
+    additive coordinates of R^n, and log_p of the span's size."""
+    form, log = {}, 0
+    for v in vectors:
+        log += grow(ring, form, coordinate_rows(ring, v)[0])
+    return form, log
+
+
+def nakayama_greedy(ring: Ring, vectors) -> tuple:
+    """(kept, form, log): a minimal generating set of the span C of
+    ``vectors``, picked from them in order, a Howell form of C and log_p |C|.
+
+    A vector v is kept unless R*v adds nothing to the span of the kept
+    vectors plus m*C, decided by Howell sizes.  By Nakayama's lemma the kept
+    vectors generate C, and these are exactly the decisions of
+    ``modindep.minimal_generators``, whose vector-set test v in span(kept) +
+    m*C is the same condition.  The form starts as one of m*C and takes in
+    each kept R*v, so it ends as one of C."""
+    rows = [coordinate_rows(ring, v) for v in vectors]
+    form, log = {}, 0
+    for _, m_rows in rows:
+        log += grow(ring, form, m_rows)
+    kept = []
+    for v, (r_rows, _) in zip(vectors, rows):
+        trial = dict(form)
+        grown = grow(ring, trial, r_rows)
+        if grown:
+            kept.append(v)
+            form, log = trial, log + grown
+    return kept, form, log
+
+
+def vanishing_part(ring: Ring, vectors, k: int) -> list:
+    """Vectors that span the part of the span of ``vectors`` vanishing on
+    the first k coordinates, each with those coordinates dropped.
+
+    By the Howell property the rows of a Howell form of the span led after
+    the first k coordinate blocks span that part additively, hence as an
+    R-module; each block of d integers in such a row is the image of one
+    element of R."""
+    additive = ring.additive
+    d = len(additive.coords[0])
+    element = additive.element
+    form = span_form(ring, vectors)[0]
+    return [
+        tuple(element[tuple(row[t:t + d])] for t in range(k * d, len(row), d))
+        for lead, row in sorted(form.items())
+        if lead >= k * d
+    ]
 
 
 def dual_generators(ring: Ring, rows) -> list:
     """A minimal generating set of {x in R^n : G x = 0}, for the matrix G
     with the given rows (at least one, each of length n).
 
-    In the coordinates phi (applied entrywise), with b over additive
-    generators of R, the rows [phi(G b e_j) | phi(b e_j)] span the graph
-    {(phi(G x), phi(x))} of x -> G x.  By the Howell property the rows led
-    inside the second block span its vectors with a zero first block,
-    {0} x phi(dual), so their second blocks are generators of the dual.
-    The Nakayama greedy keeps a word w unless R*w adds nothing to the span
-    of the kept words plus m*dual, decided by Howell sizes."""
-    additive, mul = ring.additive, ring.mul
-    coords = additive.coords
-    d, n = len(coords[0]), len(rows[0])
-    width = d * len(rows)
-    form = {}
-    for j in range(n):
-        for b in additive.ring_gens:
-            unit = [0] * (d * n)
-            unit[j * d:(j + 1) * d] = coords[b]
-            grow(ring, form, [[x for row in rows for x in coords[mul(b, row[j])]] + unit])
-    words = [
-        tuple(additive.element[tuple(row[t:t + d])] for t in range(width, width + d * n, d))
-        for lead, row in sorted(form.items())
-        if lead >= width
-    ]
-    word_rows = [coordinate_rows(ring, w) for w in words]
-    acc = {}  # Howell form of span(kept) + m*dual
-    for _, m_rows in word_rows:
-        grow(ring, acc, m_rows)
-    kept = []
-    for w, (r_rows, _) in zip(words, word_rows):
-        trial = dict(acc)
-        if grow(ring, trial, r_rows):
-            kept.append(w)
-            acc = trial
-    return kept
+    The vectors (G e_j, e_j) of R^(k+n) span the graph {(G x, x)} of
+    x -> G x, whose part vanishing on the first k coordinates is
+    {0} x dual (``vanishing_part``); the Nakayama greedy
+    (``nakayama_greedy``) keeps a minimal generating set of it."""
+    n = len(rows[0])
+    graph = [tuple(row[j] for row in rows) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return nakayama_greedy(ring, vanishing_part(ring, graph, len(rows)))[0]

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from chainmat.codes import (
@@ -22,7 +24,7 @@ from chainmat.linalg import Mat
 from chainmat.oracle import dual_by_enumeration
 from chainmat.rings import make_ring
 
-from helpers import CHAIN_SPECS, TABLE_SPECS, random_code, random_free_code, rng_for
+from helpers import CHAIN_SPECS, TABLE_SPECS, random_code, random_free_code, random_matrix, rng_for
 
 Z4 = make_ring("z:4")
 Z8 = make_ring("z:8")
@@ -340,3 +342,26 @@ def test_circuits_from_dual_route():
         for _ in range(20):
             c = random_code(rng, ring, rng.randint(1, 2), rng.randint(2, 4))
             assert circuits_from_dual(c).members == c.matroid().circuits().members
+
+
+def test_codes_past_length_eight():
+    # Over Z8 and Z9 (Frobenius rings) |C| * |C^perp| = |R|^n, the double
+    # dual is C, and shortening and puncturing are dual to each other.  The
+    # codes have 16 coordinates and up to 9^15 words, far over the "span"
+    # guard: none of these operations builds a codeword.
+    rng = rng_for("long-codes")
+    t0 = time.perf_counter()
+    for spec in ("z:8", "z:9"):
+        ring = make_ring(spec)
+        for k in (1, 4, 9, 15):
+            rows = random_matrix(rng, ring, k, 16).rows
+            # half of the rows times the uniformizer: not free
+            rows = [[ring.mul(ring.uniformizer, a) for a in r] if i % 2 else r for i, r in enumerate(rows)]
+            c = Code.from_matrix(Mat(ring, [f"c{j}" for j in range(1, 17)], rows))
+            dual = dual_code(c)
+            assert c.size * dual.size == ring.size**16, (spec, rows)
+            assert dual_code(dual) == c, (spec, rows)
+            x = rng.sample(c.labels, 3)
+            assert dual_code(shorten(c, x)) == puncture(dual, x), (spec, rows, x)
+            assert dual_code(puncture(c, x)) == shorten(dual, x), (spec, rows, x)
+    assert time.perf_counter() - t0 < 10.0

@@ -1,4 +1,5 @@
-from chainmat.howell import howell_insert
+from chainmat.howell import howell_insert, reduced_form, span_form
+from chainmat.oracle import _naive_span
 from chainmat.rings import make_ring
 
 from helpers import CHAIN_SPECS, FIELD_SPECS, TABLE_SPECS, rng_for
@@ -81,3 +82,49 @@ def test_additive_coordinates_embed_the_group():
         assert r.additive.coords == tuple((x,) for x in range(r.size)), spec
         assert (r.additive.ring_gens, r.additive.radical_gens) == ((1,), (2,)), spec
 
+
+
+def _canonical(ring, vectors) -> tuple:
+    form, log = span_form(ring, vectors)
+    additive = ring.additive
+    return reduced_form(form, additive.p, additive.exponent), log
+
+
+def test_reduced_howell_form_is_canonical():
+    # Two generating sets of one span (shuffled rows plus random
+    # combinations of them) give the same reduced form, two different
+    # spans different forms, and p^sum(a - e_j) is the span's size.
+    rng = rng_for("howell-canonical")
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        add, mul = ring.add, ring.mul
+        radical = sorted(ring.maximal_ideal)
+        p, a = ring.additive.p, ring.additive.exponent
+        seen = {}
+        for _ in range(25):
+            n = rng.randint(1, 3)
+            pools = [radical if rng.random() < 0.3 else range(ring.size) for _ in range(n)]
+            gens = [tuple(rng.choice(pools[j]) for j in range(n)) for _ in range(rng.randint(0, 3))]
+            words = _naive_span(ring, gens, n)
+            form, log = _canonical(ring, gens)
+            assert p**log == len(words), (spec, gens)
+            for row in form:
+                lead = next(j for j, x in enumerate(row) if x)
+                assert row[lead] in {p**e for e in range(a)}, (spec, gens, form)
+            for j, later in enumerate(form):
+                lead = next(t for t, x in enumerate(later) if x)
+                assert all(row[lead] < later[lead] for row in form[:j]), (spec, gens, form)
+            other = list(gens)
+            rng.shuffle(other)
+            for _ in range(rng.randint(0, 3)):
+                w = (0,) * n
+                for g in gens:
+                    c = rng.randrange(ring.size)
+                    w = tuple(add(x, mul(c, y)) for x, y in zip(w, g))
+                other.insert(rng.randint(0, len(other)), w)
+            assert _canonical(ring, other) == (form, log), (spec, gens, other)
+            key = (n, words)
+            for (m, seen_words), seen_form in seen.items():
+                if m == n:
+                    assert (seen_form == form) == (seen_words == words), (spec, gens)
+            seen[key] = form

@@ -264,23 +264,28 @@ def test_every_closure_names_its_guard(monkeypatch):
     tail = r" guard: more than 8 vectors requested, limit 8 \(set CHAINMAT_MAX_CLOSURE to raise it\)$"
     with pytest.raises(ClosureTooLargeError, match="^span" + tail):
         ideal_multiple(z8_plane)  # m * Z8^2 has 16 vectors
-    # A chain-ring dual's size, 8^2 here, is checked before it is spanned.
+    # Codes and duals are built without their words, so construction and
+    # their sizes, freeness and generator counts pass the guard.  A
+    # chain-ring dual's size, 8^2 here, is checked when its words are first
+    # read, before they are spanned.
+    dual = dual_code(z8_line)
+    assert (dual.size, dual.is_free, dual.generator_count) == (64, True, 2)
     with pytest.raises(ClosureTooLargeError) as exc:
-        dual_code(z8_line)
+        dual.codewords
     assert str(exc.value) == (
         "span guard: 64 vectors requested, limit 8 (set CHAINMAT_MAX_CLOSURE to raise it)"
     )
-    # So is a code's, from the invariant factors over a chain ring (8^2)
-    # and from a Howell form over a non-chain ring (16), and a non-chain
-    # dual's (16^2).
+    # So is a code's (8^2 over a chain ring, 16 over a non-chain ring) and
+    # a non-chain dual's (16^2).
     oversized = (
-        (lambda: Code.from_matrix(Mat(Z8, "ab", [[1, 0], [0, 1]])), 64),
-        (lambda: Code.from_matrix(Mat(t16, "ab", [[1, 0]])), 16),
-        (lambda: dual_code(t16_line), 256),
+        (Code.from_matrix(Mat(Z8, "ab", [[1, 0], [0, 1]])), 64, True, 2),
+        (Code.from_matrix(Mat(t16, "ab", [[1, 0]])), 16, True, 1),
+        (dual_code(t16_line), 256, True, 2),
     )
-    for build, size in oversized:
+    for code, size, free, mu in oversized:
+        assert (code.size, code.is_free, code.generator_count) == (size, free, mu)
         with pytest.raises(ClosureTooLargeError) as exc:
-            build()
+            code.codewords
         assert str(exc.value) == (
             f"span guard: {size} vectors requested, limit 8 (set CHAINMAT_MAX_CLOSURE to raise it)"
         )

@@ -1,6 +1,6 @@
 from importlib import resources
 
-from chainmat.codes import Code, dual_code
+from chainmat.codes import Code, dual_code, puncture, shorten
 from chainmat.errors import NonIntegralDimensionError
 from chainmat.gallery import load_matrix
 from chainmat.indepsys import (
@@ -12,8 +12,9 @@ from chainmat.indepsys import (
     uniform_system,
 )
 from chainmat.linalg import Mat
-from chainmat.modindep import minimal_generator_count
+from chainmat.modindep import minimal_generator_count, minimal_generators, span
 from chainmat.oracle import (
+    _naive_span,
     circuits_by_mask_scan,
     circuits_by_subset_scan,
     clutter_system_by_superset_marking,
@@ -270,6 +271,71 @@ def test_differential_dual_edge_codes():
         ]
         for c in edge:
             _check_dual(c)
+
+
+def _edge_and_random_rows(rng, ring, n):
+    """Generator rows of codes of length n: the zero code, a column inside
+    m, a repeated column, a zero column, and random rows."""
+    radical = sorted(ring.maximal_ideal)
+    theta = ring.uniformizer if ring.is_chain else radical[1]
+    out = [[(0,) * n]]
+    for _ in range(6):
+        rows = [[rng.randrange(ring.size) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        if n:
+            kind, j = rng.randrange(4), rng.randrange(n)
+            for r in rows:
+                if kind == 0:
+                    r[j] = rng.choice(radical)
+                elif kind == 1:
+                    r[j] = r[n - 1 - j]
+                elif kind == 2:
+                    r[j] = 0
+        if rng.random() < 0.3:
+            rows.append([ring.mul(theta, x) for x in rows[0]])
+        out.append([tuple(r) for r in rows])
+    return out
+
+
+def test_differential_code_operations():
+    # Every code operation on generator rows and Howell forms against the
+    # codeword sets the oracle spans, over chain and non-chain rings.
+    rng = rng_for("diff-code-operations")
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        codes = []
+        for n in (0, 1, 2, 3):
+            for rows in _edge_and_random_rows(rng, ring, n):
+                words = _naive_span(ring, rows, n)
+                c = Code.from_matrix(Mat(ring, [str(j) for j in range(n)], rows))
+                assert c.size == len(words) and c.codewords == words, (spec, rows)
+                assert c.is_free == (len(words) == ring.size ** mu_by_enumeration(ring, rows)), (spec, rows)
+                # the size-decided greedy keeps the vector-set greedy's rows
+                kept = minimal_generators(span(ring, rows, n), rows)
+                assert c.generator.rows == tuple(kept or [(0,) * n]), (spec, rows)
+                if n < 3 or ring.size <= 9:
+                    _check_dual(c)
+                for mask in range(1 << n):
+                    on_x = [j for j in range(n) if mask >> j & 1]
+                    keep = [j for j in range(n) if not mask >> j & 1]
+                    x = [c.labels[j] for j in on_x]
+                    projected = {tuple(w[j] for j in keep) for w in words}
+                    vanishing = {tuple(w[j] for j in keep) for w in words if not any(w[j] for j in on_x)}
+                    for got, want in ((puncture(c, x), projected), (shorten(c, x), vanishing)):
+                        assert got.size == len(want) and got.codewords == want, (spec, rows, x)
+                        assert got == Code.from_codeword_set(ring, got.labels, want), (spec, rows, x)
+                codes.append((c, words))
+            # the same spans from other generating sets: shuffled rows and
+            # combinations of them
+            for c, words in codes[-7:]:
+                rows = list(c.generator.rows) + [rng.choice(sorted(words)) for _ in range(2)]
+                rng.shuffle(rows)
+                codes.append((Code.from_matrix(Mat(ring, c.labels, rows)), words))
+        for c, words in codes:
+            for d, other in codes:
+                same = c.labels == d.labels and words == other
+                assert (c == d) == same, (spec, c.generator, d.generator)
+                if same:
+                    assert hash(c) == hash(d), (spec, c.generator, d.generator)
 
 
 def _random_down_closed(rng, n):
