@@ -65,11 +65,14 @@ def _print_system(m, as_json: bool):
 
 
 def _build_system(args):
+    mat = _load_matrix(args.matrix)
+    if args.oracle:
+        from .oracle import system_by_closure
+
+        return mat, system_by_closure(mat)
     from .indepsys import build_from_matrix
 
-    mat = _load_matrix(args.matrix)
-    method = "enum" if args.oracle else "auto"
-    return mat, build_from_matrix(mat, method=method)
+    return mat, build_from_matrix(mat)
 
 
 def cmd_indep(args):
@@ -117,7 +120,7 @@ def cmd_check_matroid(args):
 
 
 def cmd_dual_code(args):
-    from .codes import Code, dual_code
+    from .codes import Code, dual_code, word_generators
     from .linalg import format_matrix
 
     mat = _load_matrix(args.matrix)
@@ -126,14 +129,12 @@ def cmd_dual_code(args):
         from .oracle import dual_by_enumeration
 
         # its generator is already the greedy over the sorted codewords
-        shown = dual_by_enumeration(code)
+        shown = dual_by_enumeration(code).generator
     else:
         # one printed form for both paths: the oracle's greedy, not the rows
-        # that dual_code keeps; it starts from the m*C^perp that the dual's
-        # own span formed
-        dual = dual_code(code)
-        shown = Code.from_submodule(dual.labels, dual.submodule, sorted(dual.codewords))
-    print(format_matrix(shown.generator), end="")
+        # that dual_code keeps
+        shown = word_generators(dual_code(code))
+    print(format_matrix(shown), end="")
     return EXIT_OK
 
 

@@ -6,16 +6,15 @@ coordinates of R (``howell``), so its size p^(sum of a - e_j over the
 leads p^e_j) and its freeness are read off the form, and two codes are
 equal when their reduced Howell forms are, that form being canonical.
 ``Code.from_matrix`` picks the generator rows from the matrix rows in
-order by the size-decided Nakayama greedy (``howell.nakayama_greedy``),
-which makes the decisions of ``modindep.minimal_generators``.  Puncturing
-re-forms the punctured generator rows; shortening by X reads C n {x_X = 0}
-off a Howell form whose first coordinates are X's.  No codeword is built
-by any of them, nor by the dual.
+order by the size-decided Nakayama greedy (``howell.nakayama_greedy``).
+Puncturing re-forms the punctured generator rows; shortening by X reads
+C n {x_X = 0} off a Howell form whose first coordinates are X's.  No
+codeword is built by any of them, nor by the dual.
 
-The codeword set (``codewords``, and ``submodule``, which also holds m*C)
-is spanned on first read and then kept, after |C| is checked against the
-"span" guard.  The contractibility witness scan, the printed dual form of
-``chainmat dual-code`` and ``circuits_from_dual`` read it.
+The codeword set (``codewords``) is listed from the Howell form on first
+read and then kept, after |C| is checked against the "span" guard.  The
+contractibility witness scan, the printed dual form of ``chainmat
+dual-code`` (``word_generators``) and ``circuits_from_dual`` read it.
 """
 
 from __future__ import annotations
@@ -25,41 +24,39 @@ from typing import NamedTuple
 
 from .errors import (
     BadValueError,
-    ClosureTooLargeError,
     NotChainRingError,
     NotContractibleError,
     SearchSpaceTooLargeError,
     ZeroProjectionError,
 )
-from .howell import dual_generators, nakayama_greedy, reduced_form, span_form, vanishing_part
+from .howell import (
+    dual_generators,
+    generators_among,
+    nakayama_greedy,
+    reduced_form,
+    span_form,
+    span_words,
+    vanishing_part,
+)
 from .linalg import Mat, label_index, smith_normal_form
-from .rings import Ring, guard_error, guard_limit
+from .rings import Ring
 
 
 class Code:
     """An R-submodule C of R^E with labelled coordinates: its generator
     matrix (a minimal generating set, or one zero row for the zero code),
-    a Howell form of C and log_p |C|; the codewords are spanned when read."""
+    a Howell form of C and log_p |C|; the codewords are listed when read."""
 
-    def __init__(self, generator: Mat, form: dict, log: int, submodule=None):
+    def __init__(self, generator: Mat, form: dict, log: int):
         self.ring = generator.ring
         self.labels = generator.labels
         self.generator = generator
         self._form = form
         self._log = log
-        self._submodule = submodule
+        self._words = None
         self._canonical = None
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_submodule(labels, sub, candidates) -> "Code":
-        """The code ``sub`` (a ``modindep.Submodule``), its generator rows
-        chosen greedily from ``candidates`` (vectors that span it) in their
-        order."""
-        from .modindep import minimal_generators  # here: only a route that spans codewords compiles it
-
-        return _code(sub.ring, labels, minimal_generators(sub, candidates), submodule=sub)
 
     @staticmethod
     def from_matrix(g: Mat) -> "Code":
@@ -72,13 +69,13 @@ class Code:
         """Build from an addition/scalar-closed set of words (a submodule);
         generators are chosen greedily from the sorted word list.  Words
         that are not closed (their span is larger) are an error."""
-        from .modindep import span  # here: only a route that spans codewords compiles it
-
         words = sorted({tuple(c) for c in codewords})
-        sub = span(ring, words, len(labels))
-        if len(sub) != len(words):
-            raise BadValueError(f"{len(words)} words are not a submodule: they span {len(sub)}")
-        return Code.from_submodule(labels, sub, words)
+        gens = vanishing_part(ring, words, 0)  # the rows of a Howell form of their span
+        log = span_form(ring, gens)[1]
+        if ring.additive.p**log != len(words):
+            raise BadValueError(f"{len(words)} words are not a submodule: they span {ring.additive.p**log}")
+        kept, form, log = generators_among(ring, gens, words, log)
+        return _code(ring, labels, kept, (form, log))
 
     # -- basic data -----------------------------------------------------------
 
@@ -104,21 +101,12 @@ class Code:
         return self.size == self.ring.size**self.generator_count
 
     @property
-    def submodule(self):
-        """C as a ``modindep.Submodule``, its codewords and m*C, spanned on
-        first read after |C| is checked against the "span" guard."""
-        if self._submodule is None:
-            limit = guard_limit()
-            if self.size > limit:
-                raise guard_error(ClosureTooLargeError, "span", self.size, limit)
-            from .modindep import span  # here: only a route that spans codewords compiles it
-
-            self._submodule = span(self.ring, self.generator.rows, self.length)
-        return self._submodule
-
-    @property
     def codewords(self) -> frozenset:
-        return self.submodule.vectors
+        """The words of C, listed from its Howell form on first read, after
+        |C| is checked against the "span" guard (``howell.span_words``)."""
+        if self._words is None:
+            self._words = span_words(self.ring, self._form, self._log, self.length)
+        return self._words
 
     def matroid(self) -> IndependenceSystem:
         from .indepsys import build_from_matrix  # here: the code commands never compile indepsys
@@ -127,10 +115,9 @@ class Code:
 
     def coordinate_ideal(self, label) -> frozenset:
         """The ideal {c_e : c in C}: the span of the generator column."""
-        from .modindep import span  # here: read only beside the witness scan, which spans C
-
         j = label_index(self.labels, label)
-        return frozenset(a for (a,) in span(self.ring, [(r[j],) for r in self.generator.rows], 1).vectors)
+        form, log = span_form(self.ring, [(r[j],) for r in self.generator.rows])
+        return frozenset(a for (a,) in span_words(self.ring, form, log, 1))
 
     def _reduced_form(self) -> tuple:
         if self._canonical is None:
@@ -153,11 +140,11 @@ class Code:
         return f"Code({self.ring.spec}, n={self.length}, |C|={self.size}, mu={self.generator_count})"
 
 
-def _code(ring: Ring, labels, gens, sizes=None, submodule=None) -> Code:
+def _code(ring: Ring, labels, gens, sizes=None) -> Code:
     """The code generated by ``gens``, a minimal generating set (empty for
     the zero code); ``sizes`` is its Howell form and log_p |C| when known."""
     form, log = sizes or span_form(ring, gens)
-    return Code(Mat(ring, labels, gens or [(0,) * len(labels)]), form, log, submodule)
+    return Code(Mat(ring, labels, gens or [(0,) * len(labels)]), form, log)
 
 
 def _from_rows(ring: Ring, labels, rows) -> Code:
@@ -202,6 +189,15 @@ def dual_code(c: Code) -> Code:
     else:
         gens = dual_generators(ring, c.generator.rows)
     return _code(ring, c.labels, gens)
+
+
+def word_generators(c: Code) -> Mat:
+    """The generator rows that ``Code.from_codeword_set`` keeps from the
+    sorted words of C, the form ``chainmat dual-code`` prints: the Nakayama
+    greedy over them from m*C, formed from C's own generator rows, up to
+    the first word at which the kept rows span C."""
+    kept = generators_among(c.ring, c.generator.rows, sorted(c.codewords), c._log)[0]
+    return Mat(c.ring, c.labels, kept or [(0,) * c.length])
 
 
 # -- puncturing and shortening ---------------------------------------------------
@@ -256,10 +252,12 @@ def is_contractible(c: Code, label) -> ContractionWitness | None:
         raise NotChainRingError(f"contractibility is defined over chain rings, got {ring.spec}")
     lab = str(label)
     j = label_index(c.labels, lab)
-    proj = c.coordinate_ideal(lab)
-    if proj == {0}:
+    # the generator column generates the coordinate ideal, m^t for t its
+    # least valuation
+    column = [row[j] for row in c.generator.rows if row[j]]
+    if not column:
         raise ZeroProjectionError(f"code projects to zero at {label!r}")
-    t = min(ring.valuation(a) for a in proj if a)
+    t = min(map(ring.valuation, column))
     ideal = ring.ideal_of_valuation(t)
     for w in sorted(c.codewords):
         if w[j] and ring.valuation(w[j]) == t and all(a in ideal for a in w):

@@ -11,21 +11,25 @@ gives its size exactly without building a vector set, so the generator
 count mu(V) = log_q |V| / |mV| (Nakayama) and a dual code's kernel come
 from integer row operations.
 
+A Howell form also lists its span, each vector once (``span_words``):
+the one enumeration of a span outside ``oracle``.
+
 ``indepsys.build_from_matrix`` decides independence here over every
-ring, and the non-chain route of ``modindep`` sizes spans here; each
-imports this module when that route first runs.  ``codes`` holds every
-code as a Howell form (``span_form``, ``nakayama_greedy``), compares codes
-by their reduced forms (``reduced_form``), shortens by ``vanishing_part``
-and, off chain rings, dualises by ``dual_generators``, so it imports this
-module when it loads.  A command that takes none of these routes never
-compiles it.
+ring, and ``modindep`` sizes and lists spans here; each imports this
+module when that route first runs.  ``codes`` holds every code as a
+Howell form (``span_form``, ``nakayama_greedy``), lists its codewords by
+``span_words``, compares codes by their reduced forms (``reduced_form``),
+shortens by ``vanishing_part`` and, off chain rings, dualises by
+``dual_generators``, so it imports this module when it loads.  A command
+that takes none of these routes never compiles it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .rings import Ring, _factor_prime_power
+from .errors import ClosureTooLargeError
+from .rings import Ring, _factor_prime_power, guard_error, guard_limit
 
 
 def howell_insert(form: dict, row, p: int, a: int) -> int:
@@ -249,12 +253,33 @@ def extend_sizes(ring: Ring, sizes: tuple, rows) -> tuple:
     return vform, vlog, mform, mlog
 
 
-def span_logs(ring: Ring, vectors) -> tuple:
-    """log_p |V| and log_p |m*V| for V the span of ``vectors``."""
+def span_sizes(ring: Ring, vectors) -> tuple:
+    """The ``NO_SIZES``-shaped tuple of V, the span of ``vectors``."""
     sizes = NO_SIZES
     for v in vectors:
         sizes = extend_sizes(ring, sizes, coordinate_rows(ring, v))
-    return sizes[1], sizes[3]
+    return sizes
+
+
+def span_words(ring: Ring, form: dict, log: int, n: int) -> frozenset:
+    """The vectors of R^n spanned by the Howell form ``form``, log_p of
+    their number ``log``, which is first checked against the "span" guard.
+    With each row h_j (led by p^e_j) mapped back to R^n, they are the sums
+    of the c_j*h_j, 0 <= c_j < p^(a - e_j), formed by ring addition; each
+    is such a sum in exactly one way (``howell_insert``), so built once."""
+    additive, add = ring.additive, ring.add
+    limit = guard_limit()
+    if additive.p**log > limit:
+        raise guard_error(ClosureTooLargeError, "span", additive.p**log, limit)
+    q, d, element = additive.p**additive.exponent, len(additive.coords[0]), additive.element
+    words = [(0,) * n]
+    for lead, row in form.items():
+        h = tuple(element[tuple(row[t:t + d])] for t in range(0, n * d, d))
+        multiples = [h]
+        for _ in range(q // row[lead] - 2):
+            multiples.append(tuple(map(add, multiples[-1], h)))
+        words += [tuple(map(add, w, c)) for c in multiples for w in words]
+    return frozenset(words)
 
 
 # -- codes -------------------------------------------------------------------------------
@@ -295,23 +320,29 @@ def span_form(ring: Ring, vectors) -> tuple:
 
 
 def nakayama_greedy(ring: Ring, vectors) -> tuple:
-    """(kept, form, log): a minimal generating set of the span C of
-    ``vectors``, picked from them in order, a Howell form of C and log_p |C|.
+    """(kept, form, log): a minimal generating set of the span C of the
+    list ``vectors``, picked from them in order, a Howell form of C and
+    log_p |C| (``generators_among``)."""
+    return generators_among(ring, vectors, vectors)
 
-    A vector v is kept unless R*v adds nothing to the span of the kept
-    vectors plus m*C, decided by Howell sizes.  By Nakayama's lemma the kept
-    vectors generate C, and these are exactly the decisions of
-    ``modindep.minimal_generators``, whose vector-set test v in span(kept) +
-    m*C is the same condition.  The form starts as one of m*C and takes in
-    each kept R*v, so it ends as one of C."""
-    rows = [coordinate_rows(ring, v) for v in vectors]
-    form, log = {}, 0
-    for _, m_rows in rows:
-        log += grow(ring, form, m_rows)
+
+def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
+    """(kept, form, log) of the Nakayama greedy over ``candidates``, in
+    order, vectors of the span C of ``generators``: v is kept unless R*v
+    adds nothing to the span of the kept vectors plus m*C (spanned by the
+    t*g), decided by Howell sizes, that is unless v lies in it.  By
+    Nakayama's lemma the kept vectors generate C, and none is redundant.
+    The form starts as one of m*C and takes in each kept R*v; given
+    ``full`` = log_p |C|, the greedy stops once it gets there, after which
+    nothing would be kept."""
+    form = {}
+    log = grow(ring, form, [row for g in generators for row in coordinate_rows(ring, g)[1]])
     kept = []
-    for v, (r_rows, _) in zip(vectors, rows):
+    for v in candidates:
+        if log == full:
+            break
         trial = dict(form)
-        grown = grow(ring, trial, r_rows)
+        grown = grow(ring, trial, coordinate_rows(ring, v)[0])
         if grown:
             kept.append(v)
             form, log = trial, log + grown

@@ -20,7 +20,7 @@ from .errors import (
     UnknownLabelError,
 )
 from .linalg import Mat
-from .modindep import _log_residue, extend_closure, minimal_generator_count
+from .modindep import minimal_generator_count
 
 MAX_GROUND = 16
 MAX_BACKTRACK = 10
@@ -313,82 +313,58 @@ def _candidates(fam, n: int, cap: int):
         mask += 1
 
 
-def build_from_matrix(a: Mat, method: str = "auto") -> IndependenceSystem:
+def build_from_matrix(a: Mat) -> IndependenceSystem:
     """Column independence system of a matrix: S independent iff the
     columns labelled by S are modular independent.
 
-    ``method`` is "auto" (Howell forms) or "enum" (vector sets, the
-    reference).  Masks are decided in increasing order, so every subset of
-    a mask is decided before it; a mask is tested only when all its
-    maximal proper subsets are independent.  The parent of a mask x is
-    x & (x - 1), x without its lowest element, and in increasing order the
-    masks in (p, p + lowbit(p)) are exactly p's subtree, so a stack of the
+    Masks are decided in increasing order, so every subset of a mask is
+    decided before it; a mask is tested only when all its maximal proper
+    subsets are independent.  The parent of a mask x is x & (x - 1), x
+    without its lowest element, and in increasing order the masks in
+    (p, p + lowbit(p)) are exactly p's subtree, so a stack of the
     independent ancestors of the current mask (depth at most n) carries
     what each path reuses, and each child S = P + g is decided from its
     parent's entry.
 
-    Both paths decide Nakayama's count: S is independent iff
-    |V| / |m*V| = q^|S| for V the span of S.  The "enum" path carries
-    (V, m*V) as vector sets, and the child is one ``extend_closure`` away.
+    S is independent iff |V| / |m*V| = q^|S| for V the span of S
+    (Nakayama), decided without a vector set: in the additive coordinates
+    of ``howell`` (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the
+    Z/p^a-spans of the rows b*s and t*s over s in S, b and t running over
+    additive generators of R and m, and their Howell forms give
+    log_p |V| and log_p |m*V| exactly; S is independent iff
+    log V - log mV = f*|S| with q = p^f.  Each ancestor carries both forms
+    and both logs (``howell.extend_sizes``), so a child inserts d + d_m
+    rows into copies of its parent's forms.
 
-    The "auto" path decides the same equation without a vector set.  R has
-    characteristic p^a, and ``Ring.additive`` embeds (R, +) in (Z/p^a)^d,
-    additively and injectively; it extends coordinatewise to R^k, so a
-    subgroup of R^k and its image have the same size.  With b running over
-    additive generators of R and t over those of m, R*s is the additive
-    span of the b*s (r = sum c_i b_i gives r*s = sum c_i b_i*s), and
-    m*s = {t'*s : t' in m} that of the t*s; so V = sum over s in S of R*s
-    and m*V = sum of m*s are the Z/p^a-spans of the rows b*s and t*s.
-    Their Howell forms give |V| = p^(log V) and |m*V| = p^(log mV)
-    exactly, and S is independent iff log V - log mV = f*|S| with q = p^f.
-    Each ancestor carries both forms and both logs
-    (``howell.extend_sizes``), so a child inserts d + d_m rows, the numbers
-    of generators b and t, into copies of its parent's forms.
-
-    The "auto" path is capped by the paper's characterisation of chain
-    rings: there the generator count mu is monotone on submodules, so
+    The walk is capped by the paper's characterisation of chain rings:
+    there the generator count mu is monotone on submodules, so
     mu(span S) <= r, the generator count of the whole column module, and no
     S with more than r elements is tested; an independent S with r elements
     has no child to decide and goes on no stack.  Over a non-chain ring mu
-    is not monotone, so r = n there, and the "enum" reference is never
-    capped.
+    is not monotone, so r = n there.  ``oracle.system_by_closure`` is the
+    uncapped vector-set reference.
     """
     n = a.ncols
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
+    from .howell import NO_SIZES, coordinate_rows, extend_sizes  # here: only a route that runs it compiles it
+
     ring = a.ring
-    if method not in ("auto", "enum"):
-        raise BadValueError(f"unknown method {method!r}")
     cols = a.columns()
     fam = {0}
-    if method == "auto":
-        # here: only a route that runs it compiles it
-        from .howell import NO_SIZES, coordinate_rows, extend_sizes
-
-        r = minimal_generator_count(ring, cols) if ring.is_chain else n
-        rows = [coordinate_rows(ring, c) for c in cols]
-        f = ring.additive.residue_degree
-        stack = [(0, NO_SIZES)]  # (mask, its extend_sizes tuple) of independent ancestors
-        for mask in _candidates(fam, n, r):
-            parent = mask & (mask - 1)
-            while stack[-1][0] != parent:
-                stack.pop()
-            sizes = extend_sizes(ring, stack[-1][1], rows[(mask ^ parent).bit_length() - 1])
-            if sizes[1] - sizes[3] == f * mask.bit_count():
-                fam.add(mask)
-                if mask.bit_count() < r:
-                    stack.append((mask, sizes))
-    else:
-        zero = (0,) * a.nrows
-        stack = [(0, {zero}, {zero})]  # (mask, V, m*V) of independent ancestors
-        for mask in _candidates(fam, n, n):
-            parent = mask & (mask - 1)
-            while stack[-1][0] != parent:
-                stack.pop()
-            v, mv = extend_closure(ring, stack[-1][1], stack[-1][2], cols[(mask ^ parent).bit_length() - 1])
-            if _log_residue(ring, len(v) // len(mv)) == mask.bit_count():
-                fam.add(mask)
-                stack.append((mask, v, mv))
+    r = minimal_generator_count(ring, cols) if ring.is_chain else n
+    rows = [coordinate_rows(ring, c) for c in cols]
+    f = ring.additive.residue_degree
+    stack = [(0, NO_SIZES)]  # (mask, its extend_sizes tuple) of independent ancestors
+    for mask in _candidates(fam, n, r):
+        parent = mask & (mask - 1)
+        while stack[-1][0] != parent:
+            stack.pop()
+        sizes = extend_sizes(ring, stack[-1][1], rows[(mask ^ parent).bit_length() - 1])
+        if sizes[1] - sizes[3] == f * mask.bit_count():
+            fam.add(mask)
+            if mask.bit_count() < r:
+                stack.append((mask, sizes))
     return IndependenceSystem(a.labels, fam)
 
 

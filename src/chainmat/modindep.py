@@ -8,60 +8,31 @@ the Smith normal form.  Over every other ring both sizes come from Howell
 forms over Z/p^a, p^a the characteristic (``howell``), without a vector
 set.
 
-Every submodule closure (a ``Submodule`` with its vector set, for codes and
-for the "enum" reference paths) goes through one guarded set sum,
-``_sum_sets``, which skips every vector whose coset is already in the sum.
-m*V is formed in one place, ``extend_closure``, which grows (V, m*V) by one
-vector: ``span`` is its fold from ({0}, {0}), so every ``Submodule``
-carries its radical m*V, which the generator counts and the Nakayama greedy
-read.
+``span`` lists a submodule and its radical m*V from their Howell forms
+(``howell.span_words``), each vector built once; no vector set is grown
+by closure here.  Every function that takes vectors checks that they have
+one length and entries in the ring (``BadValueError`` otherwise).
 """
 
 from __future__ import annotations
 
-from .errors import (
-    BadValueError,
-    ClosureTooLargeError,
-    NonIntegralDimensionError,
-    TooManyColumnsError,
-)
+from .errors import BadValueError, NonIntegralDimensionError, TooManyColumnsError
 from .linalg import Mat, det_rows, snf_exponents
-from .rings import Ring, guard_error, guard_limit, orbit
-
-def _sum_sets(ring: Ring, a, b, guard: str) -> set:
-    """{x + y : x in a, y in b}, where ``a`` must be a submodule (every
-    caller passes one: a span or an m*V, grown by orbits).
-
-    ``out`` is then a union of cosets y + a, so a y already in ``out`` has
-    its whole coset there (Lagrange) and is skipped.  The sum costs |b|
-    lookups plus exactly |a + b| vector additions, not |a|*|b|.  The guard
-    is checked after each vector added, so at most limit + 1 vectors are
-    built before it raises."""
-    limit = guard_limit()
-    add = ring.add
-    out = set()
-    for y in b:
-        if y in out:
-            continue
-        for x in a:
-            out.add(tuple(map(add, x, y)))
-            if len(out) > limit:
-                raise guard_error(ClosureTooLargeError, guard, None, limit)
-    return out
+from .rings import Ring
 
 
-def extend_closure(ring: Ring, v, mv, g) -> tuple:
-    """(V + R*g, m*V + m*g) from the vector sets of a submodule V and of
-    m*V (unchanged when g is in V).  m*(R*g) is the sum of the R*(t*g) over
-    the generators t of m.  Every sum carries the "span" guard: m*V is
-    inside V, so it cannot overflow first."""
-    if g in v:
-        return v, mv
-    mul = ring.mul
-    v = _sum_sets(ring, v, orbit(ring, g), "span")
-    for t in ring.max_ideal_generators:
-        mv = _sum_sets(ring, mv, orbit(ring, tuple(mul(t, a) for a in g)), "span")
-    return v, mv
+def _vectors(ring: Ring, vectors, k=None) -> list:
+    """``vectors`` as tuples, each of k entries (the first one's count when
+    k is None) that are elements of ``ring``."""
+    vectors = [tuple(v) for v in vectors]
+    if k is None and vectors:
+        k = len(vectors[0])
+    for v in vectors:
+        if len(v) != k:
+            raise BadValueError(f"vector {v} has {len(v)} entries, expected {k}")
+        if not all(isinstance(a, int) and 0 <= a < ring.size for a in v):
+            raise BadValueError(f"vector {v} has an entry that is not an element of {ring.spec}")
+    return vectors
 
 
 class Submodule:
@@ -91,35 +62,24 @@ class Submodule:
 
 
 def span(ring: Ring, vectors, ambient_power=None) -> Submodule:
-    """Smallest submodule of R^k containing the given vectors, and its m*V."""
-    vectors = [tuple(v) for v in vectors]
+    """Smallest submodule of R^k containing the given vectors, and its m*V,
+    listed from their Howell forms after |V| is checked against the "span"
+    guard."""
+    vectors = _vectors(ring, vectors, ambient_power)
     if ambient_power is None:
         if not vectors:
             raise BadValueError("ambient power required for an empty generator list")
         ambient_power = len(vectors[0])
-    v = mv = {(0,) * ambient_power}
-    for g in vectors:
-        v, mv = extend_closure(ring, v, mv, g)
-    return Submodule(ring, ambient_power, frozenset(v), frozenset(mv))
+    from .howell import span_sizes, span_words  # here: only a route that runs it compiles it
+
+    vform, vlog, mform, mlog = span_sizes(ring, vectors)
+    k = ambient_power
+    return Submodule(ring, k, span_words(ring, vform, vlog, k), span_words(ring, mform, mlog, k))
 
 
 def ideal_multiple(sub: Submodule) -> Submodule:
     """The submodule m*V for V = sub."""
     return span(sub.ring, sub.radical, sub.ambient_power)
-
-
-def minimal_generators(sub: Submodule, candidates) -> list:
-    """A minimal generating set of ``sub`` picked from ``candidates``
-    (vectors that span it) in order: v is kept unless v is in span(kept) +
-    m*sub.  By Nakayama's lemma the kept vectors generate sub."""
-    acc = sub.radical
-    kept = []
-    for v in candidates:
-        if v in acc:
-            continue
-        kept.append(v)
-        acc = _sum_sets(sub.ring, acc, orbit(sub.ring, v), "minimal generators")
-    return kept
 
 
 def _log_residue(ring: Ring, ratio: int) -> int:
@@ -135,38 +95,25 @@ def _log_residue(ring: Ring, ratio: int) -> int:
     return d
 
 
-def generator_count_of_submodule(sub: Submodule) -> int:
-    """dim over the residue field of V / mV, i.e. the minimal number of
-    generators, computed from cardinalities."""
-    return _log_residue(sub.ring, len(sub) // len(sub.radical))
-
-
-def minimal_generator_count(ring: Ring, vectors, method: str = "auto") -> int:
-    """Minimal number of generators of the span of ``vectors``.
-
-    ``method`` forces a code path: "snf" (chain rings only), "enum"
-    (vector sets), or "auto": SNF over a chain ring, else |V| and |m*V|
-    from Howell forms (``howell.span_logs``).
-    """
-    vectors = [tuple(v) for v in vectors]
+def minimal_generator_count(ring: Ring, vectors) -> int:
+    """Minimal number of generators of the span of ``vectors``: the number
+    of invariant factors over a chain ring, else log_q |V| / |m*V| from
+    Howell forms (``howell.span_sizes``)."""
+    vectors = _vectors(ring, vectors)
     if not vectors:
         return 0
-    if method == "auto" and not ring.is_chain:
-        from .howell import span_logs  # here: only a route that runs it compiles it
-
-        vlog, mlog = span_logs(ring, vectors)
-        return _log_residue(ring, ring.additive.p ** (vlog - mlog))
-    if method in ("auto", "snf"):
+    if ring.is_chain:
         return len(snf_exponents(ring, vectors))
-    if method == "enum":
-        return generator_count_of_submodule(span(ring, vectors))
-    raise BadValueError(f"unknown method {method!r}")
+    from .howell import span_sizes  # here: only a route that runs it compiles it
+
+    _, vlog, _, mlog = span_sizes(ring, vectors)
+    return _log_residue(ring, ring.additive.p ** (vlog - mlog))
 
 
-def is_modular_independent(ring: Ring, vectors, method: str = "auto") -> bool:
+def is_modular_independent(ring: Ring, vectors) -> bool:
     """True when every vanishing combination has all coefficients in m."""
     vectors = list(vectors)
-    return minimal_generator_count(ring, vectors, method) == len(vectors)
+    return minimal_generator_count(ring, vectors) == len(vectors)
 
 
 def has_trivial_annihilator(ring: Ring, vector) -> bool:
@@ -197,12 +144,15 @@ def submodularity_gap(ring: Ring, col_vectors, x_idx, y_idx):
     Returns (lhs, rhs) where the rank function of the induced independence
     system is submodular at (X, Y) iff lhs <= rhs:
     lhs = generators of V_{X&Y}, rhs = dim (V_X n V_Y)/(mV_X n mV_Y).
+
+    rhs is mu(X) + mu(Y) - mu(X u Y), four generator counts in all, since
+    V_X + V_Y = V_{X u Y}, m(A + B) = mA + mB and |A n B| = |A| |B| / |A + B|
+    for subgroups A, B.
     """
-    vx = span(ring, [col_vectors[i] for i in x_idx], len(col_vectors[0]))
-    vy = span(ring, [col_vectors[i] for i in y_idx], len(col_vectors[0]))
-    vxy = span(ring, [col_vectors[i] for i in set(x_idx) & set(y_idx)], len(col_vectors[0]))
-    inter = vx.vectors & vy.vectors
-    minter = vx.radical & vy.radical
-    lhs = generator_count_of_submodule(vxy)
-    rhs = _log_residue(ring, len(inter) // len(minter))
-    return lhs, rhs
+    cols = _vectors(ring, col_vectors)
+    x, y = set(x_idx), set(y_idx)
+
+    def mu(idx):
+        return minimal_generator_count(ring, [cols[i] for i in idx])
+
+    return mu(x & y), mu(x) + mu(y) - mu(x | y)

@@ -1,8 +1,10 @@
 """Naive reference implementations used for differential testing.
 
 Everything here recomputes from definitions with plain set enumeration and
-shares nothing with the fast paths beyond ring arithmetic.  Slow on
-purpose; sized for desk-scale inputs.
+shares nothing with the fast paths beyond ring arithmetic (and, for
+``system_by_closure``, the mask walk of ``indepsys._candidates``).  Slow on
+purpose; sized for desk-scale inputs.  The vector-set closure lives here
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from .errors import (
     SearchSpaceTooLargeError,
 )
 from .linalg import Mat
-from .rings import Ring, guard_error, guard_limit
+from .rings import Ring, guard_error, guard_limit, orbit
 
 DEFAULT_MAX_SCAN = 1 << 26
 
@@ -90,6 +92,59 @@ def _naive_independent(ring: Ring, vectors) -> bool:
                 return False
         return True
     return mu_by_enumeration(ring, vectors) == l
+
+
+def _sum_sets(ring: Ring, a, b) -> set:
+    """{x + y : x in a, y in b} for a submodule ``a``: ``out`` is a union of
+    cosets y + a, so a y already in it has its whole coset there and is
+    skipped, and the sum costs exactly |a + b| vector additions.  The
+    "closure" guard is checked after each one."""
+    limit = guard_limit()
+    add = ring.add
+    out = set()
+    for y in b:
+        if y in out:
+            continue
+        for x in a:
+            out.add(tuple(map(add, x, y)))
+            if len(out) > limit:
+                raise guard_error(ClosureTooLargeError, "closure", None, limit)
+    return out
+
+
+def extend_closure(ring: Ring, v, mv, g) -> tuple:
+    """(V + R*g, m*V + m*g) from the vector sets of a submodule V and of
+    m*V; m*g = {t*g : t in m} is already a submodule."""
+    if g in v:
+        return v, mv
+    mg = {tuple(ring.mul(t, a) for a in g) for t in ring.maximal_ideal}
+    return _sum_sets(ring, v, orbit(ring, g)), _sum_sets(ring, mv, mg)
+
+
+def system_by_closure(a: Mat):
+    """The column independence system of ``a`` from vector sets: S is
+    independent iff |V| = q^|S| |m*V| for V the span of its columns.  Masks
+    are walked as in ``indepsys.build_from_matrix``, each child one
+    ``extend_closure`` from its parent's entry on a stack of independent
+    ancestors, but uncapped."""
+    from .indepsys import MAX_GROUND, IndependenceSystem, _candidates
+
+    n = a.ncols
+    if n > MAX_GROUND:
+        raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
+    ring, cols, q = a.ring, a.columns(), a.ring.residue_field_size
+    fam = {0}
+    zero = (0,) * a.nrows
+    stack = [(0, {zero}, {zero})]  # (mask, V, m*V) of independent ancestors
+    for mask in _candidates(fam, n, n):
+        parent = mask & (mask - 1)
+        while stack[-1][0] != parent:
+            stack.pop()
+        v, mv = extend_closure(ring, stack[-1][1], stack[-1][2], cols[(mask ^ parent).bit_length() - 1])
+        if len(v) == q ** mask.bit_count() * len(mv):
+            fam.add(mask)
+            stack.append((mask, v, mv))
+    return IndependenceSystem(a.labels, fam)
 
 
 def dual_by_enumeration(code) -> "object":

@@ -15,8 +15,8 @@ ring is local iff every other element is a unit (checked by Lagrange's
 theorem in the unit group), and it is a chain ring iff the maximal ideal
 is principal (Dinh and Lopez-Permouth, IEEE T-IT 2004, Prop. 2.1).
 ``Ring.additive`` embeds (R, +) in (Z/p^a)^d, p^a the characteristic, on
-first use (``howell``); the system build and the non-chain routes size
-spans there.
+first use (``howell``); the system build, codes and the non-chain routes
+size and list spans there.
 
 Elements are canonical integer indices ``0 .. size-1``; vectors are plain
 tuples of indices.  Every handle is immutable after construction and all
@@ -133,7 +133,6 @@ class Ring:
         else:
             self.uniformizer = None
             self.nilpotency_index = None
-        self._init_max_ideal_generators()
 
     def _power(self, a: int, e: int) -> int:
         result = 1
@@ -169,33 +168,6 @@ class Ring:
         self._ideal_of_pow = [
             frozenset(a for a in range(self.size) if ordv[a] >= t) for t in range(nu + 1)
         ]
-
-    def _init_max_ideal_generators(self):
-        if self.is_chain:
-            self.max_ideal_generators = (self.uniformizer,) if self.uniformizer else ()
-            return
-        # Greedy minimal generating set of m as an ideal: take elements whose
-        # residues extend a basis of m / m^2.
-        add, mul = self.add, self.mul
-        m = sorted(self.maximal_ideal)
-        m_sq = {0}
-        frontier = {mul(a, b) for a in m for b in m}
-        changed = True
-        while changed:
-            changed = False
-            for x in list(frontier):
-                for s in list(m_sq):
-                    v = add(s, x)
-                    if v not in m_sq:
-                        m_sq.add(v)
-                        changed = True
-        gens = []
-        acc = set(m_sq)
-        for a in m:
-            if a not in acc:
-                gens.append(a)
-                acc = {add(s, mul(r, a)) for s in acc for r in range(self.size)}
-        self.max_ideal_generators = tuple(gens)
 
     @cached_property
     def additive(self):
@@ -276,8 +248,8 @@ def _decimal(token: str) -> int:
 
 
 # -- the enumeration guard ----------------------------------------------------
-# One reader for every module that enumerates vectors (modindep, codes,
-# enumgeo, oracle); here, so that enumgeo reads it without loading modindep.
+# One reader for every module that enumerates vectors (howell, enumgeo,
+# oracle); here, so that enumgeo reads it without loading howell.
 
 DEFAULT_MAX_CLOSURE = 1 << 24
 GUARD_ENV = "CHAINMAT_MAX_CLOSURE"

@@ -50,6 +50,17 @@ def random_submodule_generators(rng, ring, k, count):
     return [tuple(rng.randrange(ring.size) for _ in range(k)) for _ in range(count)]
 
 
+def submodule_mu(sub) -> int:
+    """log_q |V| / |m*V| for a ``modindep.Submodule`` V, from its vector set
+    and its radical."""
+    ratio, q, mu = len(sub.vectors) // len(sub.radical), sub.ring.residue_field_size, 0
+    while ratio > 1:
+        assert ratio % q == 0, (len(sub.vectors), len(sub.radical))
+        ratio //= q
+        mu += 1
+    return mu
+
+
 def matmul(ring, a, b):
     """The product of two matrices given as lists of rows."""
     add, mul = ring.add, ring.mul

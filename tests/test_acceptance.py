@@ -21,12 +21,7 @@ from chainmat.gallery import (
     verify_entry,
 )
 from chainmat.indepsys import build_from_matrix, check_matroid, is_isomorphic, uniform_system
-from chainmat.modindep import (
-    generator_count_of_submodule,
-    minimal_generator_count,
-    span,
-    submodularity_gap,
-)
+from chainmat.modindep import minimal_generator_count, span, submodularity_gap
 from chainmat.oracle import (
     circuits_by_subset_scan,
     cyclic_submodule_census,
@@ -35,7 +30,7 @@ from chainmat.oracle import (
 )
 from chainmat.rings import make_ring
 
-from helpers import random_code, random_free_code, rng_for
+from helpers import random_code, random_free_code, rng_for, submodule_mu
 
 Z4 = make_ring("z:4")
 Z8 = make_ring("z:8")
@@ -273,7 +268,7 @@ def test_criterion_10_monotonicity_dichotomy():
             big = span(ring, gens, k)
             picks = rng.sample(sorted(big.vectors), min(len(big), rng.randint(1, 3)))
             small = span(ring, picks, k)
-            assert generator_count_of_submodule(small) <= generator_count_of_submodule(big)
+            assert submodule_mu(small) <= submodule_mu(big)
     # non-chain witness: V_{X n Y} = m needs 2 generators while V_X = V_Y = R
     t8 = make_ring("table:f2xy_xx_xy_yy")
     mat = load_matrix("not_monotonic.mat")
@@ -282,13 +277,13 @@ def test_criterion_10_monotonicity_dichotomy():
     vx = span(t8, [cols[i] for i in x_idx], 1)
     vy = span(t8, [cols[i] for i in y_idx], 1)
     vxy = span(t8, [cols[0], cols[1]], 1)
-    assert generator_count_of_submodule(vx) == 1
-    assert generator_count_of_submodule(vy) == 1
-    assert generator_count_of_submodule(vxy) == 2
+    assert submodule_mu(vx) == 1
+    assert submodule_mu(vy) == 1
+    assert submodule_mu(vxy) == 2
     vxuy = span(t8, cols, 1)
     assert (
-        generator_count_of_submodule(vx) + generator_count_of_submodule(vy)
-        < generator_count_of_submodule(vxuy) + generator_count_of_submodule(vxy)
+        submodule_mu(vx) + submodule_mu(vy)
+        < submodule_mu(vxuy) + submodule_mu(vxy)
     )
     lhs, rhs = submodularity_gap(t8, cols, x_idx, y_idx)
     assert lhs > rhs  # the submodularity criterion fails on this pair
@@ -333,20 +328,20 @@ def test_criterion_12_differential_suite():
     t0 = time.time()
     rng = rng_for("acceptance-differential")
     # generator counts: fast path vs naive enumeration, 1000 per ring
-    # (invariant-factor path on chain rings, set enumeration elsewhere)
+    # (invariant-factor path on chain rings, Howell sizes elsewhere)
     table_rings = (make_ring("table:f2xy_xx_xy_yy"), make_ring("table:f2xy_xx_yy"))
     for ring in (Z4, Z8, Z9, F2U):
         for _ in range(1000):
             k = rng.randint(1, 4 if ring is Z4 else 3)
             count = rng.randint(0, 4)
             vecs = [tuple(rng.randrange(ring.size) for _ in range(k)) for _ in range(count)]
-            assert minimal_generator_count(ring, vecs, "snf") == mu_by_enumeration(ring, vecs)
+            assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs)
     for ring in table_rings:
         for _ in range(1000):
             k = rng.randint(1, 2)
             count = rng.randint(0, 3)
             vecs = [tuple(rng.randrange(ring.size) for _ in range(k)) for _ in range(count)]
-            assert minimal_generator_count(ring, vecs, "enum") == mu_by_enumeration(ring, vecs)
+            assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs)
     mu_done = time.time()
     # free-path dual vs enumerated dual
     for i in range(1000):

@@ -157,16 +157,6 @@ def test_clutter_minimize_matches_pairwise_definition():
         assert Clutter.minimize(labels, sets).members == want
 
 
-def test_build_validates_method_before_testing_masks():
-    # no "snf" route: Howell forms build over every ring
-    t8 = make_ring("table:f2xy_xx_xy_yy")
-    for method in ("foo", "snf"):
-        for ring in (Z4, make_ring("z:5"), t8):
-            for n in range(3):
-                with pytest.raises(BadValueError, match=f"unknown method '{method}'"):
-                    build_from_matrix(Mat(ring, "abc"[:n], [[1] * n]), method)
-
-
 def test_build_tests_only_up_to_the_generator_count(monkeypatch):
     # Over a chain ring mu is monotone, so no set with more than r elements
     # (r = number of invariant factors of the whole matrix) is tested, and

@@ -1,7 +1,9 @@
 from importlib import resources
 
-from chainmat.codes import Code, dual_code, puncture, shorten
-from chainmat.errors import NonIntegralDimensionError
+import pytest
+
+from chainmat.codes import Code, dual_code, is_contractible, puncture, shorten, word_generators
+from chainmat.errors import NonIntegralDimensionError, ZeroProjectionError
 from chainmat.gallery import load_matrix
 from chainmat.indepsys import (
     Clutter,
@@ -12,7 +14,7 @@ from chainmat.indepsys import (
     uniform_system,
 )
 from chainmat.linalg import Mat
-from chainmat.modindep import minimal_generator_count, minimal_generators, span
+from chainmat.modindep import minimal_generator_count, span, submodularity_gap
 from chainmat.oracle import (
     _naive_span,
     circuits_by_mask_scan,
@@ -23,16 +25,27 @@ from chainmat.oracle import (
     dual_by_enumeration,
     dual_by_rank_complement,
     exchange_violations_by_pair_scan,
+    extend_closure,
     minimal_sets_by_pair_scan,
     mu_by_enumeration,
     rank_submodular_by_pair_scan,
     ranks_by_family_scan,
+    system_by_closure,
 )
 from chainmat.rings import make_ring
 
-from helpers import CHAIN_SPECS, FIELD_SPECS, TABLE_SPECS, random_free_code, random_matrix, rng_for
+from helpers import (
+    CHAIN_SPECS,
+    FIELD_SPECS,
+    TABLE_SPECS,
+    random_free_code,
+    random_matrix,
+    random_submodule_generators,
+    rng_for,
+)
 
 Z4 = make_ring("z:4")
+Z8 = make_ring("z:8")
 
 
 def test_mu_by_enumeration_examples():
@@ -67,11 +80,11 @@ def test_subset_scan_matches_fast_path():
             assert circuits_by_subset_scan(mat).members == build_from_matrix(mat).circuits().members
         # Both builds grow each child from its parent's entry on a stack of
         # independent ancestors; wider matrices exercise deep stacks, and
-        # the "auto" build (Howell forms) must agree with the enumeration
+        # the build (Howell forms) must agree with the oracle's vector-set
         # build.
         for _ in range(4):
             mat = random_matrix(rng, ring, rng.randint(1, 3), rng.randint(5, 7))
-            enum = build_from_matrix(mat, method="enum")
+            enum = system_by_closure(mat)
             assert circuits_by_subset_scan(mat).members == enum.circuits().members
             assert enum == build_from_matrix(mat)
 
@@ -112,7 +125,7 @@ def test_snf_build_matches_enum_and_scan_on_degenerate_matrices():
         ring = make_ring(spec)
         for mat in _degenerate_matrices(rng, ring) + _degenerate_matrices(rng, ring):
             auto = build_from_matrix(mat)
-            assert auto == build_from_matrix(mat, method="enum"), (spec, mat)
+            assert auto == system_by_closure(mat), (spec, mat)
             assert auto.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
 
 
@@ -146,7 +159,7 @@ def test_howell_build_matches_enum_and_scan_on_degenerate_matrices():
         ring = make_ring(spec)
         for mat in _nonchain_matrices(rng, ring):
             auto = build_from_matrix(mat)
-            assert auto == build_from_matrix(mat, method="enum"), (spec, mat)
+            assert auto == system_by_closure(mat), (spec, mat)
             assert auto.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
 
 
@@ -168,15 +181,15 @@ def test_differential_mu():
         for _ in range(40):
             k, count = rng.randint(1, 3), rng.randint(0, 3)
             vecs = [tuple(rng.randrange(ring.size) for _ in range(k)) for _ in range(count)]
-            assert minimal_generator_count(ring, vecs, "snf") == mu_by_enumeration(ring, vecs)
+            assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs)
     for spec in TABLE_SPECS:
         ring = make_ring(spec)
         radical = sorted(ring.maximal_ideal)
         for _ in range(20):
             vecs = [(rng.randrange(ring.size),) for _ in range(rng.randint(0, 3))]
-            assert minimal_generator_count(ring, vecs, "enum") == mu_by_enumeration(ring, vecs)
-        # "auto" sizes V and m*V by Howell forms; zero, repeated and
-        # all-in-m vectors are where a wrong size would show
+            assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs)
+        # V and m*V are sized by Howell forms; zero, repeated and all-in-m
+        # vectors are where a wrong size would show
         for _ in range(40):
             k = rng.randint(1, 3)
             vecs = [tuple(rng.choice((rng.randrange(ring.size), rng.choice(radical))) for _ in range(k))
@@ -233,11 +246,27 @@ def test_differential_nonchain_duals():
             _check_dual(c)
 
 
+def _check_greedy(ring, candidates, kept, gens, n):
+    """``kept`` is what the Nakayama greedy keeps from ``candidates``, by
+    its defining property: v is kept iff v is not in the span of the vectors
+    kept before it plus m*C, C the span of ``gens``; m*C is spanned by the
+    t*g (t in m, g in gens), and every span by the oracle."""
+    mul = ring.mul
+    radical = [tuple(mul(t, a) for a in g) for t in sorted(ring.maximal_ideal) for g in gens]
+    want, acc = [], _naive_span(ring, radical, n)
+    for v in candidates:
+        if v not in acc:
+            want.append(v)
+            acc = _naive_span(ring, want + radical, n)
+    assert want == list(kept), (ring.spec, gens)
+
+
 def _check_dual(c):
     """dual_code equals the oracle's dual; its generator rows are a minimal
     generating set (mu rows, none zero, or one zero row for the zero dual);
     and the printed form of ``chainmat dual-code``, the greedy over its
-    sorted codewords from its own m*C^perp, is the oracle's generator."""
+    sorted codewords from its own m*C^perp, is the oracle's generator and
+    keeps what the greedy's definition keeps."""
     want, got = dual_by_enumeration(c), dual_code(c)
     assert got == want, (c.ring.spec, c.generator)
     rows = got.generator.rows
@@ -246,8 +275,10 @@ def _check_dual(c):
         assert len(rows) == got.generator_count and all(any(r) for r in rows), (c.ring.spec, c.generator)
     else:
         assert rows == ((0,) * c.length,), (c.ring.spec, c.generator)
-    shown = Code.from_submodule(got.labels, got.submodule, sorted(got.codewords))
-    assert shown.generator == want.generator, (c.ring.spec, c.generator)
+    shown = word_generators(got)
+    assert shown == want.generator, (c.ring.spec, c.generator)
+    if got.size <= 256:  # the oracle spans once per kept row
+        _check_greedy(c.ring, sorted(got.codewords), shown.rows if got.generator_count else (), rows, c.length)
 
 
 def test_differential_dual_edge_codes():
@@ -309,9 +340,8 @@ def test_differential_code_operations():
                 c = Code.from_matrix(Mat(ring, [str(j) for j in range(n)], rows))
                 assert c.size == len(words) and c.codewords == words, (spec, rows)
                 assert c.is_free == (len(words) == ring.size ** mu_by_enumeration(ring, rows)), (spec, rows)
-                # the size-decided greedy keeps the vector-set greedy's rows
-                kept = minimal_generators(span(ring, rows, n), rows)
-                assert c.generator.rows == tuple(kept or [(0,) * n]), (spec, rows)
+                # the size-decided greedy keeps what its definition keeps
+                _check_greedy(ring, rows, c.generator.rows if c.generator_count else (), rows, n)
                 if n < 3 or ring.size <= 9:
                     _check_dual(c)
                 for mask in range(1 << n):
@@ -336,6 +366,125 @@ def test_differential_code_operations():
                 assert (c == d) == same, (spec, c.generator, d.generator)
                 if same:
                     assert hash(c) == hash(d), (spec, c.generator, d.generator)
+
+
+def test_differential_howell_words(monkeypatch):
+    # The one production enumeration, the words of a Howell form, against
+    # the oracle's fixed-point span: codewords, and a span with its radical
+    # m*V, over chain rings, fields, fpu (d = 2) and the 16-element table
+    # ring (d = 4), with the zero code and length 0.
+    from chainmat.errors import ClosureTooLargeError
+
+    rng = rng_for("diff-howell-words")
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        mul = ring.mul
+        assert span(ring, [], 0).vectors == span(ring, [()], 0).radical == frozenset({()})
+        for n in (0, 1, 2) + ((3,) if ring.size <= 9 else ()):
+            for rows in _edge_and_random_rows(rng, ring, n):
+                words = _naive_span(ring, rows, n)
+                assert Code.from_matrix(Mat(ring, [str(j) for j in range(n)], rows)).codewords == words, (spec, rows)
+                sub = span(ring, rows, n)
+                products = [tuple(mul(t, a) for a in v) for t in ring.maximal_ideal for v in rows]
+                assert sub.vectors == words and sub.radical == _naive_span(ring, products, n), (spec, rows)
+    # An oversized request is refused on its Howell size, before any vector
+    # is added: 9^4 words over a limit of 100.
+    z9 = make_ring("z:9")
+    code = Code.from_matrix(Mat(z9, "abcd", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    adds = []
+    monkeypatch.setattr(z9, "add", lambda a, b: adds.append(None) or (a + b) % 9)
+    monkeypatch.setenv("CHAINMAT_MAX_CLOSURE", "100")
+    for read in (lambda: code.codewords, lambda: span(z9, code.generator.rows)):
+        with pytest.raises(ClosureTooLargeError, match="^span guard: 6561 vectors requested, limit 100 "):
+            read()
+    assert adds == []
+
+
+def test_submodularity_gap_matches_vector_sets():
+    # (mu(X n Y), mu(X) + mu(Y) - mu(X u Y)) against the definition:
+    # the generator count of V_{X n Y}, and log_q of
+    # |V_X n V_Y| / |mV_X n mV_Y| from the oracle's spans.
+    rng = rng_for("diff-submodularity-gap")
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        mul, q = ring.mul, ring.residue_field_size
+        for _ in range(8):
+            k, n = rng.randint(1, 2), rng.randint(2, 4)
+            cols = random_matrix(rng, ring, k, n).columns()
+            for _ in range(6):
+                xs, ys = (rng.sample(range(n), rng.randint(0, n)) for _ in range(2))
+                spans = []
+                for idx in (xs, ys):
+                    v = _naive_span(ring, [cols[i] for i in idx], k)
+                    spans.append((v, _naive_span(ring, [tuple(mul(t, a) for a in w) for t in ring.maximal_ideal for w in v], k)))
+                (vx, mvx), (vy, mvy) = spans
+                ratio = len(vx & vy) // len(mvx & mvy)
+                rhs = 0
+                while ratio > 1:
+                    ratio //= q
+                    rhs += 1
+                want = (mu_by_enumeration(ring, [cols[i] for i in set(xs) & set(ys)]), rhs)
+                assert submodularity_gap(ring, cols, xs, ys) == want, (spec, cols, xs, ys)
+
+
+def test_contractibility_matches_codeword_scan():
+    # The valuation t read off the generator column against the coordinate
+    # ideal {w_e : w in C} of the oracle's words, and the witness against
+    # the first sorted word with w_e of valuation t and every entry in m^t.
+    rng = rng_for("diff-contractible")
+    for spec in CHAIN_SPECS + FIELD_SPECS:
+        ring = make_ring(spec)
+        for n in (1, 2, 3):
+            for rows in _edge_and_random_rows(rng, ring, n):
+                c = Code.from_matrix(Mat(ring, [str(j) for j in range(n)], rows))
+                words = sorted(_naive_span(ring, rows, n))
+                for j, label in enumerate(c.labels):
+                    proj = [w[j] for w in words if w[j]]
+                    if not proj:
+                        with pytest.raises(ZeroProjectionError):
+                            is_contractible(c, label)
+                        continue
+                    t = min(map(ring.valuation, proj))
+                    ideal = ring.ideal_of_valuation(t)
+                    want = next((w for w in words if w[j] and ring.valuation(w[j]) == t
+                                 and all(a in ideal for a in w)), None)
+                    got = is_contractible(c, label)
+                    assert (got and (got.codeword, got.valuation)) == (want and (want, t)), (spec, rows, label)
+
+
+def test_closure_kernel_matches_naive_span(monkeypatch):
+    # The oracle's vector-set closure.  Each fold forms exactly
+    # |V_i| + |m*V_i| vectors (k coordinate additions each), not |a| * |b|:
+    # a vector already in the sum has its whole coset of the current span
+    # there and is skipped.  A generator already in the span costs nothing.
+    gens = [(1, 0), (2, 0), (4, 0), (0, 1)]
+    folds = [(1, 0), (0, 1)]  # the generators not already in the span
+    doubled = [(2, 0), (0, 2)]  # m = (2), so m*V_i is spanned by 2*g
+    sizes = [len(_naive_span(Z8, gs[:i], 2)) for gs in (folds, doubled) for i in (1, 2)]
+
+    def fold(ring, gens, k):
+        v = mv = {(0,) * k}
+        for g in gens:
+            v, mv = extend_closure(ring, v, mv, g)
+        return v, mv
+
+    adds = []
+    add = Z8.add
+    monkeypatch.setattr(Z8, "add", lambda a, b: adds.append(None) or add(a, b))
+    assert len(fold(Z8, gens, 2)[0]) == 64
+    assert len(adds) == 2 * sum(sizes) == 184
+    monkeypatch.undo()
+    rng = rng_for("closure-kernel")
+    for spec in CHAIN_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        mul = ring.mul
+        for _ in range(12):
+            k = rng.randint(1, 3 if ring.size < 16 else 2)
+            gens = random_submodule_generators(rng, ring, k, rng.randint(0, 3))
+            v, mv = fold(ring, gens, k)
+            assert v == _naive_span(ring, gens, k)
+            products = [tuple(mul(a, x) for x in w) for a in ring.maximal_ideal for w in v]
+            assert mv == _naive_span(ring, products, k)
 
 
 def _random_down_closed(rng, n):

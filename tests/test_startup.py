@@ -48,8 +48,11 @@ def _table():
            {f"chainmat.{n}" for n in ("codes", "enumgeo", "gallery", "oracle")})
     absent(("bound", "--ring", "z:4", "-k", "2", "--antichain"), NOT_FOR_ENUMGEO)
     absent(("counting", "--ring", "z:1024", "--shape", "2,0,0", "-s", "3"), NOT_FOR_ENUMGEO)
-    # puncture and shorten read no codeword, so they never span one
-    for argv in (("puncture", "data:vamos_z8", "-X", "a"), ("shorten", "data:vamos_z8", "-X", "a,b")):
+    # the code commands list codewords, where they read any, from Howell
+    # forms, so none of them loads modindep
+    for argv in (("puncture", "data:vamos_z8", "-X", "a"), ("shorten", "data:vamos_z8", "-X", "a,b"),
+                 ("dual-code", "data:vamos_z8"), ("contractible", "data:vamos_z8", "-e", "a"),
+                 ("contract", "data:vamos_z8", "-X", "a,b")):
         absent(argv, {"chainmat.modindep"})
     # no command loads the oracle without --oracle, and none in the
     # benchmark's list loads dataclasses
