@@ -221,16 +221,19 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
 NO_SIZES = ({}, 0, {}, 0)
 
 
+def rows_over(ring: Ring, v, gens) -> list:
+    """Rows of integers modulo p^a, the coordinates of the b*v over the
+    elements b of ``gens``: over ``ring_gens`` (the additive generators of
+    R) their Z/p^a-span is R*v, over ``radical_gens`` (those of m) m*v."""
+    coords, mul = ring.additive.coords, ring.mul
+    return [[c for x in v for c in coords[mul(b, x)]] for b in gens]
+
+
 def coordinate_rows(ring: Ring, v) -> tuple:
-    """Two lists of rows of integers modulo p^a, the coordinates of the b*v
-    over the additive generators b of R and of the t*v over those of m:
-    their Z/p^a-spans are R*v and m*v."""
-    additive, mul = ring.additive, ring.mul
-    coords = additive.coords
-    return tuple(
-        [[c for x in v for c in coords[mul(b, x)]] for b in gens]
-        for gens in (additive.ring_gens, additive.radical_gens)
-    )
+    """The ``rows_over`` of v over the additive generators of R and of m,
+    for ``extend_sizes``."""
+    additive = ring.additive
+    return rows_over(ring, v, additive.ring_gens), rows_over(ring, v, additive.radical_gens)
 
 
 def grow(ring: Ring, form: dict, rows) -> int:
@@ -315,7 +318,7 @@ def span_form(ring: Ring, vectors) -> tuple:
     additive coordinates of R^n, and log_p of the span's size."""
     form, log = {}, 0
     for v in vectors:
-        log += grow(ring, form, coordinate_rows(ring, v)[0])
+        log += grow(ring, form, rows_over(ring, v, ring.additive.ring_gens))
     return form, log
 
 
@@ -335,14 +338,15 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
     The form starts as one of m*C and takes in each kept R*v; given
     ``full`` = log_p |C|, the greedy stops once it gets there, after which
     nothing would be kept."""
+    additive = ring.additive
     form = {}
-    log = grow(ring, form, [row for g in generators for row in coordinate_rows(ring, g)[1]])
+    log = grow(ring, form, [row for g in generators for row in rows_over(ring, g, additive.radical_gens)])
     kept = []
     for v in candidates:
         if log == full:
             break
         trial = dict(form)
-        grown = grow(ring, trial, coordinate_rows(ring, v)[0])
+        grown = grow(ring, trial, rows_over(ring, v, additive.ring_gens))
         if grown:
             kept.append(v)
             form, log = trial, log + grown

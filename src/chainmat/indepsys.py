@@ -41,8 +41,6 @@ def _lows(n: int) -> tuple:
 
 def _bits(masks, n: int) -> int:
     """The set of ``masks``, each in [0, 2^n)."""
-    if n > MAX_GROUND:
-        raise GroundSetTooLargeError(f"{n} > {MAX_GROUND} elements")
     top = (1 << n) - 1
     buf = bytearray(b"0") * (top + 1)
     for m in masks:
@@ -53,6 +51,14 @@ def _bits(masks, n: int) -> int:
 def _flags(bits: int, n: int) -> bytes:
     """2^n bytes, byte m 1 when mask m is in the set and 0 otherwise."""
     return format(bits, f"0{1 << n}b").encode().translate(_ZERO_ONE)[::-1]
+
+
+def _lanes(bits: int, n: int) -> int:
+    """The integer whose byte m is 1 when mask m is in the set and 0
+    otherwise: the binary digits of ``bits``, mask 2^n - 1 first, read as
+    big-endian bytes less a "0" in every byte."""
+    digits = format(bits, f"0{1 << n}b").encode()
+    return int.from_bytes(digits, "big") - int.from_bytes(b"0" * len(digits), "big")
 
 
 def _masks(bits: int, n: int) -> list:
@@ -77,15 +83,42 @@ def _above(bits: int, n: int) -> int:
     return out
 
 
+def _byte_tables(values, zero) -> tuple:
+    """Two 256-entry lists: entry b of the first is ``zero`` plus the
+    values[i] over the bits i of b, of the second the same over the
+    values[8 + i].  Built by doubling, so entry m & 255 of the first plus
+    entry m >> 8 of the second sums ``values`` over the bits of mask m."""
+    tables = []
+    for part in (values[:8], values[8:]):
+        table = [zero]
+        for v in part:
+            table += [t + v for t in table]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _label_tuples(labels):
+    """mask -> the tuple of its labels, in label order."""
+    lo, hi = _byte_tables([(l,) for l in labels], ())
+    return lambda m: lo[m & 255] + hi[m >> 8]
+
+
+def _ground(labels) -> tuple:
+    """``labels`` as a tuple of strings, which must be distinct and at most
+    MAX_GROUND."""
+    labels = tuple(str(l) for l in labels)
+    if len(labels) > MAX_GROUND:
+        raise GroundSetTooLargeError(f"{len(labels)} > {MAX_GROUND} elements")
+    if len(set(labels)) != len(labels):
+        raise BadValueError("ground set labels must be distinct")
+    return labels
+
+
 class IndependenceSystem:
     """Ground set plus an explicitly stored downward-closed family."""
 
     def __init__(self, labels, independent_masks):
-        labels = tuple(str(l) for l in labels)
-        if len(labels) > MAX_GROUND:
-            raise GroundSetTooLargeError(f"{len(labels)} > {MAX_GROUND} elements")
-        if len(set(labels)) != len(labels):
-            raise BadValueError("ground set labels must be distinct")
+        labels = _ground(labels)
         fam = frozenset(independent_masks)
         if 0 not in fam:
             raise BadValueError("the empty set must be independent")
@@ -95,8 +128,21 @@ class IndependenceSystem:
         bits = _bits(fam, n)
         if _shrink(bits, n) & ~bits:
             raise BadValueError("independent family is not downward closed")
+        self._set(labels, bits, fam)
+
+    @classmethod
+    def _from_bits(cls, labels: tuple, bits: int, family=None) -> "IndependenceSystem":
+        """The system whose family is ``bits``, for families the library
+        made: ``labels`` is as ``_ground`` returns it and ``bits`` is taken
+        to be downward closed with the empty set in it, unchecked.
+        ``family`` is its set of masks, when the caller holds it."""
+        self = cls.__new__(cls)
+        self._set(labels, bits, frozenset(_masks(bits, len(labels)) if family is None else family))
+        return self
+
+    def _set(self, labels: tuple, bits: int, family: frozenset):
         self.labels = labels
-        self.family = fam
+        self.family = family
         self._bits = bits
         self._index = {l: i for i, l in enumerate(labels)}
         self._rank_table = None
@@ -137,7 +183,7 @@ class IndependenceSystem:
             total, members = 0, self._bits ^ 1  # the nonempty members
             while members:
                 above = _above(members, n)
-                total += int.from_bytes(_flags(members | above, n), "little")
+                total += _lanes(members | above, n)
                 members = self._bits & above
             self._rank_table = total.to_bytes(1 << n, "little")
         return self._rank_table
@@ -148,12 +194,16 @@ class IndependenceSystem:
 
     # -- derived objects -----------------------------------------------------
 
-    def circuits(self) -> "Clutter":
+    def _circuit_bits(self) -> int:
         """The minimal non-members: the non-members that strictly contain
         no non-member."""
         n = len(self.labels)
         dependent = self._bits ^ ((1 << (1 << n)) - 1)
-        return Clutter(self.labels, map(self.subset_of, _masks(dependent & ~_above(dependent, n), n)))
+        return dependent & ~_above(dependent, n)
+
+    def circuits(self) -> "Clutter":
+        """The minimal non-members, as a clutter."""
+        return Clutter._from_bits(self.labels, self._circuit_bits())
 
     def bases(self) -> list:
         r = self.rank()
@@ -166,11 +216,14 @@ class IndependenceSystem:
 
     def dual(self) -> "IndependenceSystem":
         """Dual via rank complementation: X independent in the dual iff
-        the complement of X still has full rank.  Byte m of the reversed
-        rank table is the rank of the complement of m."""
+        the complement of X still has full rank.  Byte y of the rank table,
+        read as a binary digit, is the digit 2^n - 1 - y places from the
+        top, which is the bit of y's complement.  The dual is downward
+        closed: X <= Y and r(E - Y) = r(E) give r(E - X) = r(E)."""
         ranks = self._ranks()
-        full_rank = bytes(r == ranks[-1] for r in range(256))
-        return IndependenceSystem(self.labels, compress(range(len(ranks)), ranks.translate(full_rank)[::-1]))
+        top = ranks[-1]  # the largest rank
+        digits = b"0" * top + b"1" + b"0" * (255 - top)
+        return IndependenceSystem._from_bits(self.labels, int(ranks.translate(digits), 2))
 
     def dual_rank(self, subset) -> int:
         """|X| + r(E - X) - r(E) (not the rank function of the dual unless
@@ -211,10 +264,12 @@ def _label_masks(labels, sets) -> dict:
 
 
 class Clutter:
-    """An antichain of nonempty subsets of a ground set."""
+    """An antichain of nonempty subsets of a ground set, held like a
+    system's family as a 2^n-bit integer (bit m set for each member m);
+    ``members`` is its label sets."""
 
     def __init__(self, labels, members):
-        labels = tuple(str(l) for l in labels)
+        labels = _ground(labels)
         by_mask = _label_masks(labels, members)
         if 0 in by_mask:
             raise BadValueError("clutter members must be nonempty")
@@ -224,45 +279,75 @@ class Clutter:
             b = above.bit_length() - 1
             a = next(a for a in by_mask if a != b and a & b == a)
             raise BadValueError(f"clutter is not an antichain: {set(by_mask[a])} < {set(by_mask[b])}")
+        self._set(labels, bits)
+
+    @classmethod
+    def _from_bits(cls, labels: tuple, bits: int) -> "Clutter":
+        """The clutter whose members are ``bits``, for antichains the
+        library made: ``labels`` is as ``_ground`` returns it and ``bits``
+        is taken to be an antichain without the empty set, unchecked."""
+        self = cls.__new__(cls)
+        self._set(labels, bits)
+        return self
+
+    def _set(self, labels: tuple, bits: int):
         self.labels = labels
-        self.members = frozenset(by_mask.values())
+        self._bits = bits
+        self.members = frozenset(map(frozenset, map(_label_tuples(labels), _masks(bits, len(labels)))))
 
     @staticmethod
     def minimize(labels, sets) -> "Clutter":
         """The inclusion-minimal members of ``sets``, empty sets dropped."""
-        labels = tuple(str(l) for l in labels)
+        labels = _ground(labels)
         n = len(labels)
-        by_mask = _label_masks(labels, [s for s in sets if s])
-        bits = _bits(by_mask, n)
-        return Clutter(labels, map(by_mask.__getitem__, _masks(bits & ~_above(bits, n), n)))
+        bits = _bits(_label_masks(labels, sets), n) & ~1
+        return Clutter._from_bits(labels, bits & ~_above(bits, n))
+
+    def _drop(self, gone: int, masks) -> tuple:
+        """(labels, bits) of the ground set less the mask ``gone`` and of
+        ``masks`` (which miss ``gone``) on it, each element's bit moved
+        down past the removed ones below it."""
+        n = len(self.labels)
+        moved = [0 if gone >> i & 1 else 1 << (~gone & ((1 << i) - 1)).bit_count() for i in range(n)]
+        lo, hi = _byte_tables(moved, 0)
+        labels = tuple(l for i, l in enumerate(self.labels) if not gone >> i & 1)
+        return labels, _bits([lo[m & 255] + hi[m >> 8] for m in masks], len(labels))
 
     def delete(self, t) -> "Clutter":
-        t = _label_set(self.labels, t)
-        labels = tuple(l for l in self.labels if l not in t)
-        return Clutter(labels, [m for m in self.members if not m & t])
+        [gone] = _label_masks(self.labels, [t])
+        kept = self._bits
+        for i, lo in enumerate(_lows(len(self.labels))):
+            if gone >> i & 1:
+                kept &= lo
+        return Clutter._from_bits(*self._drop(gone, _masks(kept, len(self.labels))))
 
     def contract(self, t) -> "Clutter":
-        t = _label_set(self.labels, t)
-        for m in self.members:
-            if m <= t:
-                raise ContractDependentSetError(
-                    f"{sorted(t)} contains the member {sorted(m)}"
-                )
-        labels = tuple(l for l in self.labels if l not in t)
-        return Clutter.minimize(labels, [m - t for m in self.members if m - t])
+        [gone] = _label_masks(self.labels, [t])
+        n = len(self.labels)
+        inside = self._bits
+        for i, lo in enumerate(_lows(n)):
+            if not gone >> i & 1:
+                inside &= lo
+        if inside:
+            label_tuple = _label_tuples(self.labels)
+            member = (inside & -inside).bit_length() - 1
+            raise ContractDependentSetError(
+                f"{sorted(label_tuple(gone))} contains the member {sorted(label_tuple(member))}"
+            )
+        labels, bits = self._drop(gone, [m & ~gone for m in _masks(self._bits, n)])
+        return Clutter._from_bits(labels, bits & ~_above(bits, len(labels)))
 
     def loops(self) -> frozenset:
-        return frozenset(next(iter(m)) for m in self.members if len(m) == 1)
+        return frozenset(l for i, l in enumerate(self.labels) if self._bits >> (1 << i) & 1)
 
     def isthmuses(self) -> frozenset:
-        return frozenset(self.labels).difference(*self.members)
+        return frozenset(l for l, lo in zip(self.labels, _lows(len(self.labels))) if not self._bits & ~lo)
 
     def to_system(self) -> IndependenceSystem:
         """Independent sets = subsets containing no member."""
         n = len(self.labels)
-        members = _bits(_label_masks(self.labels, self.members), n)
-        dependent = members | _above(members, n)
-        return IndependenceSystem(self.labels, _masks(dependent ^ ((1 << (1 << n)) - 1), n))
+        dependent = self._bits | _above(self._bits, n)
+        return IndependenceSystem._from_bits(self.labels, dependent ^ ((1 << (1 << n)) - 1))
 
     def __eq__(self, other):
         return (
@@ -365,7 +450,7 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
             fam.add(mask)
             if mask.bit_count() < r:
                 stack.append((mask, sizes))
-    return IndependenceSystem(a.labels, fam)
+    return IndependenceSystem._from_bits(a.labels, _bits(fam, n), fam)
 
 
 def _large_independent_subsets(fam, ranks, x: int, size: int) -> list:
@@ -400,25 +485,36 @@ def check_matroid(m: IndependenceSystem) -> MatroidReport:
     that holds for every independent I.  The check costs O(|F| n) over the
     rank table.
 
+    X(I) - I is read for every I at once: for each element e, the members
+    without e whose union with e is not a member form a 2^n-bit set, and
+    summing its 0/1 flags as byte lanes shifted by e (e < 8) or e - 8
+    (e >= 8) leaves the elements of X(I) - I in byte I of two tables.
+
     An augmentation fails for (I1, I2) exactly when |I2| > |I1| and I2 is
     an independent subset of X(I1), so ``violations`` lists every such
     pair, built from the I1 whose X(I1) has rank above |I1|.  Pairs are
     ordered by I2, then I1, each by (size, mask).
     """
-    fam = m.family
+    fam, bits, n = m.family, m._bits, len(m.labels)
     ranks = m._ranks()
-    bits = [1 << i for i in range(len(m.labels))]
-    pairs = []
+    lanes = [0, 0]
+    for e, lo in enumerate(_lows(n)):
+        lanes[e >> 3] += _lanes(bits & lo & ~(bits >> (1 << e)), n) << (e & 7)
+    low, high = (x.to_bytes(1 << n, "little") for x in lanes)
+    pairs, large = [], {}  # large: (X(I1), |I1|) -> its independent subsets above |I1|
     for i1 in fam:
         size = i1.bit_count()
-        x = i1
-        for bit in bits:
-            if (i1 | bit) not in fam:
-                x |= bit
+        x = i1 | low[i1] | high[i1] << 8
         if ranks[x] > size:
-            pairs.extend((i2, i1) for i2 in _large_independent_subsets(fam, ranks, x, size))
+            if (x, size) not in large:
+                large[x, size] = _large_independent_subsets(fam, ranks, x, size)
+            pairs.extend((i2, i1) for i2 in large[x, size])
     pairs.sort(key=lambda p: (p[0].bit_count(), p[0], p[1].bit_count(), p[1]))
-    violations = [(m.subset_of(i1), m.subset_of(i2)) for i2, i1 in pairs]
+    violations = []
+    if pairs:
+        label_tuple = _label_tuples(m.labels)
+        sets = {mask: frozenset(label_tuple(mask)) for mask in {mask for p in pairs for mask in p}}
+        violations = [(sets[i1], sets[i2]) for i2, i1 in pairs]
     loops = [l for i, l in enumerate(m.labels) if (1 << i) not in m.family]
     parallel = []
     for i, j in combinations(range(len(m.labels)), 2):
@@ -442,19 +538,33 @@ def is_rank_submodular(m: IndependenceSystem):
 
     Returns (verdict, witnesses) where witnesses lists the offending
     (X, e, f) with e before f in label order, by mask of X, then e, f.
+
+    The rank table is read as byte lanes of one integer, lane x holding
+    r(x), so shifting it down by 2^e lanes puts r(X + e) in lane X for
+    every X without e.  For each pair e < f the lanes of
+    r(X+e) + r(X+f) + 32 - r(X+e+f) - r(X) all lie in [0, 64], so the sum
+    is exact lane by lane, and a lane below 32 (bits 5-7 clear) with e and
+    f outside X is a witness.  ``oracle.rank_submodular_by_local_scan``
+    is the loop-per-mask reference.
     """
     ranks = m._ranks()
     n = len(m.labels)
-    witnesses = []
-    for x in range(m.full_mask + 1):
-        rx = ranks[x]
-        outside = [i for i in range(n) if not x >> i & 1]
-        for a, e in enumerate(outside):
-            rxe = ranks[x | 1 << e]
-            for f in outside[a + 1 :]:
-                if rxe + ranks[x | 1 << f] < ranks[x | 1 << e | 1 << f] + rx:
-                    witnesses.append((m.subset_of(x), m.labels[e], m.labels[f]))
-    return (not witnesses, witnesses)
+    one = int.from_bytes(b"\1" * len(ranks), "little")  # 1 in every lane
+    table = int.from_bytes(ranks, "little")
+    up = [table >> (8 << e) for e in range(n)]
+    outside = [_lanes(lo, n) << 7 for lo in _lows(n)]  # bit 7 of lane X: e not in X
+    base, seven, carry = 32 * one - table, 7 * one, 127 * one
+    found = []
+    for f in range(n):
+        for e in range(f):
+            lanes = up[e] + up[f] + base - (up[e] >> (8 << f))
+            below = ~((lanes >> 5 & seven) + carry) & outside[e] & outside[f]
+            while below:
+                low = below & -below
+                found.append(((low.bit_length() >> 3) - 1, e, f))
+                below ^= low
+    found.sort()
+    return (not found, [(m.subset_of(x), m.labels[e], m.labels[f]) for x, e, f in found])
 
 
 def uniform_system(k: int, n: int, labels=None) -> IndependenceSystem:
@@ -491,14 +601,14 @@ def is_isomorphic(m1: IndependenceSystem, m2: IndependenceSystem):
     if profile1 != profile2:
         return None
 
-    c1, c2 = m1.circuits(), m2.circuits()
-    if sorted(map(len, c1.members)) != sorted(map(len, c2.members)):
+    c1, c2 = _masks(m1._circuit_bits(), n), _masks(m2._circuit_bits(), n)
+    if sorted(map(int.bit_count, c1)) != sorted(map(int.bit_count, c2)):
         return None
 
     def signatures(m, circuits):
         sig = {}
-        for i, l in enumerate(m.labels):
-            incident = [len(c) for c in circuits.members if l in c]
+        for i in range(n):
+            incident = [c.bit_count() for c in circuits if c >> i & 1]
             sig[i] = ((1 << i) not in m.family, len(incident), tuple(sorted(incident)))
         return sig
 
@@ -576,9 +686,5 @@ def system_from_json(text: str) -> IndependenceSystem:
     import json
 
     blob = json.loads(text)
-    labels = blob["ground"]
-    idx = {str(l): i for i, l in enumerate(labels)}
-    fam = {0}
-    for s in blob["independent"]:
-        fam.add(sum(1 << idx[str(x)] for x in s))
-    return IndependenceSystem(labels, fam)
+    labels = _ground(blob["ground"])
+    return IndependenceSystem(labels, {0, *_label_masks(labels, blob["independent"])})

@@ -294,6 +294,25 @@ def rank_submodular_by_pair_scan(m):
     return (not witnesses, witnesses)
 
 
+def rank_submodular_by_local_scan(m):
+    """Local submodularity of the rank function, one triple at a time:
+    (verdict, witnesses) with witnesses the (X, e, f), e before f in label
+    order and both outside X, where r(X+e) + r(X+f) < r(X+e+f) + r(X),
+    by mask of X, then e, f."""
+    ranks = ranks_by_family_scan(m)
+    n = len(m.labels)
+    witnesses = []
+    for x in range(m.full_mask + 1):
+        rx = ranks[x]
+        outside = [i for i in range(n) if not x >> i & 1]
+        for a, e in enumerate(outside):
+            rxe = ranks[x | 1 << e]
+            for f in outside[a + 1 :]:
+                if rxe + ranks[x | 1 << f] < ranks[x | 1 << e | 1 << f] + rx:
+                    witnesses.append((m.subset_of(x), m.labels[e], m.labels[f]))
+    return (not witnesses, witnesses)
+
+
 def cyclic_submodule_census(ring: Ring, component_valuations) -> dict:
     """Brute-force count of cyclic submodules by torsion exponent.
 

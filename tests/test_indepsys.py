@@ -392,6 +392,14 @@ def test_constructor_rejects_bad_families_with_exact_messages(n):
             IndependenceSystem(labels, masks)
 
 
+def test_clutter_labels_must_be_distinct():
+    # a repeated label would give two elements the same bit
+    with pytest.raises(BadValueError, match="^ground set labels must be distinct$"):
+        Clutter(["a", "a", "b"], [{"a"}])
+    with pytest.raises(BadValueError, match="^ground set labels must be distinct$"):
+        Clutter.minimize(["a", "b", "a"], [{"b"}])
+
+
 def test_clutter_ground_set_cap():
     with pytest.raises(GroundSetTooLargeError):
         Clutter([str(i) for i in range(17)], [{"0"}])
@@ -402,5 +410,7 @@ def test_clutter_ground_set_cap():
 def test_json_roundtrip():
     m = build_from_matrix(NON_MATROID)
     assert system_from_json(system_to_json(m)) == m
+    with pytest.raises(UnknownLabelError, match="^unknown label 'b'$"):
+        system_from_json('{"ground": ["a"], "independent": [["b"]]}')
     v = build_from_matrix(Mat(Z8, "abc", [[1, 0, 2], [0, 1, 4]]))
     assert system_from_json(system_to_json(v)) == v

@@ -1,9 +1,10 @@
 from importlib import resources
+from itertools import combinations
 
 import pytest
 
 from chainmat.codes import Code, dual_code, is_contractible, puncture, shorten, word_generators
-from chainmat.errors import NonIntegralDimensionError, ZeroProjectionError
+from chainmat.errors import ContractDependentSetError, NonIntegralDimensionError, ZeroProjectionError
 from chainmat.gallery import load_matrix
 from chainmat.indepsys import (
     Clutter,
@@ -28,6 +29,7 @@ from chainmat.oracle import (
     extend_closure,
     minimal_sets_by_pair_scan,
     mu_by_enumeration,
+    rank_submodular_by_local_scan,
     rank_submodular_by_pair_scan,
     ranks_by_family_scan,
     system_by_closure,
@@ -503,8 +505,10 @@ def test_differential_matroid_certification():
     systems = [_random_down_closed(rng, rng.randint(0, 8)) for _ in range(300)]
     for spec in CHAIN_SPECS + ("table:f2xy_xx_yy",):
         ring = make_ring(spec)
+        widest = 10 if spec in CHAIN_SPECS else 7
         for _ in range(12):
-            systems.append(build_from_matrix(random_matrix(rng, ring, rng.randint(1, 3), rng.randint(1, 7))))
+            systems.append(build_from_matrix(random_matrix(rng, ring, rng.randint(1, 3), rng.randint(1, widest))))
+    assert sum(len(m.labels) >= 8 for m in systems[300:]) >= 10
     data = resources.files("chainmat").joinpath("data")
     for name in sorted(p.name for p in data.iterdir() if p.name.endswith(".mat")):
         mat = load_matrix(name)
@@ -521,8 +525,8 @@ def test_differential_matroid_certification():
 
 
 def _check_power_set_paths(rng, m):
-    """Rank, circuits, dual, Clutter.to_system and Clutter.minimize of m
-    against their loop-per-mask references."""
+    """Rank, circuits, dual and the Clutter operations on the circuits of
+    m against their loop-per-mask and label-set references."""
     assert list(m._ranks()) == ranks_by_family_scan(m), m
     circuits = m.circuits()
     assert {m.mask_of(c) for c in circuits.members} == circuits_by_mask_scan(m), m
@@ -531,6 +535,27 @@ def _check_power_set_paths(rng, m):
     sets = [rng.sample(m.labels, rng.randint(0, len(m.labels))) for _ in range(rng.randint(0, 40))]
     sets += sorted(circuits.members, key=sorted)[:40]
     assert Clutter.minimize(m.labels, sets).members == minimal_sets_by_pair_scan(sets), m
+    members = circuits.members
+    assert circuits.loops() == {next(iter(c)) for c in members if len(c) == 1}, m
+    assert circuits.isthmuses() == set(m.labels).difference(*members), m
+    t = set(rng.sample(m.labels, rng.randint(0, len(m.labels))))
+    rest = tuple(l for l in m.labels if l not in t)
+    deleted = circuits.delete(t)
+    assert (deleted.labels, deleted.members) == (rest, {c for c in members if not c & t}), m
+    if any(c <= t for c in members):
+        with pytest.raises(ContractDependentSetError):
+            circuits.contract(t)
+    elif len(members) <= 2000:  # the pair scan is quadratic; U(8, 16) is checked apart
+        contracted = circuits.contract(t)
+        want = minimal_sets_by_pair_scan(c - t for c in members)
+        assert (contracted.labels, contracted.members) == (rest, want), m
+    # equality and hash do not depend on the order of the labels
+    permuted = rng.sample(m.labels, len(m.labels))
+    same = Clutter(permuted, members)
+    assert same == circuits and hash(same) == hash(circuits), m
+    if members:
+        fewer = Clutter(permuted, sorted(members, key=sorted)[1:])
+        assert fewer != circuits and Clutter(m.labels, fewer.members) == fewer, m
 
 
 def test_differential_power_set_paths():
@@ -540,6 +565,11 @@ def test_differential_power_set_paths():
     for m in systems:
         _check_power_set_paths(rng, m)
     assert {len(m.labels) for m in systems} == set(range(11)) | {16}
+    # the circuits of U(8, 16) are its 9-sets, so contracting 3 elements
+    # leaves the 6-sets of the other 13
+    labels = uniform_system(8, 16).labels
+    contracted = uniform_system(8, 16).circuits().contract(labels[5:8])
+    assert contracted.members == {frozenset(c) for c in combinations(labels[:5] + labels[8:], 6)}
     assert Clutter([], []).to_system() == IndependenceSystem([], [0])
     assert Clutter.minimize([], [set()]).members == frozenset()
 
@@ -551,11 +581,17 @@ def test_local_submodularity_matches_pair_scan():
         m = _random_down_closed(rng, rng.randint(0, 7))
         verdict, witnesses = is_rank_submodular(m)
         assert verdict == rank_submodular_by_pair_scan(m)[0], m
+        assert (verdict, witnesses) == rank_submodular_by_local_scan(m), m
         assert verdict == (not witnesses)
         for x, e, f in witnesses:
             assert m.rank(x | {e}) + m.rank(x | {f}) < m.rank(x | {e, f}) + m.rank(x)
         verdicts.append(verdict)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+    # wider ground sets put elements past the first byte of a mask
+    wide = [_random_down_closed(rng, rng.randint(8, 10)) for _ in range(20)] + [uniform_system(3, 9)]
+    for m in wide:
+        assert is_rank_submodular(m) == rank_submodular_by_local_scan(m), m
+    assert any(not is_rank_submodular(m)[0] for m in wide)
 
 
 def test_census_fast_vs_sets():
