@@ -6,15 +6,16 @@ coordinates of R (``howell``), so its size p^(sum of a - e_j over the
 leads p^e_j) and its freeness are read off the form, and two codes are
 equal when their reduced Howell forms are, that form being canonical.
 ``Code.from_matrix`` picks the generator rows from the matrix rows in
-order by the size-decided Nakayama greedy (``howell.nakayama_greedy``).
+order by the size-decided Nakayama greedy (``howell.generators_among``).
 Puncturing re-forms the punctured generator rows; shortening by X reads
-C n {x_X = 0} off a Howell form whose first coordinates are X's.  No
-codeword is built by any of them, nor by the dual.
+C n {x_X = 0} off a Howell form whose first coordinates are X's, and
+the contractibility witness is a row of a Howell form of C n (m^t)^n.
+No codeword is built by any of them, nor by the dual or a contraction.
 
 The codeword set (``codewords``) is listed from the Howell form on first
-read and then kept, after |C| is checked against the "span" guard.  The
-contractibility witness scan, the printed dual form of ``chainmat
-dual-code`` (``word_generators``) and ``circuits_from_dual`` read it.
+read and then kept, after |C| is checked against the "span" guard.  Only
+the printed dual form of ``chainmat dual-code`` (``word_generators``) and
+``circuits_from_dual`` read it, their answers being defined by the words.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
 from .howell import (
     dual_generators,
     generators_among,
-    nakayama_greedy,
     reduced_form,
     span_form,
     span_words,
@@ -74,8 +74,7 @@ class Code:
         log = span_form(ring, gens)[1]
         if ring.additive.p**log != len(words):
             raise BadValueError(f"{len(words)} words are not a submodule: they span {ring.additive.p**log}")
-        kept, form, log = generators_among(ring, gens, words, log)
-        return _code(ring, labels, kept, (form, log))
+        return _code(ring, labels, *generators_among(ring, gens, words, log))
 
     # -- basic data -----------------------------------------------------------
 
@@ -91,8 +90,7 @@ class Code:
     @property
     def generator_count(self) -> int:
         """mu_R(C): rows of the reduced generator matrix (0 for the zero code)."""
-        rows = [r for r in self.generator.rows if any(r)]
-        return len(rows)
+        return sum(map(any, self.generator.rows))
 
     @property
     def is_free(self) -> bool:
@@ -140,17 +138,18 @@ class Code:
         return f"Code({self.ring.spec}, n={self.length}, |C|={self.size}, mu={self.generator_count})"
 
 
-def _code(ring: Ring, labels, gens, sizes=None) -> Code:
+def _code(ring: Ring, labels, gens, form=None, log=None) -> Code:
     """The code generated by ``gens``, a minimal generating set (empty for
-    the zero code); ``sizes`` is its Howell form and log_p |C| when known."""
-    form, log = sizes or span_form(ring, gens)
+    the zero code); ``form`` and ``log`` are its Howell form and log_p |C|
+    when known."""
+    if form is None:
+        form, log = span_form(ring, gens)
     return Code(Mat(ring, labels, gens or [(0,) * len(labels)]), form, log)
 
 
 def _from_rows(ring: Ring, labels, rows) -> Code:
     """The span of ``rows``, generated by those the Nakayama greedy keeps."""
-    kept, form, log = nakayama_greedy(ring, rows)
-    return _code(ring, labels, kept, (form, log))
+    return _code(ring, labels, *generators_among(ring, rows, rows))
 
 
 # -- duality -----------------------------------------------------------------
@@ -163,8 +162,8 @@ def dual_code(c: Code) -> Code:
     (a missing or zero diagonal entry counts as theta^nu).  Then G x = 0
     iff x = R y with theta^e_i y_i = 0, i.e. y_i in <theta^(nu - e_i)>, so
     the dual is spanned by the columns R_i of R scaled by theta^(nu - e_i)
-    (zero when e_i = 0).  Over other rings the dual and its minimal
-    generators come from Howell forms (``howell.dual_generators``).
+    (zero when e_i = 0).  Over other rings the dual, its minimal
+    generators and its Howell form come from ``howell.dual_generators``.
 
     The scaled columns are the generator rows, and they are minimal
     (Norton & Salagean, AAECC 2000): R is invertible, so y -> R y is an
@@ -177,17 +176,16 @@ def dual_code(c: Code) -> Code:
     Reading the dual's codewords checks its size against the "span" guard.
     """
     ring, n = c.ring, c.length
-    if ring.is_chain:
-        nu, mul = ring.nilpotency_index, ring.mul
-        snf = smith_normal_form(c.generator)
-        exps = snf.exponents + (nu,) * (n - len(snf.exponents))
-        gens = []
-        for i, e in enumerate(exps):
-            if e:
-                theta = ring.uniformizer_power(nu - e)
-                gens.append(tuple(mul(theta, row[i]) for row in snf.right))
-    else:
-        gens = dual_generators(ring, c.generator.rows)
+    if not ring.is_chain:
+        return _code(ring, c.labels, *dual_generators(ring, c.generator.rows))
+    nu, mul = ring.nilpotency_index, ring.mul
+    snf = smith_normal_form(c.generator)
+    exps = snf.exponents + (nu,) * (n - len(snf.exponents))
+    gens = []
+    for i, e in enumerate(exps):
+        if e:
+            theta = ring.uniformizer_power(nu - e)
+            gens.append(tuple(mul(theta, row[i]) for row in snf.right))
     return _code(ring, c.labels, gens)
 
 
@@ -246,21 +244,27 @@ class ContractionWitness(NamedTuple):
 
 def is_contractible(c: Code, label) -> ContractionWitness | None:
     """Witness codeword if the code is contractible by the coordinate,
-    else None."""
+    else None; no codeword of C is listed.
+
+    The generator column at j spans the coordinate ideal m^t.  A witness
+    is a word of D = C n (m^t)^n whose j-entry has valuation t, and D is
+    the part of C that theta^(nu - t) kills (m^t = ann(theta^(nu - t))),
+    which ``howell.vanishing_part`` of the graph rows (theta^(nu - t) g, g)
+    over the generator rows g spans additively.  m^(t+1) is a subgroup, so
+    D has such a word iff one of those rows does; the first is returned."""
     ring = c.ring
     if not ring.is_chain:
         raise NotChainRingError(f"contractibility is defined over chain rings, got {ring.spec}")
     lab = str(label)
     j = label_index(c.labels, lab)
-    # the generator column generates the coordinate ideal, m^t for t its
-    # least valuation
     column = [row[j] for row in c.generator.rows if row[j]]
     if not column:
         raise ZeroProjectionError(f"code projects to zero at {label!r}")
     t = min(map(ring.valuation, column))
-    ideal = ring.ideal_of_valuation(t)
-    for w in sorted(c.codewords):
-        if w[j] and ring.valuation(w[j]) == t and all(a in ideal for a in w):
+    theta, mul = ring.uniformizer_power(ring.nilpotency_index - t), ring.mul
+    graph = [tuple(mul(theta, a) for a in row) + row for row in c.generator.rows]
+    for w in vanishing_part(ring, graph, c.length):
+        if ring.valuation(w[j]) == t:
             return ContractionWitness(label=lab, codeword=w, valuation=t)
     return None
 

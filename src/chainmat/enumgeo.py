@@ -171,5 +171,18 @@ def max_antichain(sets) -> int:
 
 def cyc_antichain_bound(ring: Ring, k: int) -> int:
     """Width of the inclusion order on cyclic submodules of R^k; an upper
-    bound on the ground-set size of any simple representation in R^k."""
+    bound on the ground-set size of any simple representation in R^k.
+
+    Over a chain ring it is ``simple_size_bound(ring, k)``, the number of
+    free cyclic submodules.  A cyclic X = Rv != 0 is a quotient of R, so
+    its submodules form the chain X > theta X > ... > 0.  Every non-free
+    cyclic Y is theta X for some X (R theta^s u = theta R theta^(s-1) u,
+    u primitive), and no free one is.  Picking one such X above each
+    non-free Y is injective (X fixes Y = theta X), so following the picks
+    upward splits the poset into chains, one topped by each free cyclic
+    submodule.  An antichain meets each chain at most once, and the free
+    ones, distinct and of one size, are an antichain.  Off chain rings it
+    is ``max_antichain`` of the ``cyclic_submodules``, by brute force."""
+    if ring.is_chain:
+        return simple_size_bound(ring, k)
     return max_antichain(cyclic_submodules(ring, k))

@@ -17,11 +17,11 @@ the one enumeration of a span outside ``oracle``.
 ``indepsys.build_from_matrix`` decides independence here over every
 ring, and ``modindep`` sizes and lists spans here; each imports this
 module when that route first runs.  ``codes`` holds every code as a
-Howell form (``span_form``, ``nakayama_greedy``), lists its codewords by
+Howell form (``span_form``, ``generators_among``), lists its codewords by
 ``span_words``, compares codes by their reduced forms (``reduced_form``),
-shortens by ``vanishing_part`` and, off chain rings, dualises by
-``dual_generators``, so it imports this module when it loads.  A command
-that takes none of these routes never compiles it.
+shortens and finds contractibility witnesses by ``vanishing_part`` and,
+off chain rings, dualises by ``dual_generators``, so it imports this
+module when it loads; a command that takes none of these never compiles it.
 """
 
 from __future__ import annotations
@@ -258,10 +258,7 @@ def extend_sizes(ring: Ring, sizes: tuple, rows) -> tuple:
 
 def span_sizes(ring: Ring, vectors) -> tuple:
     """The ``NO_SIZES``-shaped tuple of V, the span of ``vectors``."""
-    sizes = NO_SIZES
-    for v in vectors:
-        sizes = extend_sizes(ring, sizes, coordinate_rows(ring, v))
-    return sizes
+    return span_form(ring, vectors) + span_form(ring, vectors, ring.additive.radical_gens)
 
 
 def span_words(ring: Ring, form: dict, log: int, n: int) -> frozenset:
@@ -313,20 +310,12 @@ def reduced_form(form: dict, p: int, a: int) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def span_form(ring: Ring, vectors) -> tuple:
-    """A Howell form of the span of ``vectors`` (vectors of R^n) in the
-    additive coordinates of R^n, and log_p of the span's size."""
-    form, log = {}, 0
-    for v in vectors:
-        log += grow(ring, form, rows_over(ring, v, ring.additive.ring_gens))
-    return form, log
-
-
-def nakayama_greedy(ring: Ring, vectors) -> tuple:
-    """(kept, form, log): a minimal generating set of the span C of the
-    list ``vectors``, picked from them in order, a Howell form of C and
-    log_p |C| (``generators_among``)."""
-    return generators_among(ring, vectors, vectors)
+def span_form(ring: Ring, vectors, gens=None) -> tuple:
+    """A Howell form of the span V of ``vectors`` (vectors of R^n) in the
+    additive coordinates of R^n, and log_p of the span's size; with
+    ``gens`` the additive generators of m (``radical_gens``), of m*V."""
+    over, form = ring.additive.ring_gens if gens is None else gens, {}
+    return form, grow(ring, form, [row for v in vectors for row in rows_over(ring, v, over)])
 
 
 def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
@@ -339,8 +328,7 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
     ``full`` = log_p |C|, the greedy stops once it gets there, after which
     nothing would be kept."""
     additive = ring.additive
-    form = {}
-    log = grow(ring, form, [row for g in generators for row in rows_over(ring, g, additive.radical_gens)])
+    form, log = span_form(ring, generators, additive.radical_gens)
     kept = []
     for v in candidates:
         if log == full:
@@ -372,14 +360,17 @@ def vanishing_part(ring: Ring, vectors, k: int) -> list:
     ]
 
 
-def dual_generators(ring: Ring, rows) -> list:
-    """A minimal generating set of {x in R^n : G x = 0}, for the matrix G
-    with the given rows (at least one, each of length n).
+def dual_generators(ring: Ring, rows) -> tuple:
+    """(kept, form, log) of D = {x in R^n : G x = 0}, for the matrix G with
+    the given rows (at least one, each of length n): a minimal generating
+    set of D, a Howell form of D and log_p |D|.
 
     The vectors (G e_j, e_j) of R^(k+n) span the graph {(G x, x)} of
     x -> G x, whose part vanishing on the first k coordinates is
-    {0} x dual (``vanishing_part``); the Nakayama greedy
-    (``nakayama_greedy``) keeps a minimal generating set of it."""
+    {0} x D (``vanishing_part``); the Nakayama greedy over those vectors
+    (``generators_among``) keeps a minimal generating set of D and ends
+    with a Howell form of it."""
     n = len(rows[0])
     graph = [tuple(row[j] for row in rows) + tuple(int(i == j) for i in range(n)) for j in range(n)]
-    return nakayama_greedy(ring, vanishing_part(ring, graph, len(rows)))[0]
+    spanning = vanishing_part(ring, graph, len(rows))
+    return generators_among(ring, spanning, spanning)

@@ -169,7 +169,8 @@ class IndependenceSystem:
         return self.mask_of(subset) in self.family
 
     def independent_sets(self) -> list:
-        return [sorted(self.subset_of(m)) for m in sorted(self.family, key=lambda m: (m.bit_count(), m))]
+        label_tuple = _label_tuples(self.labels)
+        return [sorted(label_tuple(m)) for m in sorted(self.family, key=lambda m: (m.bit_count(), m))]
 
     # -- rank --------------------------------------------------------------
 

@@ -82,19 +82,6 @@ def ideal_multiple(sub: Submodule) -> Submodule:
     return span(sub.ring, sub.radical, sub.ambient_power)
 
 
-def _log_residue(ring: Ring, ratio: int) -> int:
-    q = ring.residue_field_size
-    d = 0
-    while ratio > 1:
-        if ratio % q:
-            raise NonIntegralDimensionError(
-                f"quotient size {ratio} is not a power of q={q} over {ring.spec}"
-            )
-        ratio //= q
-        d += 1
-    return d
-
-
 def minimal_generator_count(ring: Ring, vectors) -> int:
     """Minimal number of generators of the span of ``vectors``: the number
     of invariant factors over a chain ring, else log_q |V| / |m*V| from
@@ -107,7 +94,11 @@ def minimal_generator_count(ring: Ring, vectors) -> int:
     from .howell import span_sizes  # here: only a route that runs it compiles it
 
     _, vlog, _, mlog = span_sizes(ring, vectors)
-    return _log_residue(ring, ring.additive.p ** (vlog - mlog))
+    mu, rest = divmod(vlog - mlog, ring.additive.residue_degree)
+    if rest:
+        ratio, q = ring.additive.p**rest, ring.residue_field_size
+        raise NonIntegralDimensionError(f"quotient size {ratio} is not a power of q={q} over {ring.spec}")
+    return mu
 
 
 def is_modular_independent(ring: Ring, vectors) -> bool:

@@ -16,7 +16,8 @@ theorem in the unit group), and it is a chain ring iff the maximal ideal
 is principal (Dinh and Lopez-Permouth, IEEE T-IT 2004, Prop. 2.1).
 ``Ring.additive`` embeds (R, +) in (Z/p^a)^d, p^a the characteristic, on
 first use (``howell``); the system build, codes and the non-chain routes
-size and list spans there.
+size and list spans there.  A chain ring tabulates valuations; an ideal
+m^t is formed as a set only on request (``ideal_of_valuation``).
 
 Elements are canonical integer indices ``0 .. size-1``; vectors are plain
 tuples of indices.  Every handle is immutable after construction and all
@@ -165,9 +166,6 @@ class Ring:
                     ordv[a] = t
         self._ord = ordv
         self._unit_part = unit_part
-        self._ideal_of_pow = [
-            frozenset(a for a in range(self.size) if ordv[a] >= t) for t in range(nu + 1)
-        ]
 
     @cached_property
     def additive(self):
@@ -205,10 +203,11 @@ class Ring:
         return self._theta_pow[min(t, self.nilpotency_index)]
 
     def ideal_of_valuation(self, t: int) -> frozenset:
-        """The ideal <uniformizer^t> as a set of indices."""
+        """The ideal <uniformizer^t> as a set of indices, formed on each call."""
         if not self.is_chain:
             raise NotChainRingError(f"{self.spec} is not a chain ring")
-        return self._ideal_of_pow[min(t, self.nilpotency_index)]
+        t = min(t, self.nilpotency_index)
+        return frozenset(a for a, v in enumerate(self._ord) if v >= t)
 
     def principal_ideal(self, a: int) -> frozenset:
         mul = self.mul

@@ -1,5 +1,6 @@
 """Shared generators for the randomized suites (seeded, deterministic)."""
 
+import json
 import os
 import random
 
@@ -16,6 +17,52 @@ TABLE_SPECS = (
     "table:f2xy_xx_yy",
     "table:" + os.path.join(os.path.dirname(os.path.abspath(__file__)), "z4x_2x_xx.json"),
 )
+
+# Chain rings Z/p^a[x]/(f) with residue degree above 1 or a ramified
+# extension, as (name, p, a, coefficients of the monic f, lowest first);
+# ``write_extension_ring`` writes their tables.
+EXTENSION_RINGS = (
+    ("f4", 2, 1, (1, 1, 1)),  # F4 = F2[x]/(x^2 + x + 1)
+    ("f8", 2, 1, (1, 1, 0, 1)),  # F8 = F2[x]/(x^3 + x + 1)
+    ("f9", 3, 1, (1, 0, 1)),  # F9 = F3[x]/(x^2 + 1)
+    ("gr4_2", 2, 2, (1, 1, 1)),  # the Galois ring GR(4, 2) = Z4[x]/(x^2 + x + 1)
+    ("z4u_u2_2", 2, 2, (2, 0, 1)),  # Z4[u]/(u^2 + 2): ramified, (R, +) = Z4 + Z4
+)
+
+
+def write_extension_ring(directory, name, p, a, f) -> str:
+    """Write the add/mul tables of Z/p^a[x]/(f), for f monic given by its
+    coefficients lowest first, as a table-ring file ``<name>.json`` in
+    ``directory`` and return its ``table:`` spec.  Element i is the
+    polynomial whose coefficients are the base-p^a digits of i, lowest
+    first, so 0 and 1 are the constants; ``make_ring`` validates the
+    tables."""
+    q, d = p**a, len(f) - 1
+    polys = [[i // q**j % q for j in range(d)] for i in range(q**d)]
+
+    def index(c):
+        return sum(x * q**j for j, x in enumerate(c))
+
+    def mul(u, v):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                prod[i + j] += x * y
+        for top in range(2 * d - 2, d - 1, -1):  # x^top = x^(top-d) * (x^d - f)
+            c, prod[top] = prod[top], 0
+            for j in range(d):
+                prod[top - d + j] -= c * f[j]
+        return index([x % q for x in prod[:d]])
+
+    table = {
+        "size": q**d,
+        "add": [[index([(x + y) % q for x, y in zip(u, v)]) for v in polys] for u in polys],
+        "mul": [[mul(u, v) for v in polys] for u in polys],
+    }
+    path = os.path.join(str(directory), f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump(table, fh)
+    return "table:" + path
 
 
 def rng_for(name: str) -> random.Random:

@@ -232,6 +232,55 @@ def test_contract_code():
         contract_code(vamos, list("abcdefg"))
 
 
+# A [I | A] code over Z8 of 8^9 = 2^27 words, over the "span" guard.
+Z8_9X16 = [
+    [1, 0, 0, 0, 0, 0, 0, 0, 0, 5, 7, 7, 4, 6, 3, 7],
+    [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 6, 4, 3, 3, 0, 4],
+    [0, 0, 1, 0, 0, 0, 0, 0, 0, 4, 5, 2, 4, 0, 3, 4],
+    [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 7, 7, 4, 3],
+    [0, 0, 0, 0, 1, 0, 0, 0, 0, 4, 5, 4, 6, 1, 5, 7],
+    [0, 0, 0, 0, 0, 1, 0, 0, 0, 6, 2, 4, 0, 4, 1, 0],
+    [0, 0, 0, 0, 0, 0, 1, 0, 0, 5, 3, 7, 2, 4, 4, 5],
+    [0, 0, 0, 0, 0, 0, 0, 1, 0, 7, 7, 1, 2, 7, 0, 7],
+    [0, 0, 0, 0, 0, 0, 0, 0, 1, 7, 0, 7, 1, 7, 1, 7],
+]
+
+
+def test_contraction_lists_no_codeword(monkeypatch):
+    # Contractibility and contraction read Howell forms of the generator
+    # rows only: with codeword listing made to fail they still answer, on
+    # random chain codes and on a code over the span guard.
+    import chainmat.codes
+
+    def refuse(*args):
+        raise AssertionError("a codeword list was formed")
+
+    rng = rng_for("contract-no-words")
+    codes = []
+    for spec in CHAIN_SPECS + ("z:5",):
+        ring = make_ring(spec)
+        codes += [random_code(rng, ring, rng.randint(1, 3), rng.randint(2, 5)) for _ in range(10)]
+    big = Code.from_matrix(Mat(Z8, [f"c{j}" for j in range(1, 17)], Z8_9X16))
+    monkeypatch.setattr(chainmat.codes, "span_words", refuse)
+    witnesses = contracted = 0
+    for c in codes:
+        for label in c.labels:
+            try:
+                witnesses += is_contractible(c, label) is not None
+            except ZeroProjectionError:
+                pass
+        try:
+            contracted += len(contract_code(c, c.labels[:2])[1]) == 2
+        except NotContractibleError:
+            pass
+    assert witnesses >= 100 and contracted >= 20, (witnesses, contracted)
+    assert is_contractible(big, "c12") is not None
+    shortened, order = contract_code(big, ["c10", "c11"])
+    assert order == ("c10", "c11") and shortened.size == 8**7
+    with pytest.raises(AssertionError, match="codeword list"):
+        big.codewords
+
+
 def test_shortening_counterexamples():
     # shortening need not represent contraction
     c12 = Code.from_matrix(Mat(Z4, ["1", "2"], [[2, 1], [0, 2]]))

@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from chainmat.codes import Code, dual_code, is_contractible, puncture, shorten, word_generators
+from chainmat.enumgeo import projective_line, uniform_rank2_representation
 from chainmat.errors import ContractDependentSetError, NonIntegralDimensionError, ZeroProjectionError
 from chainmat.gallery import load_matrix
 from chainmat.indepsys import (
@@ -38,12 +39,14 @@ from chainmat.rings import make_ring
 
 from helpers import (
     CHAIN_SPECS,
+    EXTENSION_RINGS,
     FIELD_SPECS,
     TABLE_SPECS,
     random_free_code,
     random_matrix,
     random_submodule_generators,
     rng_for,
+    write_extension_ring,
 )
 
 Z4 = make_ring("z:4")
@@ -429,29 +432,70 @@ def test_submodularity_gap_matches_vector_sets():
                 assert submodularity_gap(ring, cols, xs, ys) == want, (spec, cols, xs, ys)
 
 
+def _check_contractibility(c, words):
+    """The valuation t read off the generator column against the
+    coordinate ideal {w_e : w in C} of the oracle's words; the verdict
+    against whether some word has w_e of valuation t and every entry in
+    m^t; and the witness is such a word."""
+    ring = c.ring
+    for j, label in enumerate(c.labels):
+        proj = [w[j] for w in words if w[j]]
+        if not proj:
+            with pytest.raises(ZeroProjectionError):
+                is_contractible(c, label)
+            continue
+        t = min(map(ring.valuation, proj))
+        ideal = ring.ideal_of_valuation(t)
+        exists = any(w[j] and ring.valuation(w[j]) == t and all(a in ideal for a in w) for w in words)
+        got = is_contractible(c, label)
+        assert (got is not None) == exists, (ring.spec, c.generator, label)
+        if got is not None:
+            w = got.codeword
+            assert (got.label, got.valuation) == (label, t), (ring.spec, c.generator, label)
+            assert w in words and w[j] and ring.valuation(w[j]) == t, (ring.spec, c.generator, label)
+            assert all(a in ideal for a in w), (ring.spec, c.generator, label)
+
+
 def test_contractibility_matches_codeword_scan():
-    # The valuation t read off the generator column against the coordinate
-    # ideal {w_e : w in C} of the oracle's words, and the witness against
-    # the first sorted word with w_e of valuation t and every entry in m^t.
     rng = rng_for("diff-contractible")
     for spec in CHAIN_SPECS + FIELD_SPECS:
         ring = make_ring(spec)
         for n in (1, 2, 3):
             for rows in _edge_and_random_rows(rng, ring, n):
                 c = Code.from_matrix(Mat(ring, [str(j) for j in range(n)], rows))
-                words = sorted(_naive_span(ring, rows, n))
-                for j, label in enumerate(c.labels):
-                    proj = [w[j] for w in words if w[j]]
-                    if not proj:
-                        with pytest.raises(ZeroProjectionError):
-                            is_contractible(c, label)
-                        continue
-                    t = min(map(ring.valuation, proj))
-                    ideal = ring.ideal_of_valuation(t)
-                    want = next((w for w in words if w[j] and ring.valuation(w[j]) == t
-                                 and all(a in ideal for a in w)), None)
-                    got = is_contractible(c, label)
-                    assert (got and (got.codeword, got.valuation)) == (want and (want, t)), (spec, rows, label)
+                _check_contractibility(c, _naive_span(ring, rows, n))
+
+
+@pytest.mark.parametrize("name,p,a,f", EXTENSION_RINGS, ids=[r[0] for r in EXTENSION_RINGS])
+def test_extension_rings_match_oracles(tmp_path, name, p, a, f):
+    # Chain rings with residue field F_q, q = p^f for f > 1 (where f enters
+    # the Howell independence test), and a ramified one with a non-cyclic
+    # (R, +): the build, mu, the dual and contractibility against the
+    # oracle's vector sets, and the rank-2 uniform matroids up to the
+    # paper's n = |R| + |m| where they fit in 16 columns.
+    ring = make_ring(write_extension_ring(tmp_path, name, p, a, f))
+    assert ring.is_chain
+    rng = rng_for("extension-" + name)
+    small = ring.size <= 9
+    for _ in range(25):
+        k, n = rng.randint(1, 3 if small else 2), rng.randint(1, 4 if small else 3)
+        mat = random_matrix(rng, ring, k, n)
+        system = build_from_matrix(mat)
+        assert system == system_by_closure(mat), (name, mat)
+        assert system.circuits().members == circuits_by_subset_scan(mat).members, (name, mat)
+        vecs = [tuple(rng.randrange(ring.size) for _ in range(k)) for _ in range(rng.randint(0, 3))]
+        assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs), (name, vecs)
+        rows = [list(r) for r in mat.rows]
+        if rng.random() < 0.5:  # a non-free code: a row times the uniformizer
+            rows.append([ring.mul(ring.uniformizer, x) for x in rows[0]])
+        c = Code.from_matrix(Mat(ring, mat.labels, rows))
+        _check_dual(c)
+        _check_contractibility(c, _naive_span(ring, rows, n))
+    top = ring.size + len(ring.maximal_ideal)
+    assert len(projective_line(ring)) == top
+    assert uniform_rank2_representation(ring, top + 1) is None
+    if top <= 16:
+        assert build_from_matrix(uniform_rank2_representation(ring, top)) == uniform_system(2, top)
 
 
 def test_closure_kernel_matches_naive_span(monkeypatch):
