@@ -47,7 +47,7 @@ class Code:
     matrix (a minimal generating set, or one zero row for the zero code),
     a Howell form of C and log_p |C|; the codewords are listed when read."""
 
-    def __init__(self, generator: Mat, form: dict, log: int):
+    def __init__(self, generator: Mat, form: list, log: int):
         self.ring = generator.ring
         self.labels = generator.labels
         self.generator = generator

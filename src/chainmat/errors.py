@@ -25,10 +25,6 @@ class NotSquareError(ChainmatError):
     """Determinant of a non-square matrix."""
 
 
-class ZeroColumnError(ChainmatError):
-    """Column reduction on an all-zero column."""
-
-
 class ClosureTooLargeError(ChainmatError):
     """Submodule closure exceeded the enumeration guard."""
 

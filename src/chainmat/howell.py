@@ -9,19 +9,18 @@ span of the b*v (r = sum c_i b_i gives r*v = sum c_i b_i*v) and m*v that
 of the t*v.  ``howell_insert`` keeps a Howell form of such a span, which
 gives its size exactly without building a vector set, so the generator
 count mu(V) = log_q |V| / |mV| (Nakayama) and a dual code's kernel come
-from integer row operations.
+from integer row operations.  A form is a list with a slot per coordinate:
+the row led there, or ``None``.  Insertion reads valuations, unit-part
+inverses and p^(a-e) from tables built once per ring (``AdditiveCoordinates``).
+As mV only grows, |V| / |mV| grows by at most what |V| does, so
+``indepsys.build_from_matrix`` grows mV only after V grew by a factor q.
 
 A Howell form also lists its span, each vector once (``span_words``):
 the one enumeration of a span outside ``oracle``.
 
-``indepsys.build_from_matrix`` decides independence here over every
-ring, and ``modindep`` sizes and lists spans here; each imports this
-module when that route first runs.  ``codes`` holds every code as a
-Howell form (``span_form``, ``generators_among``), lists its codewords by
-``span_words``, compares codes by their reduced forms (``reduced_form``),
-shortens and finds contractibility witnesses by ``vanishing_part`` and,
-off chain rings, dualises by ``dual_generators``, so it imports this
-module when it loads; a command that takes none of these never compiles it.
+``indepsys`` and ``modindep`` import this module when a route that needs
+it first runs; ``codes``, which holds every code as a Howell form, when it
+loads.  A command that takes none of these never compiles it.
 """
 
 from __future__ import annotations
@@ -32,35 +31,36 @@ from .errors import ClosureTooLargeError
 from .rings import Ring, _factor_prime_power, guard_error, guard_limit
 
 
-def howell_insert(form: dict, row, p: int, a: int) -> int:
+def howell_insert(form: list, row, additive) -> int:
     """Insert ``row``, a list of integers modulo p^a, into the Howell form
-    ``form`` in place and return by how much log_p of its span's size grew.
+    ``form`` in place and return by how much log_p of its span's size grew;
+    p, a and the ring's tables of Z/p^a come from ``additive``.
 
-    ``form`` maps a lead column to the one row led there: zero before that
-    column, p^e (e < a) at it.  A row is reduced by the stored row at its
-    lead while that row's lead divides its own; otherwise it is scaled by
-    the inverse of its unit part and stored, the row it displaces (whose
-    lead it now divides) goes on being reduced, and p^(a-e) times it, zero
-    at its lead, is inserted too.  That re-insertion keeps the Howell
-    property (Howell 1986; Storjohann & Mulders, ESA 1998): the vectors of
-    the span that vanish before a column are spanned by the stored rows
-    led at or after it.  Every vector of the span is then
-    sum c_j * row_j with 0 <= c_j < p^(a - e_j) in exactly one way (the
+    ``form`` has a slot per column: the one row led there (zero before that
+    column, p^e with e < a at it), or ``None``.  A row is reduced by the
+    stored row at its lead while that row's lead divides its own; otherwise
+    it is scaled by the inverse of its unit part and stored, the row it
+    displaces (whose lead it now divides) goes on being reduced, and
+    p^(a-e) times it, zero at its lead, is inserted too.  That re-insertion
+    keeps the Howell property (Howell 1986; Storjohann & Mulders, ESA
+    1998): the vectors of the span that vanish before a column are spanned
+    by the stored rows led at or after it.  Every vector of the span is
+    then sum c_j * row_j with 0 <= c_j < p^(a - e_j) in exactly one way (the
     first nonzero c_j would make its lead entry c_j * p^e_j nonzero), so
     |span| = prod p^(a - e_j).
     """
-    q = p**a
-    n = len(row)
-    grown = 0
-    pending = [(row, 0)]  # a row and the column before which it is zero
-    while pending:
-        r, j = pending.pop()
+    a, valuation, unit_inverse = additive.exponent, additive.valuation, additive.unit_inverse
+    cofactor = additive.cofactor
+    q, n = cofactor[0], len(row)
+    r, j, grown = row, 0, 0
+    pending = None  # rows still to insert, each with the column before which it is zero
+    while True:
         while j < n:
             x = r[j]
             if not x:
                 j += 1
                 continue
-            h = form.get(j)
+            h = form[j]
             if h is not None:
                 y = h[j]
                 if x % y == 0:
@@ -68,28 +68,22 @@ def howell_insert(form: dict, row, p: int, a: int) -> int:
                     r = [(s - c * t) % q for s, t in zip(r, h)]
                     j += 1
                     continue
-            e = 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            if x != 1:
-                inv = pow(x, -1, q)
-                r = [s * inv % q for s in r]
+            e, u = valuation[x], unit_inverse[x]
+            if u != 1:
+                r = [s * u % q for s in r]
             form[j] = r
             grown += a - e
             if e:
-                scale = p ** (a - e)
-                pending.append(([s * scale % q for s in r], j + 1))
+                pending = pending or []
+                pending.append(([s * cofactor[e] % q for s in r], j + 1))
             if h is None:
                 break
             # the displaced row's lead y = p^f (f > e) is now divisible
-            f = 0
-            while y > 1:
-                y //= p
-                f += 1
-            grown -= a - f
+            grown -= a - valuation[y]
             r = h
-    return grown
+        if not pending:
+            return grown
+        r, j = pending.pop()
 
 
 # -- additive coordinates ------------------------------------------------------------
@@ -102,7 +96,9 @@ class AdditiveCoordinates(NamedTuple):
     modulo p^a; the map is additive and injective, and ``element`` inverts
     it on its image.  ``ring_gens`` and ``radical_gens`` generate R and its
     maximal ideal m as abelian groups.  ``residue_degree`` is f with
-    q = p^f.
+    q = p^f.  ``howell_insert`` reads three tables of Z/p^a: for x = p^e * u
+    (u prime to p), ``valuation[x]`` is e and ``unit_inverse[x]`` is u^-1
+    modulo p^a; ``cofactor[e]`` is p^(a - e) for 0 <= e <= a.
     """
 
     p: int
@@ -112,6 +108,9 @@ class AdditiveCoordinates(NamedTuple):
     ring_gens: tuple
     radical_gens: tuple
     residue_degree: int
+    valuation: tuple
+    unit_inverse: tuple
+    cofactor: tuple
 
 
 def _multiples(add, x) -> list:
@@ -203,6 +202,9 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
         mult = _multiples(add, g)
         scale = p**a // len(mult)
         coords = {add(x, y): c + (i * scale,) for x, c in coords.items() for i, y in enumerate(mult)}
+    q, valuation = p**a, [0] * p**a
+    for e in range(1, a + 1):
+        valuation[:: p**e] = [e] * (q // p**e)
     return AdditiveCoordinates(
         p=p,
         exponent=a,
@@ -211,14 +213,13 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
         ring_gens=tuple(basis),
         radical_gens=tuple(_cyclic_basis(ring.maximal_ideal, add, p)),
         residue_degree=_factor_prime_power(ring.residue_field_size)[1],
+        valuation=tuple(valuation),
+        unit_inverse=(0,) + tuple(pow(x // p**e, -1, q) for x, e in enumerate(valuation[1:], 1)),
+        cofactor=tuple(p ** (a - e) for e in range(a + 1)),
     )
 
 
 # -- submodule sizes ------------------------------------------------------------------
-
-# (Howell form of V, log_p |V|, Howell form of m*V, log_p |m*V|) for V = 0;
-# extend_sizes copies the forms before it inserts, so this is never changed
-NO_SIZES = ({}, 0, {}, 0)
 
 
 def rows_over(ring: Ring, v, gens) -> list:
@@ -229,39 +230,19 @@ def rows_over(ring: Ring, v, gens) -> list:
     return [[c for x in v for c in coords[mul(b, x)]] for b in gens]
 
 
-def coordinate_rows(ring: Ring, v) -> tuple:
-    """The ``rows_over`` of v over the additive generators of R and of m,
-    for ``extend_sizes``."""
-    additive = ring.additive
-    return rows_over(ring, v, additive.ring_gens), rows_over(ring, v, additive.radical_gens)
-
-
-def grow(ring: Ring, form: dict, rows) -> int:
+def grow(ring: Ring, form: list, rows) -> int:
     """Insert ``rows`` into the Howell form ``form`` in place; return the
     growth of log_p of its span's size."""
-    p, a = ring.additive.p, ring.additive.exponent
-    return sum(howell_insert(form, row, p, a) for row in rows)
-
-
-def extend_sizes(ring: Ring, sizes: tuple, rows) -> tuple:
-    """The ``NO_SIZES``-shaped tuple of V + R*g from that of V (which is
-    not changed), where ``rows`` is ``coordinate_rows(ring, g)``."""
-    p, a = ring.additive.p, ring.additive.exponent
-    vform, vlog, mform, mlog = sizes
-    vform, mform = dict(vform), dict(mform)
-    for row in rows[0]:
-        vlog += howell_insert(vform, row, p, a)
-    for row in rows[1]:
-        mlog += howell_insert(mform, row, p, a)
-    return vform, vlog, mform, mlog
+    return sum(howell_insert(form, row, ring.additive) for row in rows)
 
 
 def span_sizes(ring: Ring, vectors) -> tuple:
-    """The ``NO_SIZES``-shaped tuple of V, the span of ``vectors``."""
+    """(Howell form of V, log_p |V|, Howell form of m*V, log_p |m*V|) for
+    V the span of ``vectors``."""
     return span_form(ring, vectors) + span_form(ring, vectors, ring.additive.radical_gens)
 
 
-def span_words(ring: Ring, form: dict, log: int, n: int) -> frozenset:
+def span_words(ring: Ring, form: list, log: int, n: int) -> frozenset:
     """The vectors of R^n spanned by the Howell form ``form``, log_p of
     their number ``log``, which is first checked against the "span" guard.
     With each row h_j (led by p^e_j) mapped back to R^n, they are the sums
@@ -273,7 +254,9 @@ def span_words(ring: Ring, form: dict, log: int, n: int) -> frozenset:
         raise guard_error(ClosureTooLargeError, "span", additive.p**log, limit)
     q, d, element = additive.p**additive.exponent, len(additive.coords[0]), additive.element
     words = [(0,) * n]
-    for lead, row in form.items():
+    for lead, row in enumerate(form):
+        if row is None:
+            continue
         h = tuple(element[tuple(row[t:t + d])] for t in range(0, n * d, d))
         multiples = [h]
         for _ in range(q // row[lead] - 2):
@@ -285,7 +268,7 @@ def span_words(ring: Ring, form: dict, log: int, n: int) -> frozenset:
 # -- codes -------------------------------------------------------------------------------
 
 
-def reduced_form(form: dict, p: int, a: int) -> tuple:
+def reduced_form(form: list, p: int, a: int) -> tuple:
     """The reduced Howell form of the span of the Howell form ``form``
     (which is not changed): its rows in lead order, each entry above a lead
     p^e reduced modulo p^e.
@@ -298,7 +281,7 @@ def reduced_form(form: dict, p: int, a: int) -> tuple:
     (Howell 1986; Storjohann & Mulders, ESA 1998): two spans are equal
     exactly when their reduced forms are."""
     q = p**a
-    leads = sorted(form)
+    leads = [j for j, h in enumerate(form) if h is not None]
     rows = [form[j] for j in leads]
     for t, j in enumerate(leads):
         h = rows[t]
@@ -313,8 +296,11 @@ def reduced_form(form: dict, p: int, a: int) -> tuple:
 def span_form(ring: Ring, vectors, gens=None) -> tuple:
     """A Howell form of the span V of ``vectors`` (vectors of R^n) in the
     additive coordinates of R^n, and log_p of the span's size; with
-    ``gens`` the additive generators of m (``radical_gens``), of m*V."""
-    over, form = ring.additive.ring_gens if gens is None else gens, {}
+    ``gens`` the additive generators of m (``radical_gens``), of m*V; the
+    form has a slot per coordinate, or none without vectors."""
+    additive = ring.additive
+    over = additive.ring_gens if gens is None else gens
+    form = [None] * (len(additive.coords[0]) * len(vectors[0]) if vectors else 0)
     return form, grow(ring, form, [row for v in vectors for row in rows_over(ring, v, over)])
 
 
@@ -333,7 +319,7 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
     for v in candidates:
         if log == full:
             break
-        trial = dict(form)
+        trial = form[:]
         grown = grow(ring, trial, rows_over(ring, v, additive.ring_gens))
         if grown:
             kept.append(v)
@@ -353,11 +339,8 @@ def vanishing_part(ring: Ring, vectors, k: int) -> list:
     d = len(additive.coords[0])
     element = additive.element
     form = span_form(ring, vectors)[0]
-    return [
-        tuple(element[tuple(row[t:t + d])] for t in range(k * d, len(row), d))
-        for lead, row in sorted(form.items())
-        if lead >= k * d
-    ]
+    return [tuple(element[tuple(row[t:t + d])] for t in range(k * d, len(row), d))
+            for row in form[k * d:] if row]
 
 
 def dual_generators(ring: Ring, rows) -> tuple:

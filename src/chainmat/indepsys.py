@@ -34,9 +34,13 @@ _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 @lru_cache(maxsize=None)
 def _lows(n: int) -> tuple:
-    """For each element i < n, the set of the masks without i."""
-    ones = (1 << (1 << n)) - 1
-    return tuple(ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(n))
+    """For each element i < n, the set of the masks without i, doubled
+    from the sets over n - 1 elements (shifted by 2^(n-1), element n - 1
+    added); for n - 1 itself, the masks below 2^(n-1)."""
+    if not n:
+        return ()
+    half = 1 << (n - 1)
+    return tuple(lo | lo << half for lo in _lows(n - 1)) + ((1 << half) - 1,)
 
 
 def _bits(masks, n: int) -> int:
@@ -416,11 +420,12 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     (Nakayama), decided without a vector set: in the additive coordinates
     of ``howell`` (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the
     Z/p^a-spans of the rows b*s and t*s over s in S, b and t running over
-    additive generators of R and m, and their Howell forms give
-    log_p |V| and log_p |m*V| exactly; S is independent iff
-    log V - log mV = f*|S| with q = p^f.  Each ancestor carries both forms
-    and both logs (``howell.extend_sizes``), so a child inserts d + d_m
-    rows into copies of its parent's forms.
+    additive generators of R and m.  Each ancestor carries Howell forms of
+    both (lists with a slot per coordinate, copied by a slice), which a
+    child grows by ``howell_insert`` from the ring's tables of Z/p^a.  As P
+    is independent, S is iff log_p of V's growth less m*V's is f (q = p^f);
+    m*V never shrinks, so when V grows by less than f, S is dependent and
+    m*V's form is neither copied nor grown.
 
     The walk is capped by the paper's characterisation of chain rings:
     there the generator count mu is monotone on submodules, so
@@ -433,24 +438,34 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     n = a.ncols
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
-    from .howell import NO_SIZES, coordinate_rows, extend_sizes  # here: only a route that runs it compiles it
+    from .howell import howell_insert, rows_over  # here: only a route that runs it compiles it
 
     ring = a.ring
     cols = a.columns()
     fam = {0}
     r = minimal_generator_count(ring, cols) if ring.is_chain else n
-    rows = [coordinate_rows(ring, c) for c in cols]
-    f = ring.additive.residue_degree
-    stack = [(0, NO_SIZES)]  # (mask, its extend_sizes tuple) of independent ancestors
+    additive = ring.additive
+    f = additive.residue_degree
+    rows = [(rows_over(ring, c, additive.ring_gens), rows_over(ring, c, additive.radical_gens)) for c in cols]
+    zero = [None] * (len(additive.coords[0]) * a.nrows)
+    stack = [(0, (zero, zero))]  # (mask, Howell forms of V and m*V) of independent ancestors
     for mask in _candidates(fam, n, r):
         parent = mask & (mask - 1)
         while stack[-1][0] != parent:
             stack.pop()
-        sizes = extend_sizes(ring, stack[-1][1], rows[(mask ^ parent).bit_length() - 1])
-        if sizes[1] - sizes[3] == f * mask.bit_count():
+        (vform, mform), (vrows, mrows) = stack[-1][1], rows[(mask ^ parent).bit_length() - 1]
+        vform, grown = vform[:], 0
+        for row in vrows:
+            grown += howell_insert(vform, row, additive)
+        if grown < f:
+            continue
+        mform = mform[:]
+        for row in mrows:
+            grown -= howell_insert(mform, row, additive)
+        if grown == f:
             fam.add(mask)
             if mask.bit_count() < r:
-                stack.append((mask, sizes))
+                stack.append((mask, (vform, mform)))
     return IndependenceSystem._from_bits(a.labels, _bits(fam, n), fam)
 
 

@@ -8,9 +8,9 @@ through ``_clear``.  ``snf_exponents`` is the pure row echelon (its pivot
 valuations are the invariant-factor exponents); ``smith_normal_form`` also
 clears each pivot row by column operations and tracks both transforms (the
 codes module reads dual codes off the right one); ``systematic_form``
-back-substitutes to [I_k | A]; ``minimal_generator_reduction`` clears one
-column.  Determinants use cofactor expansion memoised over column subsets,
-which never divides at all (the rings have zero divisors).
+back-substitutes to [I_k | A].  Determinants use cofactor expansion
+memoised over column subsets, which never divides at all (the rings have
+zero divisors).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import (
     NotChainRingError,
     NotSquareError,
     UnknownLabelError,
-    ZeroColumnError,
 )
 from .rings import Ring, make_ring
 
@@ -404,26 +403,3 @@ def systematic_form(m: Mat):
     cols = [*range(m.nrows), *sorted(range(m.nrows, m.ncols), key=order.__getitem__)]
     perm = tuple(m.labels[order[c]] for c in cols)
     return SystematicForm(perm=perm, mat=Mat(ring, perm, [[row[c] for c in cols] for row in work]))
-
-
-# -- minimal-generator column reduction -------------------------------------------
-
-
-def minimal_generator_reduction(m: Mat, label) -> Mat:
-    """Row-reduce so the column of ``label`` keeps a single nonzero entry.
-
-    Over a chain ring the surviving entry is u * theta^t with <theta^t> the
-    ideal the column generates; the row span is unchanged.
-    """
-    ring = m.ring
-    if not ring.is_chain:
-        raise NotChainRingError(f"minimal-generator reduction needs a chain ring, got {ring.spec}")
-    j = label_index(m.labels, label)
-    col = [row[j] for row in m.rows]
-    if all(a == 0 for a in col):
-        raise ZeroColumnError(f"column {label!r} is zero")
-    ords = [ring.valuation(a) if a else ring.nilpotency_index for a in col]
-    pivot_row = min(range(len(col)), key=lambda i: (ords[i], i))
-    rows = [list(r) for r in m.rows]
-    _clear(ring, rows, pivot_row, j, [i for i in range(len(rows)) if i != pivot_row])
-    return Mat(ring, m.labels, rows)

@@ -9,34 +9,61 @@ def test_howell_insert_sizes_spans():
     # |span| = prod p^(a - e) over the stored leads, and the Howell
     # property: the stored rows led at column j or later span exactly the
     # vectors of the span that vanish before j.  Checked against the naive
-    # additive closure over Z/4, Z/8, Z/9 and Z/27 (p odd, a up to 3).
+    # additive closure over Z/4, Z/8, Z/9, Z/25 and Z/27 (p odd, a up to 3).
     rng = rng_for("howell-insert")
-    for p, a in ((2, 2), (2, 3), (3, 2), (3, 3)):
+    for p, a in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
         q = p**a
+        additive = make_ring(f"z:{q}").additive
         for _ in range(40):
-            n = rng.randint(1, 3 if q < 27 else 2)
+            n = rng.randint(1, 3 if q < 25 else 2)
             rows = [[rng.choice((0, rng.randrange(q), p * rng.randrange(q) % q)) for _ in range(n)]
                     for _ in range(rng.randint(1, 4))]
-            form, logs = {}, 0
-            for row in rows:
-                logs += howell_insert(form, list(row), p, a)
-            closure = {(0,) * n}
-            for row in rows:
-                while True:
-                    grown = closure | {tuple((s + t) % q for s, t in zip(v, row)) for v in closure}
-                    if grown == closure:
-                        break
-                    closure = grown
-            assert p**logs == len(closure), (q, rows, form)
-            for lead, row in form.items():
-                assert not any(row[:lead]) and row[lead] in {p**e for e in range(a)}, (q, rows, form)
-            for j in range(n + 1):
-                tail = {(0,) * n}
-                for lead in sorted(form):
-                    if lead >= j:
-                        row = form[lead]
-                        tail = {tuple((s + c * t) % q for s, t in zip(v, row)) for v in tail for c in range(q)}
-                assert tail == {v for v in closure if not any(v[:j])}, (q, rows, form, j)
+            form = [None] * n
+            logs = sum(howell_insert(form, list(row), additive) for row in rows)
+            _check_howell_form(p, a, rows, form, logs)
+
+
+def _check_howell_form(p, a, rows, form, logs):
+    q, n = p**a, len(form)
+    closure = {(0,) * n}
+    for row in rows:
+        while True:
+            grown = closure | {tuple((s + t) % q for s, t in zip(v, row)) for v in closure}
+            if grown == closure:
+                break
+            closure = grown
+    assert p**logs == len(closure), (q, rows, form)
+    leads = [lead for lead, row in enumerate(form) if row is not None]
+    for lead in leads:
+        row = form[lead]
+        assert not any(row[:lead]) and row[lead] in {p**e for e in range(a)}, (q, rows, form)
+    for j in range(n + 1):
+        tail = {(0,) * n}
+        for lead in leads:
+            if lead >= j:
+                row = form[lead]
+                tail = {tuple((s + c * t) % q for s, t in zip(v, row)) for v in tail for c in range(q)}
+        assert tail == {v for v in closure if not any(v[:j])}, (q, rows, form, j)
+
+
+def test_howell_insert_displaces_and_reinserts():
+    # Over Z/8.  (4, 1) is stored at lead 4 = 2^2, so 2 * (4, 1) = (0, 2)
+    # is re-inserted and stored at column 1: |<(4, 1)>| = 8.  (2, 3) then
+    # meets the stored lead 4, which its lead 2 does not reach: it is stored
+    # at column 0 and displaces (4, 1), which it now reduces to (0, 3),
+    # stored as (0, 1) after scaling by 3^-1 and displacing (0, 2) in turn;
+    # the re-inserted 4 * (2, 3) = (0, 4) reduces to zero.
+    additive = make_ring("z:8").additive
+    form = [None, None]
+    assert howell_insert(form, [4, 1], additive) == 3
+    assert form == [[4, 1], [0, 2]]
+    assert howell_insert(form, [2, 3], additive) == 2
+    assert form == [[2, 3], [0, 1]]
+    _check_howell_form(2, 3, [[4, 1], [2, 3]], form, 5)
+    # a unit lead is scaled to 1 and re-inserts nothing
+    form = [None, None]
+    assert howell_insert(form, [3, 5], additive) == 3
+    assert form == [[1, 7], None]
 
 
 def _additive_closure(ring, gens) -> set:

@@ -157,6 +157,18 @@ def test_clutter_minimize_matches_pairwise_definition():
         assert Clutter.minimize(labels, sets).members == want
 
 
+def test_lows_are_the_masks_without_each_element():
+    # _lows doubles the sets over n - 1 elements; each is the set of the
+    # masks without element i, and at n = 16 it equals the closed form
+    # (2^(2^n) - 1) / (2^(2^(i+1)) - 1) * (2^(2^i) - 1) built by division.
+    for n in range(13):
+        without = [sum(1 << m for m in range(1 << n) if not m >> i & 1) for i in range(n)]
+        assert indepsys._lows(n) == tuple(without), n
+    ones = (1 << (1 << 16)) - 1
+    divided = [ones // ((1 << (2 << i)) - 1) * ((1 << (1 << i)) - 1) for i in range(16)]
+    assert indepsys._lows(16) == tuple(divided)
+
+
 def test_build_tests_only_up_to_the_generator_count(monkeypatch):
     # Over a chain ring mu is monotone, so no set with more than r elements
     # (r = number of invariant factors of the whole matrix) is tested, and

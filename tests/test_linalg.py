@@ -6,14 +6,12 @@ from chainmat.errors import (
     NotChainRingError,
     NotSquareError,
     UnknownLabelError,
-    ZeroColumnError,
 )
 from chainmat.indepsys import build_from_matrix
 from chainmat.linalg import (
     Mat,
     det,
     format_matrix,
-    minimal_generator_reduction,
     parse_matrix,
     smith_normal_form,
     snf_exponents,
@@ -208,34 +206,14 @@ def test_systematic_form_preserves_row_span():
             ).vectors
 
 
-def test_minimal_generator_reduction():
-    m = Mat(Z4, ["1", "2", "3"], [[1, 1, 2], [0, 2, 2]])
-    out = minimal_generator_reduction(m, "2")
-    assert out.rows == ((1, 1, 2), (2, 0, 2))
-    out3 = minimal_generator_reduction(m, "3")
-    col = out3.column("3")
-    nonzero = [a for a in col if a]
-    assert len(nonzero) == 1
-    # the survivor generates the coordinate projection ideal <2>
-    assert Z4.principal_ideal(nonzero[0]) == frozenset({0, 2})
-    assert span(Z4, [tuple(r) for r in out3.rows], 3).vectors == span(
-        Z4, [tuple(r) for r in m.rows], 3
-    ).vectors
-    eye = Mat(Z4, "ab", [[1, 0], [0, 1]])
-    assert minimal_generator_reduction(eye, "a") == eye
-    with pytest.raises(ZeroColumnError):
-        minimal_generator_reduction(Mat(Z4, "ab", [[1, 0], [3, 0]]), "b")
-
-
 @pytest.mark.parametrize(
     "lookup",
     [
         lambda m: m.column("zz"),
         lambda m: m.submatrix(["a", "zz"]),
-        lambda m: minimal_generator_reduction(m, "zz"),
         lambda m: Code.from_matrix(m).coordinate_ideal("zz"),
     ],
-    ids=["column", "submatrix", "minimal_generator_reduction", "coordinate_ideal"],
+    ids=["column", "submatrix", "coordinate_ideal"],
 )
 def test_unknown_label_is_an_unknown_label_error(lookup):
     with pytest.raises(UnknownLabelError, match="^unknown label 'zz'$"):

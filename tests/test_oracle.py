@@ -168,6 +168,29 @@ def test_howell_build_matches_enum_and_scan_on_degenerate_matrices():
             assert auto.circuits().members == circuits_by_subset_scan(mat).members, (spec, mat)
 
 
+def test_howell_build_matches_closure_where_v_grows_by_less_than_q():
+    # The build grows V's form first and skips m*V when log_p of V's
+    # growth is below f (q = p^f).  A repeated column, a column c*x + t*y
+    # inside the span of two others, and a column t*x + t'*y in m times
+    # their span (t, t' in m) make V grow by less than q, or m*V grow with
+    # it; over fields m*span is zero.  Z/25 is the odd-p, a = 2 ring.
+    rng = rng_for("howell-build-early-exit")
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS + ("z:25",):
+        ring = make_ring(spec)
+        add, mul = ring.add, ring.mul
+        radical = sorted(ring.maximal_ideal)
+        for k, n in ((3, 5), (2, 5), (3, 6)):
+            for _ in range(3):
+                cols = [[rng.randrange(ring.size) for _ in range(k)] for _ in range(n)]
+                x, y, rep, inside, small = rng.sample(range(n), 5)
+                c, t, t2 = rng.randrange(ring.size), rng.choice(radical), rng.choice(radical)
+                cols[rep] = list(cols[x])
+                cols[inside] = [add(mul(c, u), mul(t, v)) for u, v in zip(cols[x], cols[y])]
+                cols[small] = [add(mul(t, u), mul(t2, v)) for u, v in zip(cols[x], cols[y])]
+                mat = Mat(ring, [str(j + 1) for j in range(n)], [list(r) for r in zip(*cols)])
+                assert build_from_matrix(mat) == system_by_closure(mat), (spec, mat)
+
+
 def test_rank_cap_does_not_apply_off_chain_rings():
     # Over a non-chain ring mu is not monotone: the column module of
     # not_monotonic is R itself (one generator), yet {x, y} is independent.
