@@ -13,7 +13,8 @@ from integer row operations.  A form is a list with a slot per coordinate:
 the row led there, or ``None``.  Insertion reads valuations, unit-part
 inverses and p^(a-e) from tables built once per ring (``AdditiveCoordinates``).
 As mV only grows, |V| / |mV| grows by at most what |V| does, so
-``indepsys.build_from_matrix`` grows mV only after V grew by a factor q.
+``indepsys.build_from_matrix`` grows mV only after V grew by a factor of
+at least q, and less than |R| (R*v then splits off as a free summand).
 
 A Howell form also lists its span, each vector once (``span_words``):
 the one enumeration of a span outside ``oracle``.

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .linalg import Mat
 from .modindep import minimal_generator_count
+from .rings import _factor_prime_power
 
 MAX_GROUND = 16
 MAX_BACKTRACK = 10
@@ -420,12 +421,16 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     (Nakayama), decided without a vector set: in the additive coordinates
     of ``howell`` (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the
     Z/p^a-spans of the rows b*s and t*s over s in S, b and t running over
-    additive generators of R and m.  Each ancestor carries Howell forms of
-    both (lists with a slot per coordinate, copied by a slice), which a
-    child grows by ``howell_insert`` from the ring's tables of Z/p^a.  As P
-    is independent, S is iff log_p of V's growth less m*V's is f (q = p^f);
-    m*V never shrinks, so when V grows by less than f, S is dependent and
-    m*V's form is neither copied nor grown.
+    additive generators of R and m.  A child grows a copy (a slice) of its
+    parent's Howell form of V by ``howell_insert`` from the ring's tables
+    of Z/p^a.  As P is independent, S is iff log_p of V's growth less
+    m*V's is f (q = p^f); m*V never shrinks, so a growth below f makes S
+    dependent.  A growth of log_p |R| makes S independent without m*V:
+    |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality only when
+    ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and S/mS = P/mP (+) R/m.
+    Only a growth in between needs m*V: an ancestor holds ``None`` for its
+    form until such a descendant fills it in from the nearest one below,
+    so each form is built at most once, and only when asked for.
 
     The walk is capped by the paper's characterisation of chain rings:
     there the generator count mu is monotone on submodules, so
@@ -447,25 +452,35 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     additive = ring.additive
     f = additive.residue_degree
     rows = [(rows_over(ring, c, additive.ring_gens), rows_over(ring, c, additive.radical_gens)) for c in cols]
+    full = _factor_prime_power(ring.size)[1]  # log_p |R|, not d*a: R may sit in (Z/p^a)^d properly
     zero = [None] * (len(additive.coords[0]) * a.nrows)
-    stack = [(0, (zero, zero))]  # (mask, Howell forms of V and m*V) of independent ancestors
+    stack = [(0, [zero, zero])]  # (mask, [Howell form of V, of m*V or None]) of independent ancestors
     for mask in _candidates(fam, n, r):
         parent = mask & (mask - 1)
         while stack[-1][0] != parent:
             stack.pop()
-        (vform, mform), (vrows, mrows) = stack[-1][1], rows[(mask ^ parent).bit_length() - 1]
-        vform, grown = vform[:], 0
+        vrows, mrows = rows[(mask ^ parent).bit_length() - 1]
+        vform, grown = stack[-1][1][0][:], 0
         for row in vrows:
             grown += howell_insert(vform, row, additive)
         if grown < f:
             continue
-        mform = mform[:]
-        for row in mrows:
-            grown -= howell_insert(mform, row, additive)
-        if grown == f:
-            fam.add(mask)
-            if mask.bit_count() < r:
-                stack.append((mask, (vform, mform)))
+        mform = None  # R*g splits off as a free summand when grown == full
+        if grown < full:
+            if stack[-1][1][1] is None:
+                for (low, (_, below)), (high, forms) in zip(stack, stack[1:]):
+                    if forms[1] is None:
+                        forms[1] = below = below[:]
+                        for row in rows[(high ^ low).bit_length() - 1][1]:
+                            howell_insert(below, row, additive)
+            mform = stack[-1][1][1][:]
+            for row in mrows:
+                grown -= howell_insert(mform, row, additive)
+            if grown != f:
+                continue
+        fam.add(mask)
+        if mask.bit_count() < r:
+            stack.append((mask, [vform, mform]))
     return IndependenceSystem._from_bits(a.labels, _bits(fam, n), fam)
 
 

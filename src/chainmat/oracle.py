@@ -278,6 +278,34 @@ def minimal_sets_by_pair_scan(sets) -> set:
     return {s for s in sets if s and not any(t and t < s for t in sets)}
 
 
+def max_antichain_by_search(sets) -> int:
+    """Width of a family of sets ordered by inclusion, by exhaustive
+    branch and bound over include/exclude choices (exponential)."""
+    sets = list(sets)
+    n = len(sets)
+    comparable = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if i != j and (sets[i] <= sets[j] or sets[j] <= sets[i]):
+                comparable[i] |= 1 << j
+
+    best = 0
+
+    def grow(idx: int, forbidden: int, size: int):
+        nonlocal best
+        if size + (n - idx) <= best:
+            return
+        if idx == n:
+            best = size
+            return
+        if not forbidden >> idx & 1:
+            grow(idx + 1, forbidden | comparable[idx], size + 1)
+        grow(idx + 1, forbidden, size)
+
+    grow(0, 0, 0)
+    return best
+
+
 def rank_submodular_by_pair_scan(m):
     """Submodularity of the rank function over every pair X, Y of subsets.
 

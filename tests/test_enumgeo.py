@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 
 import pytest
@@ -16,8 +17,10 @@ from chainmat.enumgeo import (
 from chainmat.errors import BadTorsionIndexError, BadValueError, NotChainRingError
 from chainmat.indepsys import build_from_matrix, is_isomorphic, uniform_system
 from chainmat.modindep import is_modular_independent
-from chainmat.oracle import cyclic_submodule_census, cyclic_submodule_census_by_sets
+from chainmat.oracle import cyclic_submodule_census, cyclic_submodule_census_by_sets, max_antichain_by_search
 from chainmat.rings import make_ring
+
+from helpers import TABLE_SPECS, rng_for
 
 Z4 = make_ring("z:4")
 Z8 = make_ring("z:8")
@@ -117,24 +120,55 @@ def test_antichain_bounds():
     assert cyc_antichain_bound(Z4, 2) == 6
     assert cyc_antichain_bound(make_ring("z:2"), 2) == 3
     # Over a chain ring the width is the number of free cyclic submodules;
-    # the brute-force search over the poset is the reference.
+    # the matching and the oracle's exhaustive search over the poset are
+    # the references.
     for spec, k_max in (("z:4", 3), ("fpu:2,2", 3), ("z:8", 2), ("z:9", 2), ("z:2", 4), ("z:3", 3), ("z:5", 2)):
         ring = make_ring(spec)
         for k in range(1, k_max + 1):
-            width = max_antichain(cyclic_submodules(ring, k))
+            posets = cyclic_submodules(ring, k)
+            width = max_antichain(posets)
+            assert width == max_antichain_by_search(posets), (spec, k)
             assert cyc_antichain_bound(ring, k) == simple_size_bound(ring, k) == width, (spec, k)
     # Z8^3 has 512 vectors, on which the search ran for minutes
     assert cyc_antichain_bound(Z8, 3) == 112
-    # off chain rings the width is still the search's
+    # off chain rings the width is the matching's, equal to the search's
+    # where the search finishes (it ran past 20 s on the 176 cyclic
+    # submodules of one of these rings at k = 3)
+    for spec in TABLE_SPECS:
+        ring = make_ring(spec)
+        for k in (1, 2):
+            posets = cyclic_submodules(ring, k)
+            if len(posets) <= 30:
+                assert cyc_antichain_bound(ring, k) == max_antichain_by_search(posets), (spec, k)
     t8 = make_ring("table:f2xy_xx_xy_yy")
-    assert cyc_antichain_bound(t8, 2) == max_antichain(cyclic_submodules(t8, 2)) == 18
+    assert cyc_antichain_bound(t8, 2) == 18
+
+
+def test_antichain_width_off_chain_rings_is_polynomial():
+    # 176 and 624 cyclic submodules at k = 3: the matching takes
+    # milliseconds where the exhaustive search does not finish
+    for spec, width in (("table:f2xy_xx_xy_yy", 154), ("table:f2xy_xx_yy", 532)):
+        start = time.perf_counter()
+        assert cyc_antichain_bound(make_ring(spec), 3) == width
+        assert time.perf_counter() - start < 1, spec
 
 
 def test_max_antichain_bruteforce():
     sets = [frozenset(), frozenset("a"), frozenset("b"), frozenset("ab")]
-    assert max_antichain(sets) == 2
+    assert max_antichain(sets) == max_antichain_by_search(sets) == 2
     chain = [frozenset(range(i)) for i in range(5)]
-    assert max_antichain(chain) == 1
+    assert max_antichain(chain) == max_antichain_by_search(chain) == 1
+    assert max_antichain([]) == max_antichain_by_search([]) == 0
+    # repeated sets are one element of the poset
+    assert max_antichain([frozenset("a"), frozenset("a"), frozenset("b")]) == 2
+
+
+def test_max_antichain_matches_search_on_random_families():
+    rng = rng_for("antichain-random")
+    for _ in range(300):
+        universe = rng.randint(1, 6)
+        sets = {frozenset(x for x in range(universe) if rng.random() < rng.random()) for _ in range(rng.randint(0, 22))}
+        assert max_antichain(sets) == max_antichain_by_search(sets), sorted(map(sorted, sets))
 
 
 def test_cyclic_submodules_count():

@@ -191,6 +191,78 @@ def test_howell_build_matches_closure_where_v_grows_by_less_than_q():
                 assert build_from_matrix(mat) == system_by_closure(mat), (spec, mat)
 
 
+def _free_then_partial(rng, ring, k, n, late):
+    """A k x n matrix (n > k) whose last k columns are e_i plus entries in
+    m, a basis of R^k, so each splits off as a free summand R*g of the span
+    of the later ones and goes on the stack without a form of m*V.  The
+    earlier columns mix them with coefficients in m, so V grows by less
+    than log_p |R| there, and m*V forms are filled in on demand.  With
+    ``late``, each earlier column is x + t*y for top columns x, y, x not
+    the last, t in m: it splits off from the last column alone, so the
+    first child to need m*V has two free ancestors without a form."""
+    add, mul = ring.add, ring.mul
+    radical = sorted(ring.maximal_ideal)
+    top = [[int(i == j) or rng.choice(radical) for i in range(k)] for j in range(k)]
+
+    def mix(*terms):
+        out = [0] * k
+        for c, col in terms:
+            out = [add(s, mul(c, x)) for s, x in zip(out, col)]
+        return out
+
+    cols = []
+    for _ in range(n - k):
+        t, c = rng.choice(radical), rng.randrange(ring.size)
+        if late:
+            x = rng.choice(top[:-1])
+            cols.append(mix((1, x), (t, rng.choice([y for y in top if y is not x]))))
+            continue
+        x, y = rng.sample(top, 2)
+        cols.append(rng.choice((
+            mix((t, x)),  # R*g inside m times a free summand
+            mix((1, x), (t, y)),  # a free summand up to m
+            mix((t, x), (c, y)),
+            [rng.choice(radical) for _ in range(k)],
+        )))
+    cols += top
+    return Mat(ring, [str(j + 1) for j in range(n)], [list(r) for r in zip(*cols)])
+
+
+def test_free_summand_shortcut_matches_closure(tmp_path):
+    # A child whose R*g splits off (V grows by log_p |R|) is independent
+    # without m*V; a deeper child that grows V by less fills in its
+    # ancestors' m*V forms from the nearest stacked one.  A skipped or
+    # stale form shows against the vector sets.
+    rng = rng_for("howell-build-free-summand")
+    specs = CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS + ("z:25",)
+    specs += tuple(write_extension_ring(tmp_path, *spec) for spec in EXTENSION_RINGS)
+    for spec in specs:
+        ring = make_ring(spec)
+        for late in (False, True, True):
+            for k, n in ((3, 6), (2, 5)) if ring.size <= 9 else ((3, 5), (2, 4)):
+                mat = _free_then_partial(rng, ring, k, n, late)
+                assert build_from_matrix(mat) == system_by_closure(mat), (spec, mat)
+
+
+def test_free_summands_insert_no_radical_rows(monkeypatch):
+    # Identity columns split off one by one: every tested set is decided
+    # from V's rows alone, so the build inserts d rows (the additive
+    # generators of R) per tested set and no row of m*g.  Over
+    # Z4[x]/(2x, x^2), inside (Z/4)^2, a split-off R*g grows log_2 by
+    # log_2 |R| = 3, not d*a = 4.
+    import chainmat.howell as howell
+
+    calls = []
+    insert = howell.howell_insert
+    monkeypatch.setattr(howell, "howell_insert", lambda *args: calls.append(None) or insert(*args))
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        eye = Mat(ring, "123", [[int(i == j) for j in range(3)] for i in range(3)])
+        calls.clear()
+        assert build_from_matrix(eye) == uniform_system(3, 3)
+        assert len(calls) == 7 * len(ring.additive.ring_gens), spec
+
+
 def test_rank_cap_does_not_apply_off_chain_rings():
     # Over a non-chain ring mu is not monotone: the column module of
     # not_monotonic is R itself (one generator), yet {x, y} is independent.
