@@ -119,8 +119,7 @@ class Code:
 
     def _reduced_form(self) -> tuple:
         if self._canonical is None:
-            additive = self.ring.additive
-            self._canonical = reduced_form(self._form, additive.p, additive.exponent)
+            self._canonical = reduced_form(self._form, self.ring.additive)
         return self._canonical
 
     def __eq__(self, other):

@@ -16,6 +16,16 @@ As mV only grows, |V| / |mV| grows by at most what |V| does, so
 ``indepsys.build_from_matrix`` grows mV only after V grew by a factor of
 at least q, and less than |R| (R*v then splits off as a free summand).
 
+A row is one integer, a w-bit lane per coordinate (lowest first) holding
+its entry reduced modulo q = p^a, so the lowest set bit gives the lead.  A
+row operation (r - c*h as r + (q - c)*h, or a scaling) is a multiply-add
+leaving each lane below q^2; ``_mod`` reduces all lanes at once as
+v - q*((v*M >> s) & LOW), 2^s >= q^3, M = ceil(2^s / q), w = bitlen(q^2 M),
+LOW the low w - s bits of each lane.  A lane's v*M is below 2^w, so lanes do
+not overlap, and LOW keeps floor(v*M / 2^s) = floor(v/q): with M*q = 2^s + eps,
+0 <= eps < q (0 if q = 2^a), the error v*eps / (q 2^s) < q^3 / q^4 = 1/q,
+and v/q is 1/q or more below an integer.
+
 A Howell form also lists its span, each vector once (``span_words``):
 the one enumeration of a span outside ``oracle``.
 
@@ -26,16 +36,42 @@ loads.  A command that takes none of these never compiles it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ClosureTooLargeError
 from .rings import Ring, _factor_prime_power, guard_error, guard_limit
 
 
-def howell_insert(form: list, row, additive) -> int:
-    """Insert ``row``, a list of integers modulo p^a, into the Howell form
+@lru_cache(maxsize=None)
+def _low(w: int, s: int, lanes: int) -> int:
+    """LOW of ``_mod``: the low w - s bits of each of ``lanes`` lanes."""
+    return ((1 << w - s) - 1) * (((1 << w * lanes) - 1) // ((1 << w) - 1))
+
+
+def lane_constants(q: int) -> tuple:
+    """(w, s, M) of the lane reduction modulo q (module docstring)."""
+    s = (q**3 - 1).bit_length()
+    m = -(-(1 << s) // q)
+    return (q * q * m).bit_length(), s, m
+
+
+def _mod(v: int, q: int, barrett: tuple, lanes: int) -> int:
+    """``v``, lanes below q^2, with every lane reduced modulo q."""
+    w, s, m = barrett
+    return v - q * (v * m >> s & _low(w, s, lanes))
+
+
+def _vector(row: int, additive, k: int, n: int) -> tuple:
+    """The elements of R whose images are the blocks k to n - 1 of ``row``."""
+    bits = additive.barrett[0] * len(additive.coords[0])
+    return tuple(additive.element[row >> bits * t & (1 << bits) - 1] for t in range(k, n))
+
+
+def howell_insert(form: list, row: int, additive) -> int:
+    """Insert the packed ``row`` (module docstring) into the Howell form
     ``form`` in place and return by how much log_p of its span's size grew;
-    p, a and the ring's tables of Z/p^a come from ``additive``.
+    p, a, the lane constants and the tables of Z/p^a come from ``additive``.
 
     ``form`` has a slot per column: the one row led there (zero before that
     column, p^e with e < a at it), or ``None``.  A row is reduced by the
@@ -48,35 +84,32 @@ def howell_insert(form: list, row, additive) -> int:
     by the stored rows led at or after it.  Every vector of the span is
     then sum c_j * row_j with 0 <= c_j < p^(a - e_j) in exactly one way (the
     first nonzero c_j would make its lead entry c_j * p^e_j nonzero), so
-    |span| = prod p^(a - e_j).
+    |span| = prod p^(a - e_j).  Each step is a multiply-add and ``_mod``.
     """
     a, valuation, unit_inverse = additive.exponent, additive.valuation, additive.unit_inverse
-    cofactor = additive.cofactor
-    q, n = cofactor[0], len(row)
-    r, j, grown = row, 0, 0
-    pending = None  # rows still to insert, each with the column before which it is zero
+    cofactor, (w, s, m), q = additive.cofactor, additive.barrett, additive.cofactor[0]
+    low, mask = _low(w, s, len(form)), (1 << w) - 1
+    r, grown, pending = row, 0, []  # pending: rows still to insert
     while True:
-        while j < n:
-            x = r[j]
-            if not x:
-                j += 1
-                continue
+        while r:
+            j = ((r & -r).bit_length() - 1) // w
+            x = r >> w * j & mask
             h = form[j]
             if h is not None:
-                y = h[j]
+                y = h >> w * j & mask
                 if x % y == 0:
-                    c = x // y
-                    r = [(s - c * t) % q for s, t in zip(r, h)]
-                    j += 1
+                    r += (q - x // y) * h
+                    r -= q * (r * m >> s & low)
                     continue
             e, u = valuation[x], unit_inverse[x]
             if u != 1:
-                r = [s * u % q for s in r]
+                r *= u
+                r -= q * (r * m >> s & low)
             form[j] = r
             grown += a - e
             if e:
-                pending = pending or []
-                pending.append(([s * cofactor[e] % q for s in r], j + 1))
+                t = r * cofactor[e]
+                pending.append(t - q * (t * m >> s & low))
             if h is None:
                 break
             # the displaced row's lead y = p^f (f > e) is now divisible
@@ -84,7 +117,7 @@ def howell_insert(form: list, row, additive) -> int:
             r = h
         if not pending:
             return grown
-        r, j = pending.pop()
+        r = pending.pop()
 
 
 # -- additive coordinates ------------------------------------------------------------
@@ -94,12 +127,14 @@ class AdditiveCoordinates(NamedTuple):
     """(R, +) inside (Z/p^a)^d, where p^a is the characteristic of R.
 
     ``coords[x]`` is the image of the element x, a d-tuple of integers
-    modulo p^a; the map is additive and injective, and ``element`` inverts
-    it on its image.  ``ring_gens`` and ``radical_gens`` generate R and its
-    maximal ideal m as abelian groups.  ``residue_degree`` is f with
-    q = p^f.  ``howell_insert`` reads three tables of Z/p^a: for x = p^e * u
-    (u prime to p), ``valuation[x]`` is e and ``unit_inverse[x]`` is u^-1
-    modulo p^a; ``cofactor[e]`` is p^(a - e) for 0 <= e <= a.
+    modulo p^a, and ``packed[x]`` is it as d lanes (module docstring); the
+    map is additive and injective, and ``element`` inverts ``packed``.
+    ``ring_gens`` and ``radical_gens`` generate R and its maximal ideal m as
+    abelian groups.  ``residue_degree`` is f with q = p^f.  ``howell_insert``
+    reads three tables of Z/p^a: for x = p^e * u (u prime to p),
+    ``valuation[x]`` is e and ``unit_inverse[x]`` is u^-1 modulo p^a;
+    ``cofactor[e]`` is p^(a - e) for 0 <= e <= a; ``barrett`` is (w, s, M)
+    of ``lane_constants(p^a)``.
     """
 
     p: int
@@ -112,6 +147,8 @@ class AdditiveCoordinates(NamedTuple):
     valuation: tuple
     unit_inverse: tuple
     cofactor: tuple
+    barrett: tuple
+    packed: tuple
 
 
 def _multiples(add, x) -> list:
@@ -194,7 +231,7 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
     The additive order of 1 is the characteristic p^a, which every
     element's order divides.  A cyclic basis g_i of (R, +), g_i of order
     p^(a_i), gives the coordinates of sum c_i g_i as the integers
-    c_i * p^(a - a_i) modulo p^a."""
+    c_i * p^(a - a_i) modulo p^a.  1, of largest order, is ``ring_gens[0]``."""
     add = ring.add
     p, a = _factor_prime_power(len(_multiples(add, 1)))
     basis = _cyclic_basis(range(ring.size), add, p)
@@ -203,20 +240,23 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
         mult = _multiples(add, g)
         scale = p**a // len(mult)
         coords = {add(x, y): c + (i * scale,) for x, c in coords.items() for i, y in enumerate(mult)}
-    q, valuation = p**a, [0] * p**a
+    q, valuation, barrett = p**a, [0] * p**a, lane_constants(p**a)
+    packed = tuple(sum(c << barrett[0] * i for i, c in enumerate(coords[x])) for x in range(ring.size))
     for e in range(1, a + 1):
         valuation[:: p**e] = [e] * (q // p**e)
     return AdditiveCoordinates(
         p=p,
         exponent=a,
         coords=tuple(coords[x] for x in range(ring.size)),
-        element={c: x for x, c in coords.items()},
+        element={image: x for x, image in enumerate(packed)},
         ring_gens=tuple(basis),
         radical_gens=tuple(_cyclic_basis(ring.maximal_ideal, add, p)),
         residue_degree=_factor_prime_power(ring.residue_field_size)[1],
         valuation=tuple(valuation),
         unit_inverse=(0,) + tuple(pow(x // p**e, -1, q) for x, e in enumerate(valuation[1:], 1)),
         cofactor=tuple(p ** (a - e) for e in range(a + 1)),
+        barrett=barrett,
+        packed=packed,
     )
 
 
@@ -224,17 +264,18 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
 
 
 def rows_over(ring: Ring, v, gens) -> list:
-    """Rows of integers modulo p^a, the coordinates of the b*v over the
-    elements b of ``gens``: over ``ring_gens`` (the additive generators of
+    """Packed rows, the coordinates of the b*v over the elements b of
+    ``gens``, d lanes per entry: over ``ring_gens`` (additive generators of
     R) their Z/p^a-span is R*v, over ``radical_gens`` (those of m) m*v."""
-    coords, mul = ring.additive.coords, ring.mul
-    return [[c for x in v for c in coords[mul(b, x)]] for b in gens]
-
-
-def grow(ring: Ring, form: list, rows) -> int:
-    """Insert ``rows`` into the Howell form ``form`` in place; return the
-    growth of log_p of its span's size."""
-    return sum(howell_insert(form, row, ring.additive) for row in rows)
+    additive, mul = ring.additive, ring.mul
+    packed, width = additive.packed, additive.barrett[0] * len(additive.coords[0])
+    rows = []
+    for b in gens:
+        r = 0
+        for x in reversed(v):
+            r = r << width | packed[mul(b, x)]
+        rows.append(r)
+    return rows
 
 
 def span_sizes(ring: Ring, vectors) -> tuple:
@@ -253,14 +294,14 @@ def span_words(ring: Ring, form: list, log: int, n: int) -> frozenset:
     limit = guard_limit()
     if additive.p**log > limit:
         raise guard_error(ClosureTooLargeError, "span", additive.p**log, limit)
-    q, d, element = additive.p**additive.exponent, len(additive.coords[0]), additive.element
+    q, w = additive.cofactor[0], additive.barrett[0]
     words = [(0,) * n]
     for lead, row in enumerate(form):
         if row is None:
             continue
-        h = tuple(element[tuple(row[t:t + d])] for t in range(0, n * d, d))
+        h = _vector(row, additive, 0, n)
         multiples = [h]
-        for _ in range(q // row[lead] - 2):
+        for _ in range(q // (row >> w * lead & (1 << w) - 1) - 2):
             multiples.append(tuple(map(add, multiples[-1], h)))
         words += [tuple(map(add, w, c)) for c in multiples for w in words]
     return frozenset(words)
@@ -269,10 +310,10 @@ def span_words(ring: Ring, form: list, log: int, n: int) -> frozenset:
 # -- codes -------------------------------------------------------------------------------
 
 
-def reduced_form(form: list, p: int, a: int) -> tuple:
+def reduced_form(form: list, additive) -> tuple:
     """The reduced Howell form of the span of the Howell form ``form``
-    (which is not changed): its rows in lead order, each entry above a lead
-    p^e reduced modulo p^e.
+    (which is not changed): its packed rows in lead order, each entry above
+    a lead p^e reduced modulo p^e.
 
     A pass over the leads in increasing order subtracts from every earlier
     row the multiple of the row led at j that leaves its entry at j below
@@ -281,17 +322,17 @@ def reduced_form(form: list, p: int, a: int) -> tuple:
     the Howell property holds.  The reduced Howell form of a span is unique
     (Howell 1986; Storjohann & Mulders, ESA 1998): two spans are equal
     exactly when their reduced forms are."""
-    q = p**a
+    q, w, mask = additive.cofactor[0], additive.barrett[0], (1 << additive.barrett[0]) - 1
     leads = [j for j, h in enumerate(form) if h is not None]
     rows = [form[j] for j in leads]
     for t, j in enumerate(leads):
         h = rows[t]
-        y = h[j]
+        y = h >> w * j & mask
         for i in range(t):
-            c = rows[i][j] // y
+            c = (rows[i] >> w * j & mask) // y
             if c:
-                rows[i] = [(s - c * u) % q for s, u in zip(rows[i], h)]
-    return tuple(map(tuple, rows))
+                rows[i] = _mod(rows[i] + (q - c) * h, q, additive.barrett, len(form))
+    return tuple(rows)
 
 
 def span_form(ring: Ring, vectors, gens=None) -> tuple:
@@ -302,7 +343,7 @@ def span_form(ring: Ring, vectors, gens=None) -> tuple:
     additive = ring.additive
     over = additive.ring_gens if gens is None else gens
     form = [None] * (len(additive.coords[0]) * len(vectors[0]) if vectors else 0)
-    return form, grow(ring, form, [row for v in vectors for row in rows_over(ring, v, over)])
+    return form, sum(howell_insert(form, row, additive) for v in vectors for row in rows_over(ring, v, over))
 
 
 def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
@@ -321,7 +362,7 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
         if log == full:
             break
         trial = form[:]
-        grown = grow(ring, trial, rows_over(ring, v, additive.ring_gens))
+        grown = sum(howell_insert(trial, row, additive) for row in rows_over(ring, v, additive.ring_gens))
         if grown:
             kept.append(v)
             form, log = trial, log + grown
@@ -334,14 +375,11 @@ def vanishing_part(ring: Ring, vectors, k: int) -> list:
 
     By the Howell property the rows of a Howell form of the span led after
     the first k coordinate blocks span that part additively, hence as an
-    R-module; each block of d integers in such a row is the image of one
+    R-module; each block of d lanes in such a row is the image of one
     element of R."""
-    additive = ring.additive
-    d = len(additive.coords[0])
-    element = additive.element
+    d = len(ring.additive.coords[0])
     form = span_form(ring, vectors)[0]
-    return [tuple(element[tuple(row[t:t + d])] for t in range(k * d, len(row), d))
-            for row in form[k * d:] if row]
+    return [_vector(row, ring.additive, k, len(form) // d) for row in form[k * d:] if row]
 
 
 def dual_generators(ring: Ring, rows) -> tuple:

@@ -417,20 +417,21 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     what each path reuses, and each child S = P + g is decided from its
     parent's entry.
 
-    S is independent iff |V| / |m*V| = q^|S| for V the span of S
-    (Nakayama), decided without a vector set: in the additive coordinates
-    of ``howell`` (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the
-    Z/p^a-spans of the rows b*s and t*s over s in S, b and t running over
-    additive generators of R and m.  A child grows a copy (a slice) of its
-    parent's Howell form of V by ``howell_insert`` from the ring's tables
-    of Z/p^a.  As P is independent, S is iff log_p of V's growth less
-    m*V's is f (q = p^f); m*V never shrinks, so a growth below f makes S
-    dependent.  A growth of log_p |R| makes S independent without m*V:
-    |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality only when
+    S is independent iff |V| / |m*V| = q^|S| for V the span of S (Nakayama),
+    decided without a vector set: in the additive coordinates of ``howell``
+    (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the Z/p^a-spans of the
+    rows b*s and t*s over s in S, b and t running over additive generators
+    of R and m.  A child grows a copy (a slice) of its parent's Howell form
+    of V by ``howell_insert`` from the ring's tables of Z/p^a, g's own row
+    first (``ring_gens[0]`` is 1): if it adds nothing, g and so R*g lie in
+    V, and S is dependent.  As P is independent, S is iff log_p of V's
+    growth less m*V's is f (q = p^f); m*V never shrinks, so a growth below f
+    makes S dependent.  A growth of log_p |R| makes S independent without
+    m*V: |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality only when
     ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and S/mS = P/mP (+) R/m.
     Only a growth in between needs m*V: an ancestor holds ``None`` for its
-    form until such a descendant fills it in from the nearest one below,
-    so each form is built at most once, and only when asked for.
+    form until such a descendant fills it in from the nearest one below, so
+    each form is built at most once, and only when asked for.
 
     The walk is capped by the paper's characterisation of chain rings:
     there the generator count mu is monotone on submodules, so
@@ -463,6 +464,8 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
         vform, grown = stack[-1][1][0][:], 0
         for row in vrows:
             grown += howell_insert(vform, row, additive)
+            if not grown:  # g itself (the first row: ring_gens[0] is 1) lies in V, so R*g does
+                break
         if grown < f:
             continue
         mform = None  # R*g splits off as a free summand when grown == full

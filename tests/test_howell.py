@@ -1,26 +1,43 @@
-from chainmat.howell import howell_insert, reduced_form, span_form
+from chainmat.howell import _mod, howell_insert, lane_constants, reduced_form, span_form
 from chainmat.oracle import _naive_span
-from chainmat.rings import make_ring
+from chainmat.rings import MAX_RING_SIZE, _factor_prime_power, make_ring
 
-from helpers import CHAIN_SPECS, FIELD_SPECS, TABLE_SPECS, rng_for
+from helpers import CHAIN_SPECS, EXTENSION_RINGS, FIELD_SPECS, TABLE_SPECS, rng_for, write_extension_ring
+
+
+def _pack(row, w) -> int:
+    """A row of integers as one integer, a lane of w bits per entry."""
+    return sum(x << w * t for t, x in enumerate(row))
+
+
+def _lanes(row, w, n) -> list:
+    return [row >> w * t & (1 << w) - 1 for t in range(n)]
+
+
+def _unpacked(form, additive) -> list:
+    """A Howell form with each packed row as a list of its entries."""
+    w = additive.barrett[0]
+    return [None if h is None else _lanes(h, w, len(form)) for h in form]
 
 
 def test_howell_insert_sizes_spans():
     # |span| = prod p^(a - e) over the stored leads, and the Howell
     # property: the stored rows led at column j or later span exactly the
     # vectors of the span that vanish before j.  Checked against the naive
-    # additive closure over Z/4, Z/8, Z/9, Z/25 and Z/27 (p odd, a up to 3).
+    # additive closure over Z/q for the fields F2 to F7, 2^a up to 32 and
+    # odd p with a up to 4 (q up to 125), rows packed in lanes.
     rng = rng_for("howell-insert")
-    for p, a in ((2, 2), (2, 3), (3, 2), (3, 3), (5, 2)):
+    for p, a in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                 (3, 2), (3, 3), (3, 4), (5, 2), (7, 2), (5, 3)):
         q = p**a
         additive = make_ring(f"z:{q}").additive
-        for _ in range(40):
+        for _ in range(40 if q < 49 else 8):
             n = rng.randint(1, 3 if q < 25 else 2)
-            rows = [[rng.choice((0, rng.randrange(q), p * rng.randrange(q) % q)) for _ in range(n)]
+            rows = [[rng.choice((0, rng.randrange(q), p * rng.randrange(q) % q, q - 1)) for _ in range(n)]
                     for _ in range(rng.randint(1, 4))]
             form = [None] * n
-            logs = sum(howell_insert(form, list(row), additive) for row in rows)
-            _check_howell_form(p, a, rows, form, logs)
+            logs = sum(howell_insert(form, _pack(row, additive.barrett[0]), additive) for row in rows)
+            _check_howell_form(p, a, rows, _unpacked(form, additive), logs)
 
 
 def _check_howell_form(p, a, rows, form, logs):
@@ -54,16 +71,52 @@ def test_howell_insert_displaces_and_reinserts():
     # stored as (0, 1) after scaling by 3^-1 and displacing (0, 2) in turn;
     # the re-inserted 4 * (2, 3) = (0, 4) reduces to zero.
     additive = make_ring("z:8").additive
+    w = additive.barrett[0]
     form = [None, None]
-    assert howell_insert(form, [4, 1], additive) == 3
-    assert form == [[4, 1], [0, 2]]
-    assert howell_insert(form, [2, 3], additive) == 2
-    assert form == [[2, 3], [0, 1]]
-    _check_howell_form(2, 3, [[4, 1], [2, 3]], form, 5)
+    assert howell_insert(form, _pack([4, 1], w), additive) == 3
+    assert _unpacked(form, additive) == [[4, 1], [0, 2]]
+    assert howell_insert(form, _pack([2, 3], w), additive) == 2
+    assert _unpacked(form, additive) == [[2, 3], [0, 1]]
+    _check_howell_form(2, 3, [[4, 1], [2, 3]], _unpacked(form, additive), 5)
     # a unit lead is scaled to 1 and re-inserts nothing
     form = [None, None]
-    assert howell_insert(form, [3, 5], additive) == 3
-    assert form == [[1, 7], None]
+    assert howell_insert(form, _pack([3, 5], w), additive) == 3
+    assert _unpacked(form, additive) == [[1, 7], None]
+
+
+def _prime_powers(limit) -> list:
+    return [q for q in range(2, limit + 1) if _factor_prime_power(q)]
+
+
+def test_lane_reduction_is_exact():
+    # v - q*((v*M >> s) & LOW) is v mod q in every lane, for every lane
+    # value below q^2, with no carry between lanes: exhaustively for each
+    # prime power q <= 64 (all q^2 values packed side by side), and at the
+    # extremes (the top values of each residue, next to a full lane) for
+    # every q up to the ring cap.
+    for q in _prime_powers(64):
+        w, s, m = barrett = lane_constants(q)
+        values = list(range(q * q)) + list(range(q * q - 1, -1, -1))
+        reduced = _mod(_pack(values, w), q, barrett, len(values))
+        assert _lanes(reduced, w, len(values)) == [v % q for v in values], q
+        assert 1 << s >= q**3 and m * q - q < 1 << s <= m * q, q
+    for q in _prime_powers(MAX_RING_SIZE):
+        w, s, m = barrett = lane_constants(q)
+        top = q * q - 1
+        values = [0, q - 1, q, top, top - 1, top - q + 1, top - q, top - q - 1, q * (q - 1) // 2 - 1, top]
+        reduced = _mod(_pack(values, w), q, barrett, len(values))
+        assert _lanes(reduced, w, len(values)) == [v % q for v in values], q
+
+
+def test_ring_gens_start_with_one(tmp_path):
+    # the build's dependent exit reads g's own row as the first of the
+    # rows of R*g: the cyclic basis of (R, +) starts with the element 1
+    specs = CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS
+    specs += tuple(write_extension_ring(tmp_path, *spec) for spec in EXTENSION_RINGS)
+    for spec in specs:
+        ring = make_ring(spec)
+        assert ring.additive.ring_gens[0] == 1, spec
+        assert all(ring.mul(1, x) == x for x in range(ring.size)), spec
 
 
 def _additive_closure(ring, gens) -> set:
@@ -90,7 +143,9 @@ def test_additive_coordinates_embed_the_group():
             one, char = r.add(one, 1), char + 1
         assert q == char, spec
         coords = additive.coords
-        assert len(set(coords)) == r.size and all(additive.element[coords[x]] == x for x in range(r.size)), spec
+        w, packed = additive.barrett[0], additive.packed
+        assert len(set(coords)) == r.size and all(additive.element[packed[x]] == x for x in range(r.size)), spec
+        assert all(packed[x] == _pack(coords[x], w) for x in range(r.size)), spec
         for x in range(r.size):
             for y in range(r.size):
                 assert coords[r.add(x, y)] == tuple((s + t) % q for s, t in zip(coords[x], coords[y])), spec
@@ -114,7 +169,8 @@ def test_additive_coordinates_embed_the_group():
 def _canonical(ring, vectors) -> tuple:
     form, log = span_form(ring, vectors)
     additive = ring.additive
-    return reduced_form(form, additive.p, additive.exponent), log
+    rows = reduced_form(form, additive)
+    return tuple(tuple(_lanes(row, additive.barrett[0], len(form))) for row in rows), log
 
 
 def test_reduced_howell_form_is_canonical():

@@ -263,6 +263,25 @@ def test_free_summands_insert_no_radical_rows(monkeypatch):
         assert len(calls) == 7 * len(ring.additive.ring_gens), spec
 
 
+def test_dependent_child_costs_one_insert(monkeypatch):
+    # Columns e1, e2, e1: the child {1, 3} of {3} has g = e1 inside V, so
+    # the build stops after g's own row (ring_gens[0] is 1) instead of
+    # inserting all d rows of R*g.  The other four tested sets each insert
+    # d rows and split off as free summands, so 5d + 1 inserts in all.
+    import chainmat.howell as howell
+
+    calls = []
+    insert = howell.howell_insert
+    monkeypatch.setattr(howell, "howell_insert", lambda *args: calls.append(None) or insert(*args))
+    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        mat = Mat(ring, "123", [[1, 0, 1], [0, 1, 0]])
+        calls.clear()
+        system = build_from_matrix(mat)
+        assert system.is_independent(["1", "2"]) and not system.is_independent(["1", "3"]), spec
+        assert len(calls) == 5 * len(ring.additive.ring_gens) + 1, spec
+
+
 def test_rank_cap_does_not_apply_off_chain_rings():
     # Over a non-chain ring mu is not monotone: the column module of
     # not_monotonic is R itself (one generator), yet {x, y} is independent.
