@@ -10,7 +10,8 @@ order by the size-decided Nakayama greedy (``howell.generators_among``).
 Puncturing re-forms the punctured generator rows; shortening by X reads
 C n {x_X = 0} off a Howell form whose first coordinates are X's, and
 the contractibility witness is a row of a Howell form of C n (m^t)^n.
-No codeword is built by any of them, nor by the dual or a contraction.
+The dual is read off a Howell form over every ring (``dual_code``).  No
+codeword is built by any of them, nor by the dual or a contraction.
 
 The codeword set (``codewords``) is listed from the Howell form on first
 read and then kept, after |C| is checked against the "span" guard.  Only
@@ -38,7 +39,7 @@ from .howell import (
     span_words,
     vanishing_part,
 )
-from .linalg import Mat, label_index, smith_normal_form
+from .linalg import Mat, label_index
 from .rings import Ring
 
 
@@ -137,12 +138,9 @@ class Code:
         return f"Code({self.ring.spec}, n={self.length}, |C|={self.size}, mu={self.generator_count})"
 
 
-def _code(ring: Ring, labels, gens, form=None, log=None) -> Code:
+def _code(ring: Ring, labels, gens, form, log) -> Code:
     """The code generated by ``gens``, a minimal generating set (empty for
-    the zero code); ``form`` and ``log`` are its Howell form and log_p |C|
-    when known."""
-    if form is None:
-        form, log = span_form(ring, gens)
+    the zero code); ``form`` and ``log`` are its Howell form and log_p |C|."""
     return Code(Mat(ring, labels, gens or [(0,) * len(labels)]), form, log)
 
 
@@ -155,37 +153,12 @@ def _from_rows(ring: Ring, labels, rows) -> Code:
 
 
 def dual_code(c: Code) -> Code:
-    """The dual code, from the generator rows alone: no codeword is built.
-
-    Over a chain ring, take L @ G @ R = D with diagonal exponents e_i
-    (a missing or zero diagonal entry counts as theta^nu).  Then G x = 0
-    iff x = R y with theta^e_i y_i = 0, i.e. y_i in <theta^(nu - e_i)>, so
-    the dual is spanned by the columns R_i of R scaled by theta^(nu - e_i)
-    (zero when e_i = 0).  Over other rings the dual, its minimal
-    generators and its Howell form come from ``howell.dual_generators``.
-
-    The scaled columns are the generator rows, and they are minimal
-    (Norton & Salagean, AAECC 2000): R is invertible, so y -> R y is an
-    automorphism of R^n and the dual is the direct sum over e_i > 0 of
-    R theta^(nu - e_i) R_i, each isomorphic to R / theta^(e_i) R.  Every R_i
-    has a unit entry (a column inside m^n would put det R in m), so each
-    summand is a nonzero cyclic module, which needs exactly one generator
-    (Nakayama); mu of the dual is therefore #{i : e_i > 0}, the number of
-    rows.  All exponents zero give the zero dual and one zero row.
-    Reading the dual's codewords checks its size against the "span" guard.
+    """The dual code, its minimal generator rows and its Howell form, from
+    the generator rows alone (``howell.dual_generators``), over every ring:
+    no codeword is built.  Reading the dual's codewords checks its size
+    against the "span" guard.
     """
-    ring, n = c.ring, c.length
-    if not ring.is_chain:
-        return _code(ring, c.labels, *dual_generators(ring, c.generator.rows))
-    nu, mul = ring.nilpotency_index, ring.mul
-    snf = smith_normal_form(c.generator)
-    exps = snf.exponents + (nu,) * (n - len(snf.exponents))
-    gens = []
-    for i, e in enumerate(exps):
-        if e:
-            theta = ring.uniformizer_power(nu - e)
-            gens.append(tuple(mul(theta, row[i]) for row in snf.right))
-    return _code(ring, c.labels, gens)
+    return _code(c.ring, c.labels, *dual_generators(c.ring, c.generator.rows))
 
 
 def word_generators(c: Code) -> Mat:

@@ -266,14 +266,16 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
 def rows_over(ring: Ring, v, gens) -> list:
     """Packed rows, the coordinates of the b*v over the elements b of
     ``gens``, d lanes per entry: over ``ring_gens`` (additive generators of
-    R) their Z/p^a-span is R*v, over ``radical_gens`` (those of m) m*v."""
+    R) their Z/p^a-span is R*v, over ``radical_gens`` (those of m) m*v.
+    The element 1 (index 1 in every ring, ``ring_gens[0]``) is not
+    multiplied by."""
     additive, mul = ring.additive, ring.mul
     packed, width = additive.packed, additive.barrett[0] * len(additive.coords[0])
     rows = []
     for b in gens:
         r = 0
         for x in reversed(v):
-            r = r << width | packed[mul(b, x)]
+            r = r << width | packed[x if b == 1 else mul(b, x)]
         rows.append(r)
     return rows
 

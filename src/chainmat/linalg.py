@@ -7,8 +7,10 @@ no division by a non-unit ever happens, and every row clearing goes
 through ``_clear``.  ``snf_exponents`` is the pure row echelon (its pivot
 valuations are the invariant-factor exponents); ``smith_normal_form`` also
 clears each pivot row by column operations and tracks both transforms (the
-codes module reads dual codes off the right one); ``systematic_form``
-back-substitutes to [I_k | A].  Determinants use cofactor expansion
+``snf`` command prints them); ``systematic_form`` back-substitutes to
+[I_k | A] (the ``systematic`` command).  Generator counts and dual codes
+come from Howell forms (``howell``) over every ring, so only those two
+commands run this elimination.  Determinants use cofactor expansion
 memoised over column subsets, which never divides at all (the rings have
 zero divisors).
 """
@@ -351,7 +353,8 @@ def snf_exponents(ring: Ring, vectors) -> tuple:
 
     The same elimination as :func:`smith_normal_form` without transforms:
     a pure row echelon, since the pivot valuations are already the
-    exponents.  This is the independence-test hot path.
+    exponents.  Their number is the generator count over a chain ring, the
+    reference that ``modindep.minimal_generator_count`` is tested against.
     """
     if not ring.is_chain:
         raise NotChainRingError(f"{ring.spec} is not a chain ring")

@@ -3,10 +3,9 @@
 A family of vectors is modular independent when every vanishing linear
 combination has all coefficients in the maximal ideal; equivalently the
 span needs as many generators as there are vectors.  The generator count
-is mu(V) = log_q |V| / |mV| (Nakayama).  Over chain rings it is read off
-the Smith normal form.  Over every other ring both sizes come from Howell
-forms over Z/p^a, p^a the characteristic (``howell``), without a vector
-set.
+is mu(V) = log_q |V| / |mV| (Nakayama), over every ring, both sizes read
+off Howell forms over Z/p^a, p^a the characteristic (``howell``), without
+a vector set.
 
 ``span`` lists a submodule and its radical m*V from their Howell forms
 (``howell.span_words``), each vector built once; no vector set is grown
@@ -17,7 +16,7 @@ one length and entries in the ring (``BadValueError`` otherwise).
 from __future__ import annotations
 
 from .errors import BadValueError, NonIntegralDimensionError, TooManyColumnsError
-from .linalg import Mat, det_rows, snf_exponents
+from .linalg import Mat, det_rows
 from .rings import Ring
 
 
@@ -83,14 +82,11 @@ def ideal_multiple(sub: Submodule) -> Submodule:
 
 
 def minimal_generator_count(ring: Ring, vectors) -> int:
-    """Minimal number of generators of the span of ``vectors``: the number
-    of invariant factors over a chain ring, else log_q |V| / |m*V| from
-    Howell forms (``howell.span_sizes``)."""
+    """Minimal number of generators of the span of ``vectors``,
+    log_q |V| / |m*V| from Howell forms (``howell.span_sizes``)."""
     vectors = _vectors(ring, vectors)
     if not vectors:
         return 0
-    if ring.is_chain:
-        return len(snf_exponents(ring, vectors))
     from .howell import span_sizes  # here: only a route that runs it compiles it
 
     _, vlog, _, mlog = span_sizes(ring, vectors)

@@ -543,6 +543,14 @@ def _parse_table_ring(path: str, raw: bytes, digest: str) -> Ring:
     names = data.get("names", [str(i) for i in range(size)])
     if not isinstance(names, list) or len(names) != size or not all(isinstance(x, str) for x in names):
         raise NotARingError(f"{path}: 'names' must be a list of {size} strings")
+    # a printed matrix reloads only if each name is one distinct token of
+    # the matrix text format, which splits on whitespace and cuts at '#'
+    for x in names:
+        if x.split() != [x] or "#" in x:
+            raise NotARingError(f"{path}: element name {x!r} is empty or holds whitespace or '#'")
+    if len(set(names)) != size:
+        dup = next(x for i, x in enumerate(names) if x in names[:i])
+        raise NotARingError(f"{path}: element name {dup!r} is repeated")
     return TableRing(path, size, data["add"], data["mul"], names, digest)
 
 

@@ -75,6 +75,14 @@ def random_matrix(rng, ring, k, n, labels=None) -> Mat:
     return Mat(ring, labels, rows)
 
 
+def inner(ring, g, h) -> int:
+    """The dot product of the vectors ``g`` and ``h`` over ``ring``."""
+    acc = 0
+    for a, b in zip(g, h):
+        acc = ring.add(acc, ring.mul(a, b))
+    return acc
+
+
 def random_code(rng, ring, k, n) -> Code:
     return Code.from_matrix(random_matrix(rng, ring, k, n))
 

@@ -113,7 +113,7 @@ def _small_chain_ring_matrices():
 
 @pytest.mark.parametrize("name", _small_chain_ring_matrices())
 def test_dual_code_matches_oracle(capsys, name):
-    # dual_code keeps the SNF generators; the command prints one form for both
+    # dual_code keeps the Howell kernel's generators; the command prints one form for both
     fast = run(capsys, "dual-code", f"data:{name}")
     assert fast[0] == 0
     assert run(capsys, "--oracle", "dual-code", f"data:{name}") == fast

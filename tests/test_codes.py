@@ -24,7 +24,7 @@ from chainmat.linalg import Mat
 from chainmat.oracle import dual_by_enumeration
 from chainmat.rings import make_ring
 
-from helpers import CHAIN_SPECS, TABLE_SPECS, random_code, random_free_code, random_matrix, rng_for
+from helpers import CHAIN_SPECS, TABLE_SPECS, inner, random_code, random_free_code, random_matrix, rng_for
 
 Z4 = make_ring("z:4")
 Z8 = make_ring("z:8")
@@ -120,10 +120,7 @@ def test_vamos_dual_is_free_of_complementary_rank():
     assert len(dual.codewords) == 8 ** 4
     for g in vamos.generator.rows:
         for h in dual.generator.rows:
-            acc = 0
-            for a, b in zip(g, h):
-                acc = Z8.add(acc, Z8.mul(a, b))
-            assert acc == 0
+            assert inner(Z8, g, h) == 0
 
 
 def test_double_dual_contains_code():
@@ -394,13 +391,15 @@ def test_circuits_from_dual_route():
 
 
 def test_codes_past_length_eight():
-    # Over Z8 and Z9 (Frobenius rings) |C| * |C^perp| = |R|^n, the double
-    # dual is C, and shortening and puncturing are dual to each other.  The
-    # codes have 16 coordinates and up to 9^15 words, far over the "span"
-    # guard: none of these operations builds a codeword.
+    # Over Z8, Z9 and F2[u]/(u^2) (Frobenius rings; the last sits in
+    # (Z/2)^2, d = 2) |C| * |C^perp| = |R|^n, the dual's rows are
+    # orthogonal to C's, the double dual is C, and shortening and
+    # puncturing are dual to each other.  The codes have 16 coordinates and
+    # up to 9^15 words, far over the "span" guard: none of these operations
+    # builds a codeword.
     rng = rng_for("long-codes")
     t0 = time.perf_counter()
-    for spec in ("z:8", "z:9"):
+    for spec in ("z:8", "z:9", "fpu:2,2"):
         ring = make_ring(spec)
         for k in (1, 4, 9, 15):
             rows = random_matrix(rng, ring, k, 16).rows
@@ -409,6 +408,8 @@ def test_codes_past_length_eight():
             c = Code.from_matrix(Mat(ring, [f"c{j}" for j in range(1, 17)], rows))
             dual = dual_code(c)
             assert c.size * dual.size == ring.size**16, (spec, rows)
+            for h in dual.generator.rows:
+                assert all(inner(ring, g, h) == 0 for g in c.generator.rows), (spec, rows, h)
             assert dual_code(dual) == c, (spec, rows)
             x = rng.sample(c.labels, 3)
             assert dual_code(shorten(c, x)) == puncture(dual, x), (spec, rows, x)

@@ -1,7 +1,7 @@
 import pytest
 
 from chainmat.errors import BadValueError, TooManyColumnsError
-from chainmat.linalg import Mat
+from chainmat.linalg import Mat, snf_exponents
 from chainmat.modindep import (
     has_nonzero_maximal_minor,
     has_trivial_annihilator,
@@ -283,3 +283,21 @@ def test_oracle_agreement_small():
             k = rng.randint(1, 2)
             vecs = random_submodule_generators(rng, ring, k, rng.randint(0, 3))
             assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs)
+
+
+def test_mu_counts_invariant_factors_past_the_oracle():
+    # Over a chain ring mu is the number of invariant factors, which the
+    # row echelon of ``snf_exponents`` reads off; on 6 x 12 matrices, with
+    # rows scaled by powers of the uniformizer, the span of 12 columns in
+    # R^6 or of 6 rows in R^12 is too large for ``mu_by_enumeration``.
+    rng = rng_for("mu-snf-large")
+    for spec in ("z:8", "z:27", "fpu:2,2"):
+        ring = make_ring(spec)
+        for _ in range(8):
+            rows = []
+            for _ in range(6):
+                theta = ring.uniformizer_power(rng.randrange(ring.nilpotency_index + 1))
+                rows.append([ring.mul(theta, rng.randrange(ring.size)) for _ in range(12)])
+            cols = [tuple(r[j] for r in rows) for j in range(12)]
+            assert minimal_generator_count(ring, cols) == len(snf_exponents(ring, cols)), (spec, rows)
+            assert minimal_generator_count(ring, rows) == len(snf_exponents(ring, rows)), (spec, rows)

@@ -122,7 +122,7 @@ def _degenerate_matrices(rng, ring):
 
 def test_snf_build_matches_enum_and_scan_on_degenerate_matrices():
     # Over a chain ring the "auto" build stops at the generator count r of
-    # the column module (read off its Smith normal form) and decides each
+    # the column module (read off Howell sizes) and decides each
     # child from the Howell forms on its parent's stack entry; r < k, zero
     # and repeated columns and k > n are where a wrong cap would show.
     rng = rng_for("snf-kernel-degenerate")
@@ -244,17 +244,35 @@ def test_free_summand_shortcut_matches_closure(tmp_path):
                 assert build_from_matrix(mat) == system_by_closure(mat), (spec, mat)
 
 
+def _walk_inserts(monkeypatch):
+    """A list that gets an entry per ``howell_insert`` of the build's walk:
+    a spy on every insert, less those that the rank cap's generator count
+    (``minimal_generator_count`` of the columns, chain rings only) makes
+    under the same spy, measured as it runs and subtracted."""
+    import chainmat.howell as howell
+    import chainmat.indepsys as indepsys
+
+    calls = []
+    insert, count = howell.howell_insert, indepsys.minimal_generator_count
+
+    def mu(*args):
+        before = len(calls)
+        out = count(*args)
+        del calls[before:]
+        return out
+
+    monkeypatch.setattr(howell, "howell_insert", lambda *args: calls.append(None) or insert(*args))
+    monkeypatch.setattr(indepsys, "minimal_generator_count", mu)
+    return calls
+
+
 def test_free_summands_insert_no_radical_rows(monkeypatch):
     # Identity columns split off one by one: every tested set is decided
     # from V's rows alone, so the build inserts d rows (the additive
     # generators of R) per tested set and no row of m*g.  Over
     # Z4[x]/(2x, x^2), inside (Z/4)^2, a split-off R*g grows log_2 by
     # log_2 |R| = 3, not d*a = 4.
-    import chainmat.howell as howell
-
-    calls = []
-    insert = howell.howell_insert
-    monkeypatch.setattr(howell, "howell_insert", lambda *args: calls.append(None) or insert(*args))
+    calls = _walk_inserts(monkeypatch)
     for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
         ring = make_ring(spec)
         eye = Mat(ring, "123", [[int(i == j) for j in range(3)] for i in range(3)])
@@ -268,11 +286,7 @@ def test_dependent_child_costs_one_insert(monkeypatch):
     # the build stops after g's own row (ring_gens[0] is 1) instead of
     # inserting all d rows of R*g.  The other four tested sets each insert
     # d rows and split off as free summands, so 5d + 1 inserts in all.
-    import chainmat.howell as howell
-
-    calls = []
-    insert = howell.howell_insert
-    monkeypatch.setattr(howell, "howell_insert", lambda *args: calls.append(None) or insert(*args))
+    calls = _walk_inserts(monkeypatch)
     for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
         ring = make_ring(spec)
         mat = Mat(ring, "123", [[1, 0, 1], [0, 1, 0]])
@@ -320,11 +334,15 @@ def test_differential_mu():
             assert minimal_generator_count(ring, vecs) == mu_by_enumeration(ring, vecs), (spec, vecs)
 
 
-def test_differential_duals():
+def test_differential_duals(tmp_path):
+    # over Z/27 (nilpotency index 3) and the extension rings (residue
+    # degree above 1, or ramified) too, at lengths where the kernel scan
+    # of R^n stays small
     rng = rng_for("diff-dual-small")
-    for spec in CHAIN_SPECS + ("z:5",):
+    extensions = tuple(write_extension_ring(tmp_path, *spec) for spec in EXTENSION_RINGS)
+    for spec in CHAIN_SPECS + ("z:5", "z:27") + extensions:
         ring = make_ring(spec)
-        n_max = 5 if spec == "z:4" else 4
+        n_max = 5 if spec == "z:4" else 4 if ring.size <= 9 else 3
         codes = [Code.from_matrix(Mat(ring, "abc", [[0, 0, 0]]))]  # the zero code
         for _ in range(15):
             k, n = rng.randint(1, 3), rng.randint(2, n_max)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from chainmat.cli import main
 from chainmat.errors import BadValueError, NotARingError, NotChainRingError, NotLocalError, NotPrimeError
 from chainmat.linalg import Mat, format_matrix, parse_matrix, parse_matrix_file
 from chainmat.rings import make_ring
@@ -158,13 +159,15 @@ def test_table_ring_from_json_rejects_nonlocal(tmp_path):
         make_ring(f"table:{path}")
 
 
-def _write_table(path, size, add, mul):
+def _write_table(path, size, add, mul, names=None):
     path.parent.mkdir(parents=True, exist_ok=True)
     table = {
         "size": size,
         "add": [[add(a, b) for b in range(size)] for a in range(size)],
         "mul": [[mul(a, b) for b in range(size)] for a in range(size)],
     }
+    if names is not None:
+        table["names"] = names
     path.write_text(json.dumps(table))
     return f"table:{path}"
 
@@ -176,6 +179,40 @@ def _z4_table(path):
 def _f2u2_table(path):
     # F_2[u]/<u^2> with index a = a0 + 2*a1 for a0 + a1*u.
     return _write_table(path, 4, lambda a, b: a ^ b, lambda a, b: make_ring("fpu:2,2").mul(a, b))
+
+
+@pytest.mark.parametrize(
+    "names, why",
+    [
+        (["a", "a"], "'a' is repeated"),
+        (["0", ""], "'' is empty"),
+        (["0", "a b"], "whitespace"),
+        (["0", "a\tb"], "whitespace"),
+        (["0", " a"], "whitespace"),
+        (["0", "a#"], "'#'"),
+    ],
+)
+def test_table_ring_rejects_names_that_do_not_reload(tmp_path, capsys, names, why):
+    # A printed matrix must read back: with names ["a", "a"] the row 0 1
+    # printed as "a a" and read back as (0, 0).
+    spec = _write_table(tmp_path / "f2.json", 2, lambda a, b: a ^ b, lambda a, b: a & b, names)
+    with pytest.raises(NotARingError, match=re.escape(why)):
+        make_ring(spec)
+    (tmp_path / "m.mat").write_text(f"ring {spec}\ncols x y\n0 1\n")
+    assert main(["puncture", str(tmp_path / "m.mat"), "-X", "x"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "NotARingError" in err
+
+
+def test_table_ring_names_round_trip(tmp_path):
+    # F_2[u]/<u^2> with names of more than one character, one of them a
+    # digit naming another element's index: every matrix prints and reloads.
+    f2u2 = make_ring("fpu:2,2")
+    spec = _write_table(tmp_path / "r.json", 4, lambda a, b: a ^ b, f2u2.mul, ["zero", "1", "0", "1+u"])
+    ring = make_ring(spec)
+    assert [ring.element_name(a) for a in range(4)] == ["zero", "1", "0", "1+u"]
+    m = Mat(ring, ["a", "b", "c", "d"], [[0, 1, 2, 3], [3, 2, 1, 0], [2, 2, 0, 3]])
+    assert parse_matrix(format_matrix(m)) == m
 
 
 def test_table_ring_local_json_accepted(tmp_path):
