@@ -3,8 +3,8 @@
 A code is generator-first.  It holds its labelled generator rows, a
 minimal generating set, and a Howell form of its span in the additive
 coordinates of R (``howell``), so its size p^(sum of a - e_j over the
-leads p^e_j) and its freeness are read off the form, and two codes are
-equal when their reduced Howell forms are, that form being canonical.
+leads p^e_j) and its freeness are read off the form, and two codes C and
+D are equal when |C| = |D| = |C + D|, three sizes of Howell forms.
 ``Code.from_matrix`` picks the generator rows from the matrix rows in
 order by the size-decided Nakayama greedy (``howell.generators_among``).
 Puncturing re-forms the punctured generator rows; shortening by X reads
@@ -34,7 +34,6 @@ from .errors import (
 from .howell import (
     dual_generators,
     generators_among,
-    reduced_form,
     span_form,
     span_words,
     vanishing_part,
@@ -55,7 +54,6 @@ class Code:
         self._form = form
         self._log = log
         self._words = None
-        self._canonical = None
 
     # -- constructors -------------------------------------------------------
 
@@ -118,21 +116,17 @@ class Code:
         form, log = span_form(self.ring, [(r[j],) for r in self.generator.rows])
         return frozenset(a for (a,) in span_words(self.ring, form, log, 1))
 
-    def _reduced_form(self) -> tuple:
-        if self._canonical is None:
-            self._canonical = reduced_form(self._form, self.ring.additive)
-        return self._canonical
-
     def __eq__(self, other):
+        # |C + D| = |C| exactly when D lies in C
         return (
             isinstance(other, Code)
             and self.ring == other.ring
             and self.labels == other.labels
-            and self._reduced_form() == other._reduced_form()
+            and self._log == other._log == span_form(self.ring, self.generator.rows + other.generator.rows)[1]
         )
 
     def __hash__(self):
-        return hash((self.ring, self.labels, self._reduced_form()))
+        return hash((self.ring, self.labels, self._log))
 
     def __repr__(self):
         return f"Code({self.ring.spec}, n={self.length}, |C|={self.size}, mu={self.generator_count})"

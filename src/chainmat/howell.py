@@ -19,7 +19,7 @@ at least q, and less than |R| (R*v then splits off as a free summand).
 A row is one integer, a w-bit lane per coordinate (lowest first) holding
 its entry reduced modulo q = p^a, so the lowest set bit gives the lead.  A
 row operation (r - c*h as r + (q - c)*h, or a scaling) is a multiply-add
-leaving each lane below q^2; ``_mod`` reduces all lanes at once as
+leaving each lane below q^2, then reduced in all lanes at once as
 v - q*((v*M >> s) & LOW), 2^s >= q^3, M = ceil(2^s / q), w = bitlen(q^2 M),
 LOW the low w - s bits of each lane.  A lane's v*M is below 2^w, so lanes do
 not overlap, and LOW keeps floor(v*M / 2^s) = floor(v/q): with M*q = 2^s + eps,
@@ -45,7 +45,8 @@ from .rings import Ring, _factor_prime_power, guard_error, guard_limit
 
 @lru_cache(maxsize=None)
 def _low(w: int, s: int, lanes: int) -> int:
-    """LOW of ``_mod``: the low w - s bits of each of ``lanes`` lanes."""
+    """LOW of the lane reduction (module docstring): the low w - s bits of
+    each of ``lanes`` lanes."""
     return ((1 << w - s) - 1) * (((1 << w * lanes) - 1) // ((1 << w) - 1))
 
 
@@ -54,12 +55,6 @@ def lane_constants(q: int) -> tuple:
     s = (q**3 - 1).bit_length()
     m = -(-(1 << s) // q)
     return (q * q * m).bit_length(), s, m
-
-
-def _mod(v: int, q: int, barrett: tuple, lanes: int) -> int:
-    """``v``, lanes below q^2, with every lane reduced modulo q."""
-    w, s, m = barrett
-    return v - q * (v * m >> s & _low(w, s, lanes))
 
 
 def _vector(row: int, additive, k: int, n: int) -> tuple:
@@ -84,7 +79,8 @@ def howell_insert(form: list, row: int, additive) -> int:
     by the stored rows led at or after it.  Every vector of the span is
     then sum c_j * row_j with 0 <= c_j < p^(a - e_j) in exactly one way (the
     first nonzero c_j would make its lead entry c_j * p^e_j nonzero), so
-    |span| = prod p^(a - e_j).  Each step is a multiply-add and ``_mod``.
+    |span| = prod p^(a - e_j).  Each step is a multiply-add and the lane
+    reduction (module docstring).
     """
     a, valuation, unit_inverse = additive.exponent, additive.valuation, additive.unit_inverse
     cofactor, (w, s, m), q = additive.cofactor, additive.barrett, additive.cofactor[0]
@@ -280,12 +276,6 @@ def rows_over(ring: Ring, v, gens) -> list:
     return rows
 
 
-def span_sizes(ring: Ring, vectors) -> tuple:
-    """(Howell form of V, log_p |V|, Howell form of m*V, log_p |m*V|) for
-    V the span of ``vectors``."""
-    return span_form(ring, vectors) + span_form(ring, vectors, ring.additive.radical_gens)
-
-
 def span_words(ring: Ring, form: list, log: int, n: int) -> frozenset:
     """The vectors of R^n spanned by the Howell form ``form``, log_p of
     their number ``log``, which is first checked against the "span" guard.
@@ -310,31 +300,6 @@ def span_words(ring: Ring, form: list, log: int, n: int) -> frozenset:
 
 
 # -- codes -------------------------------------------------------------------------------
-
-
-def reduced_form(form: list, additive) -> tuple:
-    """The reduced Howell form of the span of the Howell form ``form``
-    (which is not changed): its packed rows in lead order, each entry above
-    a lead p^e reduced modulo p^e.
-
-    A pass over the leads in increasing order subtracts from every earlier
-    row the multiple of the row led at j that leaves its entry at j below
-    the lead.  That row is zero before j, so entries at earlier leads stay
-    reduced, and the rows led at or after any column keep their span, so
-    the Howell property holds.  The reduced Howell form of a span is unique
-    (Howell 1986; Storjohann & Mulders, ESA 1998): two spans are equal
-    exactly when their reduced forms are."""
-    q, w, mask = additive.cofactor[0], additive.barrett[0], (1 << additive.barrett[0]) - 1
-    leads = [j for j, h in enumerate(form) if h is not None]
-    rows = [form[j] for j in leads]
-    for t, j in enumerate(leads):
-        h = rows[t]
-        y = h >> w * j & mask
-        for i in range(t):
-            c = (rows[i] >> w * j & mask) // y
-            if c:
-                rows[i] = _mod(rows[i] + (q - c) * h, q, additive.barrett, len(form))
-    return tuple(rows)
 
 
 def span_form(ring: Ring, vectors, gens=None) -> tuple:

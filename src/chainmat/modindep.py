@@ -69,11 +69,11 @@ def span(ring: Ring, vectors, ambient_power=None) -> Submodule:
         if not vectors:
             raise BadValueError("ambient power required for an empty generator list")
         ambient_power = len(vectors[0])
-    from .howell import span_sizes, span_words  # here: only a route that runs it compiles it
+    from .howell import span_form, span_words  # here: only a route that runs it compiles it
 
-    vform, vlog, mform, mlog = span_sizes(ring, vectors)
-    k = ambient_power
-    return Submodule(ring, k, span_words(ring, vform, vlog, k), span_words(ring, mform, mlog, k))
+    k, radical = ambient_power, ring.additive.radical_gens
+    words = span_words(ring, *span_form(ring, vectors), k)
+    return Submodule(ring, k, words, span_words(ring, *span_form(ring, vectors, radical), k))
 
 
 def ideal_multiple(sub: Submodule) -> Submodule:
@@ -83,13 +83,14 @@ def ideal_multiple(sub: Submodule) -> Submodule:
 
 def minimal_generator_count(ring: Ring, vectors) -> int:
     """Minimal number of generators of the span of ``vectors``,
-    log_q |V| / |m*V| from Howell forms (``howell.span_sizes``)."""
+    log_q |V| / |m*V| from Howell forms (``howell.span_form``)."""
     vectors = _vectors(ring, vectors)
     if not vectors:
         return 0
-    from .howell import span_sizes  # here: only a route that runs it compiles it
+    from .howell import span_form  # here: only a route that runs it compiles it
 
-    _, vlog, _, mlog = span_sizes(ring, vectors)
+    vlog = span_form(ring, vectors)[1]
+    mlog = span_form(ring, vectors, ring.additive.radical_gens)[1]
     mu, rest = divmod(vlog - mlog, ring.additive.residue_degree)
     if rest:
         ratio, q = ring.additive.p**rest, ring.residue_field_size

@@ -369,9 +369,13 @@ class FpuRing(Ring):
 
     def parse_element(self, token: str) -> int:
         try:
-            return _decimal(token) % self.size
+            v = _decimal(token)
         except ValueError:
             pass
+        else:
+            if not 0 <= v < self.size:
+                raise BadValueError(f"element index {token!r} outside 0..{self.size - 1} for {self.spec}")
+            return v
         idx = 0
         for term in token.replace(" ", "").split("+"):
             head, u, tail = term.partition("u")
@@ -437,12 +441,6 @@ class TableRing(Ring):
         for i, nm in enumerate(self.names):
             if nm.replace(" ", "") == tok:
                 return i
-        try:
-            v = _decimal(token)
-            if 0 <= v < self.size:
-                return v
-        except ValueError:
-            pass
         raise BadValueError(f"unknown element {token!r} of {self.spec}")
 
 

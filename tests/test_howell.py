@@ -1,5 +1,6 @@
-from chainmat.howell import _mod, howell_insert, lane_constants, reduced_form, span_form
-from chainmat.oracle import _naive_span
+from types import SimpleNamespace
+
+from chainmat.howell import _low, howell_insert, lane_constants
 from chainmat.rings import MAX_RING_SIZE, _factor_prime_power, make_ring
 
 from helpers import CHAIN_SPECS, EXTENSION_RINGS, FIELD_SPECS, TABLE_SPECS, rng_for, write_extension_ring
@@ -88,24 +89,50 @@ def _prime_powers(limit) -> list:
     return [q for q in range(2, limit + 1) if _factor_prime_power(q)]
 
 
+def _reduced_lanes(values, q) -> list:
+    """The lanes of v - q*((v*M >> s) & LOW), the step ``howell_insert``
+    takes after each multiply-add, for v the lanes ``values`` packed."""
+    w, s, m = lane_constants(q)
+    v = _pack(values, w)
+    return _lanes(v - q * (v * m >> s & _low(w, s, len(values))), w, len(values))
+
+
 def test_lane_reduction_is_exact():
-    # v - q*((v*M >> s) & LOW) is v mod q in every lane, for every lane
-    # value below q^2, with no carry between lanes: exhaustively for each
-    # prime power q <= 64 (all q^2 values packed side by side), and at the
+    # The lane reduction is v mod q in every lane, for every lane value
+    # below q^2, with no carry between lanes: exhaustively for each prime
+    # power q <= 64 (all q^2 values packed side by side), and at the
     # extremes (the top values of each residue, next to a full lane) for
     # every q up to the ring cap.
     for q in _prime_powers(64):
-        w, s, m = barrett = lane_constants(q)
+        w, s, m = lane_constants(q)
         values = list(range(q * q)) + list(range(q * q - 1, -1, -1))
-        reduced = _mod(_pack(values, w), q, barrett, len(values))
-        assert _lanes(reduced, w, len(values)) == [v % q for v in values], q
+        assert _reduced_lanes(values, q) == [v % q for v in values], q
         assert 1 << s >= q**3 and m * q - q < 1 << s <= m * q, q
     for q in _prime_powers(MAX_RING_SIZE):
-        w, s, m = barrett = lane_constants(q)
         top = q * q - 1
         values = [0, q - 1, q, top, top - 1, top - q + 1, top - q, top - q - 1, q * (q - 1) // 2 - 1, top]
-        reduced = _mod(_pack(values, w), q, barrett, len(values))
-        assert _lanes(reduced, w, len(values)) == [v % q for v in values], q
+        assert _reduced_lanes(values, q) == [v % q for v in values], q
+
+
+def test_howell_insert_scales_unit_leads_exactly():
+    # A row led by a unit u is stored scaled to lead 1, each entry x as
+    # u^-1 * x mod q, through the lane reduction inside howell_insert: for
+    # every prime power q up to the ring cap, with u = -1 (lanes up to
+    # (q - 1)^2 before reduction) and a random unit.  howell_insert reads
+    # Z/q's tables only at the lead, so they are given there alone rather
+    # than by building all 604 rings Z/q.
+    rng = rng_for("howell-unit-lead")
+    for q in _prime_powers(MAX_RING_SIZE):
+        p, a = _factor_prime_power(q)
+        for u in (q - 1, rng.randrange(q // p) * p + rng.randrange(1, p)):
+            inverse = pow(u, -1, q)
+            tables = SimpleNamespace(exponent=a, valuation={u: 0}, unit_inverse={u: inverse},
+                                     cofactor=(q,), barrett=lane_constants(q))
+            row = [u, 0, 1, q - 1, q - 2, q // 2, rng.randrange(q), rng.randrange(q)]
+            form = [None] * len(row)
+            assert howell_insert(form, _pack(row, tables.barrett[0]), tables) == a, q
+            assert _lanes(form[0], tables.barrett[0], len(row)) == [inverse * x % q for x in row], (q, u)
+            assert form[1:] == [None] * (len(row) - 1), q
 
 
 def test_ring_gens_start_with_one(tmp_path):
@@ -163,51 +190,3 @@ def test_additive_coordinates_embed_the_group():
         r = make_ring(spec)
         assert r.additive.coords == tuple((x,) for x in range(r.size)), spec
         assert (r.additive.ring_gens, r.additive.radical_gens) == ((1,), (2,)), spec
-
-
-
-def _canonical(ring, vectors) -> tuple:
-    form, log = span_form(ring, vectors)
-    additive = ring.additive
-    rows = reduced_form(form, additive)
-    return tuple(tuple(_lanes(row, additive.barrett[0], len(form))) for row in rows), log
-
-
-def test_reduced_howell_form_is_canonical():
-    # Two generating sets of one span (shuffled rows plus random
-    # combinations of them) give the same reduced form, two different
-    # spans different forms, and p^sum(a - e_j) is the span's size.
-    rng = rng_for("howell-canonical")
-    for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
-        ring = make_ring(spec)
-        add, mul = ring.add, ring.mul
-        radical = sorted(ring.maximal_ideal)
-        p, a = ring.additive.p, ring.additive.exponent
-        seen = {}
-        for _ in range(25):
-            n = rng.randint(1, 3)
-            pools = [radical if rng.random() < 0.3 else range(ring.size) for _ in range(n)]
-            gens = [tuple(rng.choice(pools[j]) for j in range(n)) for _ in range(rng.randint(0, 3))]
-            words = _naive_span(ring, gens, n)
-            form, log = _canonical(ring, gens)
-            assert p**log == len(words), (spec, gens)
-            for row in form:
-                lead = next(j for j, x in enumerate(row) if x)
-                assert row[lead] in {p**e for e in range(a)}, (spec, gens, form)
-            for j, later in enumerate(form):
-                lead = next(t for t, x in enumerate(later) if x)
-                assert all(row[lead] < later[lead] for row in form[:j]), (spec, gens, form)
-            other = list(gens)
-            rng.shuffle(other)
-            for _ in range(rng.randint(0, 3)):
-                w = (0,) * n
-                for g in gens:
-                    c = rng.randrange(ring.size)
-                    w = tuple(add(x, mul(c, y)) for x, y in zip(w, g))
-                other.insert(rng.randint(0, len(other)), w)
-            assert _canonical(ring, other) == (form, log), (spec, gens, other)
-            key = (n, words)
-            for (m, seen_words), seen_form in seen.items():
-                if m == n:
-                    assert (seen_form == form) == (seen_words == words), (spec, gens)
-            seen[key] = form

@@ -63,7 +63,9 @@ def test_bad_element_tokens():
     f2u = make_ring("fpu:2,2")
     # A negative exponent would index the power table from its end (u^-2
     # as u); it and non-integer coefficients or exponents are bad tokens.
-    for token in ("u^-1", "u^-2", "xu", "u^a", "1_1u", "u^1_0"):
+    # An index is 0..|R| - 1: 4 would wrap to 0, and -1 to index 3 (1+u),
+    # though -1 = 1 in characteristic 2.
+    for token in ("u^-1", "u^-2", "xu", "u^a", "1_1u", "u^1_0", "4", "-1"):
         with pytest.raises(BadValueError, match=re.escape(repr(token))):
             f2u.parse_element(token)
     # Integers are ASCII decimals: int() would read 1_0 as 10 and ٣ as 3.
@@ -211,6 +213,10 @@ def test_table_ring_names_round_trip(tmp_path):
     spec = _write_table(tmp_path / "r.json", 4, lambda a, b: a ^ b, f2u2.mul, ["zero", "1", "0", "1+u"])
     ring = make_ring(spec)
     assert [ring.element_name(a) for a in range(4)] == ["zero", "1", "0", "1+u"]
+    # Tokens are names only: 0 is element 2, and 2, an index, names nothing.
+    assert [ring.parse_element(t) for t in ("zero", "1", "0", "1+u")] == [0, 1, 2, 3]
+    with pytest.raises(BadValueError, match=re.escape(repr("2"))):
+        ring.parse_element("2")
     m = Mat(ring, ["a", "b", "c", "d"], [[0, 1, 2, 3], [3, 2, 1, 0], [2, 2, 0, 3]])
     assert parse_matrix(format_matrix(m)) == m
 
