@@ -6,7 +6,7 @@ A finite local ring R has characteristic p^a, and (R, +) embeds in
 size of every subgroup, and it carries R-submodules to Z/p^a-spans: with b
 over additive generators of R and t over those of m, R*v is the additive
 span of the b*v (r = sum c_i b_i gives r*v = sum c_i b_i*v) and m*v that
-of the t*v.  ``howell_insert`` keeps a Howell form of such a span, which
+of the t*v.  An ``inserter`` keeps a Howell form of such a span, which
 gives its size exactly without building a vector set, so the generator
 count mu(V) = log_q |V| / |mV| (Nakayama) and a dual code's kernel come
 from integer row operations.  A form is a list with a slot per coordinate:
@@ -25,6 +25,14 @@ LOW the low w - s bits of each lane.  A lane's v*M is below 2^w, so lanes do
 not overlap, and LOW keeps floor(v*M / 2^s) = floor(v/q): with M*q = 2^s + eps,
 0 <= eps < q (0 if q = 2^a), the error v*eps / (q 2^s) < q^3 / q^4 = 1/q,
 and v/q is 1/q or more below an integer.
+
+When a = 1, Z/p is the field F_p and every nonzero lane value is a unit:
+a stored row is scaled to lead 1, which divides every lead, so no stored
+row is ever displaced and nothing is re-inserted.  The form is an echelon
+basis over F_p, a row is reduced by r - x*h at its lead x until it is zero
+or stored, and each stored row adds 1 to log_p.  When q = 2 every lane
+holds 0 or 1, so that step is r ^= h: lane-wise addition modulo 2, which
+carries nothing.
 
 A Howell form also lists its span, each vector once (``span_words``):
 the one enumeration of a span outside ``oracle``.
@@ -63,10 +71,12 @@ def _vector(row: int, additive, k: int, n: int) -> tuple:
     return tuple(additive.element[row >> bits * t & (1 << bits) - 1] for t in range(k, n))
 
 
-def howell_insert(form: list, row: int, additive) -> int:
-    """Insert the packed ``row`` (module docstring) into the Howell form
-    ``form`` in place and return by how much log_p of its span's size grew;
-    p, a, the lane constants and the tables of Z/p^a come from ``additive``.
+def inserter(additive, lanes: int):
+    """``insert(form, row)``, which inserts the packed ``row`` (module
+    docstring) into the Howell form ``form`` of ``lanes`` lanes in place and
+    returns by how much log_p of its span's size grew; p, a, the lane
+    constants and the tables of Z/p^a come from ``additive`` and are bound
+    here, once per form.
 
     ``form`` has a slot per column: the one row led there (zero before that
     column, p^e with e < a at it), or ``None``.  A row is reduced by the
@@ -80,40 +90,77 @@ def howell_insert(form: list, row: int, additive) -> int:
     then sum c_j * row_j with 0 <= c_j < p^(a - e_j) in exactly one way (the
     first nonzero c_j would make its lead entry c_j * p^e_j nonzero), so
     |span| = prod p^(a - e_j).  Each step is a multiply-add and the lane
-    reduction (module docstring).
+    reduction (module docstring).  For a = 1 it takes the echelon step of
+    the module docstring (r ^= h when q = 2), which stores the same rows.
     """
-    a, valuation, unit_inverse = additive.exponent, additive.valuation, additive.unit_inverse
-    cofactor, (w, s, m), q = additive.cofactor, additive.barrett, additive.cofactor[0]
-    low, mask = _low(w, s, len(form)), (1 << w) - 1
-    r, grown, pending = row, 0, []  # pending: rows still to insert
-    while True:
-        while r:
-            j = ((r & -r).bit_length() - 1) // w
-            x = r >> w * j & mask
-            h = form[j]
-            if h is not None:
-                y = h >> w * j & mask
-                if x % y == 0:
-                    r += (q - x // y) * h
-                    r -= q * (r * m >> s & low)
-                    continue
-            e, u = valuation[x], unit_inverse[x]
-            if u != 1:
-                r *= u
+    a, q, unit_inverse = additive.exponent, additive.cofactor[0], additive.unit_inverse
+    w, s, m = additive.barrett
+    if q == 2:
+
+        def insert(form: list, r: int) -> int:
+            while r:
+                j = ((r & -r).bit_length() - 1) // w
+                h = form[j]
+                if h is None:
+                    form[j] = r
+                    return 1
+                r ^= h
+            return 0
+
+        return insert
+    low, mask = _low(w, s, lanes), (1 << w) - 1
+    if a == 1:
+
+        def insert(form: list, r: int) -> int:
+            while r:
+                j = ((r & -r).bit_length() - 1) // w
+                x = r >> w * j & mask
+                h = form[j]
+                if h is None:
+                    if x != 1:
+                        r *= unit_inverse[x]
+                        r -= q * (r * m >> s & low)
+                    form[j] = r
+                    return 1
+                r += (q - x) * h
                 r -= q * (r * m >> s & low)
-            form[j] = r
-            grown += a - e
-            if e:
-                t = r * cofactor[e]
-                pending.append(t - q * (t * m >> s & low))
-            if h is None:
-                break
-            # the displaced row's lead y = p^f (f > e) is now divisible
-            grown -= a - valuation[y]
-            r = h
-        if not pending:
-            return grown
-        r = pending.pop()
+            return 0
+
+        return insert
+    valuation, cofactor = additive.valuation, additive.cofactor
+
+    def insert(form: list, row: int) -> int:
+        r, grown, pending = row, 0, []  # pending: rows still to insert
+        while True:
+            while r:
+                j = ((r & -r).bit_length() - 1) // w
+                x = r >> w * j & mask
+                h = form[j]
+                if h is not None:
+                    y = h >> w * j & mask
+                    if x % y == 0:
+                        r += (q - x // y) * h
+                        r -= q * (r * m >> s & low)
+                        continue
+                e, u = valuation[x], unit_inverse[x]
+                if u != 1:
+                    r *= u
+                    r -= q * (r * m >> s & low)
+                form[j] = r
+                grown += a - e
+                if e:
+                    t = r * cofactor[e]
+                    pending.append(t - q * (t * m >> s & low))
+                if h is None:
+                    break
+                # the displaced row's lead y = p^f (f > e) is now divisible
+                grown -= a - valuation[y]
+                r = h
+            if not pending:
+                return grown
+            r = pending.pop()
+
+    return insert
 
 
 # -- additive coordinates ------------------------------------------------------------
@@ -126,7 +173,7 @@ class AdditiveCoordinates(NamedTuple):
     modulo p^a, and ``packed[x]`` is it as d lanes (module docstring); the
     map is additive and injective, and ``element`` inverts ``packed``.
     ``ring_gens`` and ``radical_gens`` generate R and its maximal ideal m as
-    abelian groups.  ``residue_degree`` is f with q = p^f.  ``howell_insert``
+    abelian groups.  ``residue_degree`` is f with q = p^f.  ``inserter``
     reads three tables of Z/p^a: for x = p^e * u (u prime to p),
     ``valuation[x]`` is e and ``unit_inverse[x]`` is u^-1 modulo p^a;
     ``cofactor[e]`` is p^(a - e) for 0 <= e <= a; ``barrett`` is (w, s, M)
@@ -281,7 +328,7 @@ def span_words(ring: Ring, form: list, log: int, n: int) -> frozenset:
     their number ``log``, which is first checked against the "span" guard.
     With each row h_j (led by p^e_j) mapped back to R^n, they are the sums
     of the c_j*h_j, 0 <= c_j < p^(a - e_j), formed by ring addition; each
-    is such a sum in exactly one way (``howell_insert``), so built once."""
+    is such a sum in exactly one way (``inserter``), so built once."""
     additive, add = ring.additive, ring.add
     limit = guard_limit()
     if additive.p**log > limit:
@@ -310,7 +357,8 @@ def span_form(ring: Ring, vectors, gens=None) -> tuple:
     additive = ring.additive
     over = additive.ring_gens if gens is None else gens
     form = [None] * (len(additive.coords[0]) * len(vectors[0]) if vectors else 0)
-    return form, sum(howell_insert(form, row, additive) for v in vectors for row in rows_over(ring, v, over))
+    insert = inserter(additive, len(form))
+    return form, sum(insert(form, row) for v in vectors for row in rows_over(ring, v, over))
 
 
 def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
@@ -324,12 +372,12 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
     nothing would be kept."""
     additive = ring.additive
     form, log = span_form(ring, generators, additive.radical_gens)
-    kept = []
+    insert, kept = inserter(additive, len(form)), []
     for v in candidates:
         if log == full:
             break
         trial = form[:]
-        grown = sum(howell_insert(trial, row, additive) for row in rows_over(ring, v, additive.ring_gens))
+        grown = sum(insert(trial, row) for row in rows_over(ring, v, additive.ring_gens))
         if grown:
             kept.append(v)
             form, log = trial, log + grown

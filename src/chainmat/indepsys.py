@@ -3,7 +3,14 @@
 Subsets are bitmasks over an ordered label tuple and the independent
 family is stored explicitly, so axiom checks, circuits, duals and
 isomorphism all reduce to set algebra.  Ground sets are capped at 16
-elements.
+elements.  A family, and a clutter's members, are also held as a 2^n-bit
+integer (bit m set for each member m), so validation, circuits, the rank
+table, the dual and the clutter operations each take O(n) big-integer
+shifts, and label sets are formed only where the API returns them; the
+library's own families and clutters skip re-validation (``_from_bits``).
+``build_from_matrix`` walks the independent column sets depth-first over
+extension masks and decides each from Howell forms; ``check_matroid``
+certifies the augmentation axiom from the rank table.
 """
 
 from __future__ import annotations
@@ -381,57 +388,40 @@ class MatroidReport(NamedTuple):
     parallel_pairs: list
 
 
-def _candidates(fam, n: int, cap: int):
-    """The masks of an n-element ground set with at most ``cap`` elements,
-    in increasing order, whose maximal proper subsets are all in ``fam``.
-    ``fam`` is read as the caller adds to it: every subset of a mask is
-    smaller than the mask, so it is decided first, and a superset of a
-    dependent set is dependent.  The masks in [x, x + lowbit(x)) all
-    contain x's elements, so a mask above the cap skips that interval."""
-    mask, end = 1, 1 << n
-    while mask < end:
-        if mask.bit_count() > cap:
-            mask += mask & -mask
-            continue
-        x = mask
-        while x:
-            bit = x & -x
-            if (mask ^ bit) not in fam:
-                break
-            x ^= bit
-        if not x:
-            yield mask
-        mask += 1
-
-
 def build_from_matrix(a: Mat) -> IndependenceSystem:
     """Column independence system of a matrix: S independent iff the
     columns labelled by S are modular independent.
 
-    Masks are decided in increasing order, so every subset of a mask is
-    decided before it; a mask is tested only when all its maximal proper
-    subsets are independent.  The parent of a mask x is x & (x - 1), x
-    without its lowest element, and in increasing order the masks in
-    (p, p + lowbit(p)) are exactly p's subtree, so a stack of the
-    independent ancestors of the current mask (depth at most n) carries
-    what each path reuses, and each child S = P + g is decided from its
-    parent's entry.
+    The independent sets are walked depth-first, each from its parent P,
+    the set without its lowest element, so P's children are the P + g with
+    g below P's lowest element; taken in ascending g, this decides the
+    masks in increasing order, every subset of a set before it.  A set is
+    tested only when all its maximal proper subsets are independent (the
+    join step of downward-closed enumeration; Agrawal & Srikant, VLDB
+    1994).  ``ext[Q]``, for each member Q, holds the elements g below Q's
+    lowest element with Q + g independent, so the children of P to test
+    are the g below P's lowest element in ext[P - h] for every h in P.
+    Each P - h + g is smaller than P, so those bits are final once P is
+    found independent, as ``ext`` grows with each member.  A stack entry ``[mask, forms, candidates left]`` per independent
+    ancestor of the current set (depth at most n) carries what each path
+    reuses, and each child S = P + g is decided from its parent's entry.
 
     S is independent iff |V| / |m*V| = q^|S| for V the span of S (Nakayama),
     decided without a vector set: in the additive coordinates of ``howell``
     (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the Z/p^a-spans of the
     rows b*s and t*s over s in S, b and t running over additive generators
     of R and m.  A child grows a copy (a slice) of its parent's Howell form
-    of V by ``howell_insert`` from the ring's tables of Z/p^a, g's own row
-    first (``ring_gens[0]`` is 1): if it adds nothing, g and so R*g lie in
-    V, and S is dependent.  As P is independent, S is iff log_p of V's
-    growth less m*V's is f (q = p^f); m*V never shrinks, so a growth below f
-    makes S dependent.  A growth of log_p |R| makes S independent without
-    m*V: |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality only when
-    ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and S/mS = P/mP (+) R/m.
-    Only a growth in between needs m*V: an ancestor holds ``None`` for its
-    form until such a descendant fills it in from the nearest one below, so
-    each form is built at most once, and only when asked for.
+    of V by one ``howell.inserter`` bound to the ring's tables of Z/p^a,
+    g's own row first (``ring_gens[0]`` is 1): if it adds nothing, g and so
+    R*g lie in V, and S is dependent.  As P is independent, S is iff log_p
+    of V's growth less m*V's is f (q = p^f); m*V never shrinks, so a growth
+    below f makes S dependent.  A growth of log_p |R| makes S independent
+    without m*V: |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality
+    only when ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and
+    S/mS = P/mP (+) R/m.  Only a growth in between needs m*V: an ancestor
+    holds ``None`` for its form until such a descendant fills it in from
+    the nearest one below, so each form is built at most once, and only
+    when asked for.
 
     The walk is capped by the paper's characterisation of chain rings:
     there the generator count mu is monotone on submodules, so
@@ -444,47 +434,61 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     n = a.ncols
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
-    from .howell import howell_insert, rows_over  # here: only a route that runs it compiles it
+    from .howell import inserter, rows_over  # here: only a route that runs it compiles it
 
     ring = a.ring
     cols = a.columns()
-    fam = {0}
     r = minimal_generator_count(ring, cols) if ring.is_chain else n
     additive = ring.additive
     f = additive.residue_degree
     rows = [(rows_over(ring, c, additive.ring_gens), rows_over(ring, c, additive.radical_gens)) for c in cols]
     full = _factor_prime_power(ring.size)[1]  # log_p |R|, not d*a: R may sit in (Z/p^a)^d properly
     zero = [None] * (len(additive.coords[0]) * a.nrows)
-    stack = [(0, [zero, zero])]  # (mask, [Howell form of V, of m*V or None]) of independent ancestors
-    for mask in _candidates(fam, n, r):
-        parent = mask & (mask - 1)
-        while stack[-1][0] != parent:
+    insert = inserter(additive, len(zero))
+    ext = {0: 0}  # member Q -> the g below Q's lowest element with Q + g independent
+    # [mask, [Howell form of V, of m*V or None], candidates left] of independent ancestors
+    stack = [[0, [zero, zero], (1 << n) - 1 if r else 0]]
+    while stack:
+        top = stack[-1]
+        parent, forms, left = top
+        if not left:
             stack.pop()
-        vrows, mrows = rows[(mask ^ parent).bit_length() - 1]
-        vform, grown = stack[-1][1][0][:], 0
+            continue
+        bit = left & -left
+        top[2] = left ^ bit
+        mask = parent | bit
+        vrows, mrows = rows[bit.bit_length() - 1]
+        vform, grown = forms[0][:], 0
         for row in vrows:
-            grown += howell_insert(vform, row, additive)
+            grown += insert(vform, row)
             if not grown:  # g itself (the first row: ring_gens[0] is 1) lies in V, so R*g does
                 break
         if grown < f:
             continue
         mform = None  # R*g splits off as a free summand when grown == full
         if grown < full:
-            if stack[-1][1][1] is None:
-                for (low, (_, below)), (high, forms) in zip(stack, stack[1:]):
-                    if forms[1] is None:
-                        forms[1] = below = below[:]
+            if forms[1] is None:
+                for (low, (_, below), _), (high, above, _) in zip(stack, stack[1:]):
+                    if above[1] is None:
+                        above[1] = below = below[:]
                         for row in rows[(high ^ low).bit_length() - 1][1]:
-                            howell_insert(below, row, additive)
-            mform = stack[-1][1][1][:]
+                            insert(below, row)
+            mform = forms[1][:]
             for row in mrows:
-                grown -= howell_insert(mform, row, additive)
+                grown -= insert(mform, row)
             if grown != f:
                 continue
-        fam.add(mask)
+        ext[mask] = 0
+        ext[parent] |= bit
         if mask.bit_count() < r:
-            stack.append((mask, [vform, mform]))
-    return IndependenceSystem._from_bits(a.labels, _bits(fam, n), fam)
+            children, x = bit - 1 & ext[parent], parent
+            while x and children:
+                h = x & -x
+                children &= ext[mask ^ h]
+                x ^= h
+            if children:
+                stack.append([mask, [vform, mform], children])
+    return IndependenceSystem._from_bits(a.labels, _bits(ext, n), ext)
 
 
 def _large_independent_subsets(fam, ranks, x: int, size: int) -> list:

@@ -1,8 +1,7 @@
 """Naive reference implementations used for differential testing.
 
 Everything here recomputes from definitions with plain set enumeration and
-shares nothing with the fast paths beyond ring arithmetic (and, for
-``system_by_closure``, the mask walk of ``indepsys._candidates``).  Slow on
+shares nothing with the fast paths beyond ring arithmetic.  Slow on
 purpose; sized for desk-scale inputs.  The vector-set closure lives here
 and nowhere else.
 """
@@ -123,11 +122,12 @@ def extend_closure(ring: Ring, v, mv, g) -> tuple:
 
 def system_by_closure(a: Mat):
     """The column independence system of ``a`` from vector sets: S is
-    independent iff |V| = q^|S| |m*V| for V the span of its columns.  Masks
-    are walked as in ``indepsys.build_from_matrix``, each child one
-    ``extend_closure`` from its parent's entry on a stack of independent
-    ancestors, but uncapped."""
-    from .indepsys import MAX_GROUND, IndependenceSystem, _candidates
+    independent iff |V| = q^|S| |m*V| for V the span of its columns.  Every
+    mask is taken in increasing order and tested when each of its maximal
+    proper subsets is independent, uncapped; each is one ``extend_closure``
+    from its parent's entry (the mask without its lowest element) on a
+    stack of independent ancestors."""
+    from .indepsys import MAX_GROUND, IndependenceSystem
 
     n = a.ncols
     if n > MAX_GROUND:
@@ -136,7 +136,9 @@ def system_by_closure(a: Mat):
     fam = {0}
     zero = (0,) * a.nrows
     stack = [(0, {zero}, {zero})]  # (mask, V, m*V) of independent ancestors
-    for mask in _candidates(fam, n, n):
+    for mask in range(1, 1 << n):
+        if any(mask >> i & 1 and (mask ^ 1 << i) not in fam for i in range(n)):
+            continue
         parent = mask & (mask - 1)
         while stack[-1][0] != parent:
             stack.pop()

@@ -528,8 +528,8 @@ def _parse_table_ring(path: str, raw: bytes, digest: str) -> Ring:
     if not isinstance(data, dict):
         raise NotARingError(f"{path}: a table ring is a JSON object")
     size = data.get("size")
-    if type(size) is not int or size < 1:
-        raise NotARingError(f"{path}: 'size' must be a positive integer")
+    if type(size) is not int or size < 2:  # a local ring has 1 != 0
+        raise NotARingError(f"{path}: 'size' must be an integer of at least 2")
     if size > MAX_TABLE_SIZE:
         raise NotARingError(f"table ring size {size} exceeds the table cap {MAX_TABLE_SIZE}")
     for key in ("add", "mul"):

@@ -203,6 +203,7 @@ def test_error_contract(capsys, tmp_path):
         {"size": "4", "add": z4, "mul": z4},
         {"size": 4, "add": z4},
         {"size": 4, "add": z4, "mul": [["0", "1", "2", "3"]] * 4},
+        {"size": 1, "add": [[0]], "mul": [[0]]},  # 1 = 0: not a local ring
         [4, z4, z4],
         "not json",
         '{"size": 2, "add": [[0, 1], [1, 0]], "mul": ',

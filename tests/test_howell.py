@@ -1,6 +1,6 @@
 from types import SimpleNamespace
 
-from chainmat.howell import _low, howell_insert, lane_constants
+from chainmat.howell import _low, inserter, lane_constants
 from chainmat.rings import MAX_RING_SIZE, _factor_prime_power, make_ring
 
 from helpers import CHAIN_SPECS, EXTENSION_RINGS, FIELD_SPECS, TABLE_SPECS, rng_for, write_extension_ring
@@ -37,7 +37,8 @@ def test_howell_insert_sizes_spans():
             rows = [[rng.choice((0, rng.randrange(q), p * rng.randrange(q) % q, q - 1)) for _ in range(n)]
                     for _ in range(rng.randint(1, 4))]
             form = [None] * n
-            logs = sum(howell_insert(form, _pack(row, additive.barrett[0]), additive) for row in rows)
+            insert = inserter(additive, n)
+            logs = sum(insert(form, _pack(row, additive.barrett[0])) for row in rows)
             _check_howell_form(p, a, rows, _unpacked(form, additive), logs)
 
 
@@ -73,15 +74,15 @@ def test_howell_insert_displaces_and_reinserts():
     # the re-inserted 4 * (2, 3) = (0, 4) reduces to zero.
     additive = make_ring("z:8").additive
     w = additive.barrett[0]
-    form = [None, None]
-    assert howell_insert(form, _pack([4, 1], w), additive) == 3
+    form, insert = [None, None], inserter(additive, 2)
+    assert insert(form, _pack([4, 1], w)) == 3
     assert _unpacked(form, additive) == [[4, 1], [0, 2]]
-    assert howell_insert(form, _pack([2, 3], w), additive) == 2
+    assert insert(form, _pack([2, 3], w)) == 2
     assert _unpacked(form, additive) == [[2, 3], [0, 1]]
     _check_howell_form(2, 3, [[4, 1], [2, 3]], _unpacked(form, additive), 5)
     # a unit lead is scaled to 1 and re-inserts nothing
     form = [None, None]
-    assert howell_insert(form, _pack([3, 5], w), additive) == 3
+    assert insert(form, _pack([3, 5], w)) == 3
     assert _unpacked(form, additive) == [[1, 7], None]
 
 
@@ -90,7 +91,7 @@ def _prime_powers(limit) -> list:
 
 
 def _reduced_lanes(values, q) -> list:
-    """The lanes of v - q*((v*M >> s) & LOW), the step ``howell_insert``
+    """The lanes of v - q*((v*M >> s) & LOW), the step an ``inserter``
     takes after each multiply-add, for v the lanes ``values`` packed."""
     w, s, m = lane_constants(q)
     v = _pack(values, w)
@@ -116,9 +117,9 @@ def test_lane_reduction_is_exact():
 
 def test_howell_insert_scales_unit_leads_exactly():
     # A row led by a unit u is stored scaled to lead 1, each entry x as
-    # u^-1 * x mod q, through the lane reduction inside howell_insert: for
+    # u^-1 * x mod q, through the lane reduction inside an inserter: for
     # every prime power q up to the ring cap, with u = -1 (lanes up to
-    # (q - 1)^2 before reduction) and a random unit.  howell_insert reads
+    # (q - 1)^2 before reduction) and a random unit.  An inserter reads
     # Z/q's tables only at the lead, so they are given there alone rather
     # than by building all 604 rings Z/q.
     rng = rng_for("howell-unit-lead")
@@ -130,7 +131,7 @@ def test_howell_insert_scales_unit_leads_exactly():
                                      cofactor=(q,), barrett=lane_constants(q))
             row = [u, 0, 1, q - 1, q - 2, q // 2, rng.randrange(q), rng.randrange(q)]
             form = [None] * len(row)
-            assert howell_insert(form, _pack(row, tables.barrett[0]), tables) == a, q
+            assert inserter(tables, len(row))(form, _pack(row, tables.barrett[0])) == a, q
             assert _lanes(form[0], tables.barrett[0], len(row)) == [inverse * x % q for x in row], (q, u)
             assert form[1:] == [None] * (len(row) - 1), q
 

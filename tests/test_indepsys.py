@@ -174,17 +174,24 @@ def test_build_tests_only_up_to_the_generator_count(monkeypatch):
     # (r = number of invariant factors of the whole matrix) is tested, and
     # an independent set with r elements has no child to decide, so it
     # never gets an entry on the stack of independent ancestors.
+    import chainmat.howell as howell
+
     tested, stacked = [], []
-    candidates = indepsys._candidates
+    inserter = howell.inserter
 
-    def spying(fam, n, cap):
-        build = sys._getframe(1)  # the build_from_matrix call drawing the masks
-        for mask in candidates(fam, n, cap):
-            tested.append(mask)
-            yield mask
-            stacked.extend(m for m, _ in build.f_locals["stack"])
+    def spying(additive, lanes):
+        insert = inserter(additive, lanes)
 
-    monkeypatch.setattr(indepsys, "_candidates", spying)
+        def spy(form, row):
+            build = sys._getframe(1)  # the caller: the build deciding a set, or span_form
+            if build.f_code is indepsys.build_from_matrix.__code__:
+                tested.append(build.f_locals["mask"])
+                stacked.extend(entry[0] for entry in build.f_locals["stack"])
+            return insert(form, row)
+
+        return spy
+
+    monkeypatch.setattr(howell, "inserter", spying)
     rng = rng_for("snf-build-cap")
     for spec in CHAIN_SPECS + ("z:5",):
         ring = make_ring(spec)

@@ -8,6 +8,7 @@ from chainmat.enumgeo import projective_line, uniform_rank2_representation
 from chainmat.errors import ContractDependentSetError, NonIntegralDimensionError, ZeroProjectionError
 from chainmat.gallery import load_matrix
 from chainmat.indepsys import (
+    MAX_GROUND,
     Clutter,
     IndependenceSystem,
     build_from_matrix,
@@ -92,6 +93,11 @@ def test_subset_scan_matches_fast_path():
             enum = system_by_closure(mat)
             assert circuits_by_subset_scan(mat).members == enum.circuits().members
             assert enum == build_from_matrix(mat)
+    # at MAX_GROUND columns: a field, a chain ring with a = 2 and a
+    # non-chain ring, where the walk is uncapped
+    for spec, k in (("z:2", 4), ("fpu:2,2", 3), ("table:f2xy_xx_yy", 2)):
+        mat = random_matrix(rng, make_ring(spec), k, MAX_GROUND)
+        assert build_from_matrix(mat) == system_by_closure(mat), spec
 
 
 def _degenerate_matrices(rng, ring):
@@ -245,15 +251,16 @@ def test_free_summand_shortcut_matches_closure(tmp_path):
 
 
 def _walk_inserts(monkeypatch):
-    """A list that gets an entry per ``howell_insert`` of the build's walk:
-    a spy on every insert, less those that the rank cap's generator count
-    (``minimal_generator_count`` of the columns, chain rings only) makes
-    under the same spy, measured as it runs and subtracted."""
+    """A list that gets an entry per insert of the build's walk: a spy on
+    every insert of every ``howell.inserter``, less those that the rank
+    cap's generator count (``minimal_generator_count`` of the columns,
+    chain rings only) makes under the same spy, measured as it runs and
+    subtracted."""
     import chainmat.howell as howell
     import chainmat.indepsys as indepsys
 
     calls = []
-    insert, count = howell.howell_insert, indepsys.minimal_generator_count
+    inserter, count = howell.inserter, indepsys.minimal_generator_count
 
     def mu(*args):
         before = len(calls)
@@ -261,7 +268,11 @@ def _walk_inserts(monkeypatch):
         del calls[before:]
         return out
 
-    monkeypatch.setattr(howell, "howell_insert", lambda *args: calls.append(None) or insert(*args))
+    def spying(additive, lanes):
+        insert = inserter(additive, lanes)
+        return lambda *args: calls.append(None) or insert(*args)
+
+    monkeypatch.setattr(howell, "inserter", spying)
     monkeypatch.setattr(indepsys, "minimal_generator_count", mu)
     return calls
 
@@ -294,6 +305,26 @@ def test_dependent_child_costs_one_insert(monkeypatch):
         system = build_from_matrix(mat)
         assert system.is_independent(["1", "2"]) and not system.is_independent(["1", "3"]), spec
         assert len(calls) == 5 * len(ring.additive.ring_gens) + 1, spec
+
+
+def test_walk_tests_each_set_once(monkeypatch):
+    # Over a prime field R*g is one row and m = 0, so each tested set costs
+    # one insert.  The walk tests every member but the empty set, and a
+    # dependent set only when its maximal proper subsets are independent,
+    # that is a circuit, of at most r elements (the rank cap).  A skipped
+    # or repeated set, or one tested with a dependent maximal subset,
+    # changes the count.
+    calls = _walk_inserts(monkeypatch)
+    rng = rng_for("walk-tests-each-set-once")
+    for spec in FIELD_SPECS:
+        ring = make_ring(spec)
+        for k, n in ((1, 9), (2, 12), (3, 16), (4, 16), (5, 14)):
+            mat = random_matrix(rng, ring, k, n)
+            calls.clear()
+            system = build_from_matrix(mat)
+            r = system.rank()
+            circuits = sum(len(c) <= r for c in system.circuits().members)
+            assert len(calls) == len(system.family) - 1 + circuits, (spec, mat)
 
 
 def test_rank_cap_does_not_apply_off_chain_rings():
