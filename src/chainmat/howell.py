@@ -32,7 +32,7 @@ row is ever displaced and nothing is re-inserted.  The form is an echelon
 basis over F_p, a row is reduced by r - x*h at its lead x until it is zero
 or stored, and each stored row adds 1 to log_p.  When q = 2 every lane
 holds 0 or 1, so that step is r ^= h: lane-wise addition modulo 2, which
-carries nothing.
+carries nothing, and ``inserter`` takes it in a loop of its own.
 
 A Howell form also lists its span, each vector once (``span_words``):
 the one enumeration of a span outside ``oracle``.
@@ -90,8 +90,8 @@ def inserter(additive, lanes: int):
     then sum c_j * row_j with 0 <= c_j < p^(a - e_j) in exactly one way (the
     first nonzero c_j would make its lead entry c_j * p^e_j nonzero), so
     |span| = prod p^(a - e_j).  Each step is a multiply-add and the lane
-    reduction (module docstring).  For a = 1 it takes the echelon step of
-    the module docstring (r ^= h when q = 2), which stores the same rows.
+    reduction (module docstring).  For q = 2 it takes the XOR step of the
+    module docstring, which stores the same rows.
     """
     a, q, unit_inverse = additive.exponent, additive.cofactor[0], additive.unit_inverse
     w, s, m = additive.barrett
@@ -109,24 +109,6 @@ def inserter(additive, lanes: int):
 
         return insert
     low, mask = _low(w, s, lanes), (1 << w) - 1
-    if a == 1:
-
-        def insert(form: list, r: int) -> int:
-            while r:
-                j = ((r & -r).bit_length() - 1) // w
-                x = r >> w * j & mask
-                h = form[j]
-                if h is None:
-                    if x != 1:
-                        r *= unit_inverse[x]
-                        r -= q * (r * m >> s & low)
-                    form[j] = r
-                    return 1
-                r += (q - x) * h
-                r -= q * (r * m >> s & low)
-            return 0
-
-        return insert
     valuation, cofactor = additive.valuation, additive.cofactor
 
     def insert(form: list, row: int) -> int:

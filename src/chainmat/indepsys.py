@@ -402,9 +402,10 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     lowest element with Q + g independent, so the children of P to test
     are the g below P's lowest element in ext[P - h] for every h in P.
     Each P - h + g is smaller than P, so those bits are final once P is
-    found independent, as ``ext`` grows with each member.  A stack entry ``[mask, forms, candidates left]`` per independent
-    ancestor of the current set (depth at most n) carries what each path
-    reuses, and each child S = P + g is decided from its parent's entry.
+    found independent, as ``ext`` grows with each member.  A stack entry
+    ``[mask, forms, candidates left]`` per independent ancestor of the
+    current set (depth at most n) carries what each path reuses, and each
+    child S = P + g is decided from its parent's entry.
 
     S is independent iff |V| / |m*V| = q^|S| for V the span of S (Nakayama),
     decided without a vector set: in the additive coordinates of ``howell``
