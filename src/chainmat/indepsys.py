@@ -10,7 +10,8 @@ shifts, and label sets are formed only where the API returns them; the
 library's own families and clutters skip re-validation (``_from_bits``).
 ``build_from_matrix`` walks the independent column sets depth-first over
 extension masks and decides each from Howell forms; ``check_matroid``
-certifies the augmentation axiom from the rank table.
+decides the augmentation axiom from the rank table and reads the
+violators of each failing set off the family's bitset.
 """
 
 from __future__ import annotations
@@ -49,6 +50,17 @@ def _lows(n: int) -> tuple:
         return ()
     half = 1 << (n - 1)
     return tuple(lo | lo << half for lo in _lows(n - 1)) + ((1 << half) - 1,)
+
+
+@lru_cache(maxsize=None)
+def _larger(n: int) -> tuple:
+    """For each k <= n, the set of the masks with more than k elements,
+    doubled from the sets over n - 1 elements (those with more than k,
+    and shifted by 2^(n-1), those with more than k - 1)."""
+    if not n:
+        return (0,)
+    half, prev = 1 << (n - 1), _larger(n - 1)
+    return tuple(hi | lo << half for lo, hi in zip(((1 << half) - 1,) + prev, prev + (0,)))
 
 
 def _bits(masks, n: int) -> int:
@@ -492,28 +504,6 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     return IndependenceSystem._from_bits(a.labels, _bits(ext, n), ext)
 
 
-def _large_independent_subsets(fam, ranks, x: int, size: int) -> list:
-    """Every independent subset of the mask ``x`` with more than ``size``
-    elements.  Depth-first over the elements of x, lowest first; a branch
-    is cut when its chosen set plus all its undecided elements has rank at
-    most ``size``."""
-    out = []
-    stack = [(0, x)]
-    while stack:
-        chosen, rest = stack.pop()
-        if ranks[chosen | rest] <= size:
-            continue
-        if not rest:
-            out.append(chosen)
-            continue
-        bit = rest & -rest
-        rest ^= bit
-        stack.append((chosen, rest))
-        if (chosen | bit) in fam:
-            stack.append((chosen | bit, rest))
-    return out
-
-
 def check_matroid(m: IndependenceSystem) -> MatroidReport:
     """Certify the augmentation axiom from the rank table.
 
@@ -531,29 +521,47 @@ def check_matroid(m: IndependenceSystem) -> MatroidReport:
 
     An augmentation fails for (I1, I2) exactly when |I2| > |I1| and I2 is
     an independent subset of X(I1), so ``violations`` lists every such
-    pair, built from the I1 whose X(I1) has rank above |I1|.  Pairs are
-    ordered by I2, then I1, each by (size, mask).
+    pair, built from the I1 whose X(I1) has rank above |I1| (the whole of
+    detection).  The I2 of such an I1 are read off the family's bitset once
+    per distinct (X(I1), |I1|): the members with more than |I1| elements
+    and without any e outside X(I1).  Pairs are ordered by I2, then I1,
+    each by (size, mask), by the walk and not by a sort over pairs: the
+    failing I1 are sorted, each is appended to the list of every I2 it
+    fails against, and the distinct I2 are walked in order.
+    ``oracle.exchange_violations_by_pair_scan`` is the pair-scan reference.
     """
-    fam, bits, n = m.family, m._bits, len(m.labels)
-    ranks = m._ranks()
+    bits, n = m._bits, len(m.labels)
+    ranks, lows = m._ranks(), _lows(n)
     lanes = [0, 0]
-    for e, lo in enumerate(_lows(n)):
+    for e, lo in enumerate(lows):
         lanes[e >> 3] += _lanes(bits & lo & ~(bits >> (1 << e)), n) << (e & 7)
     low, high = (x.to_bytes(1 << n, "little") for x in lanes)
-    pairs, large = [], {}  # large: (X(I1), |I1|) -> its independent subsets above |I1|
-    for i1 in fam:
-        size = i1.bit_count()
-        x = i1 | low[i1] | high[i1] << 8
-        if ranks[x] > size:
-            if (x, size) not in large:
-                large[x, size] = _large_independent_subsets(fam, ranks, x, size)
-            pairs.extend((i2, i1) for i2 in large[x, size])
-    pairs.sort(key=lambda p: (p[0].bit_count(), p[0], p[1].bit_count(), p[1]))
+    # the failing I1, each with |I1| and X(I1), in (size, mask) order
+    failing = sorted(
+        (i1.bit_count(), i1, x) for i1 in m.family if ranks[x := i1 | low[i1] | high[i1] << 8] > i1.bit_count()
+    )
+    larger = _larger(n)
+    large, by_i2 = {}, {}  # (X(I1), |I1|) -> its independent subsets above |I1|; I2 -> its I1s
+    for size, i1, x in failing:
+        found = large.get((x, size))
+        if found is None:
+            inside = bits & larger[size]
+            for e, lo in enumerate(lows):
+                if not x >> e & 1:
+                    inside &= lo
+            found = large[x, size] = []
+            while inside:
+                i2 = inside & -inside
+                found.append(i2.bit_length() - 1)
+                inside ^= i2
+        for i2 in found:
+            by_i2.setdefault(i2, []).append(i1)
     violations = []
-    if pairs:
+    if by_i2:
         label_tuple = _label_tuples(m.labels)
-        sets = {mask: frozenset(label_tuple(mask)) for mask in {mask for p in pairs for mask in p}}
-        violations = [(sets[i1], sets[i2]) for i2, i1 in pairs]
+        sets = {mask: frozenset(label_tuple(mask)) for mask in {*by_i2, *(i1 for _, i1, _ in failing)}}
+        for i2 in sorted(by_i2, key=lambda mask: (mask.bit_count(), mask)):
+            violations += [(sets[i1], sets[i2]) for i1 in by_i2[i2]]
     loops = [l for i, l in enumerate(m.labels) if (1 << i) not in m.family]
     parallel = []
     for i, j in combinations(range(len(m.labels)), 2):

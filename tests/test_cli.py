@@ -1,4 +1,5 @@
 import json
+import pathlib
 from importlib import resources
 
 import pytest
@@ -7,6 +8,9 @@ from chainmat.cli import main
 from chainmat.gallery import data_path, load_matrix
 from chainmat.indepsys import build_from_matrix, system_from_json, system_to_json
 from chainmat.linalg import parse_matrix
+from chainmat.rings import make_ring
+
+from helpers import rng_for
 
 
 def run(capsys, *argv):
@@ -282,3 +286,113 @@ def test_error_contract(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), (argv, code, out, err)
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+
+
+_FUZZ_CHARS = "0123456789 ,:+-^_#\nxyuabz٣３"
+
+
+def _mutate(rng, text: str) -> str:
+    """``text`` after one to three random edits: a character replaced,
+    deleted or inserted, or a line dropped or repeated."""
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randrange(len(text) + 1), rng.randrange(4)
+        if op == 0:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        elif op == 2:
+            text = text[:i] + rng.choice(_FUZZ_CHARS) + text[i:]
+        else:
+            lines = text.split("\n")
+            j = rng.randrange(len(lines))
+            lines[j:j + 1] = rng.choice([[], [lines[j]] * 2])
+            text = "\n".join(lines)
+    return text
+
+
+def _mutate_table(rng, table: dict) -> str:
+    """The JSON text of a table ring after one structural or textual edit."""
+    table = json.loads(json.dumps(table))
+    size, op = table["size"], rng.randrange(6)
+    if op == 0:  # the first s elements only, down to s = 0 and 1 (where 1 = 0)
+        s = rng.randint(0, size)
+        table.pop("names", None)
+        table.update(size=s, **{key: [row[:s] for row in table[key][:s]] for key in ("add", "mul")})
+    elif op == 1:
+        row = rng.choice(table[rng.choice(("add", "mul"))])
+        row[rng.randrange(len(row))] = rng.choice([-1, size, rng.randrange(size), "1", 1.5, None, True])
+    elif op == 2:
+        table["size"] = rng.choice([size - 1, size + 1, 0, -1, "4", None, 1 << 40])
+    elif op == 3:
+        del table[rng.choice(sorted(table))]
+    elif op == 4:
+        key = rng.choice(("add", "mul"))
+        rows = table[key]
+        i, j = rng.randrange(size), rng.randrange(size)
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        return _mutate(rng, json.dumps(table))
+    return json.dumps(table)
+
+
+def test_error_contract_fuzz(capsys, tmp_path):
+    # Seeded random edits of packaged matrices, ring specs, integer options
+    # and table files, through main in process: every case exits 0, 1 or 2,
+    # on exit 2 with exactly one stderr line "error: ...", and no exception
+    # escapes.  The ring caches are cleared between cases.
+    rng = rng_for("cli-fuzz")
+    data = resources.files("chainmat").joinpath("data")
+    matrices = sorted(p.name for p in data.iterdir() if p.name.endswith(".mat"))
+    z4 = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+    tables = [
+        {"size": 4, "add": z4, "mul": [[a * b % 4 for b in range(4)] for a in range(4)]},
+        json.loads(pathlib.Path(__file__).with_name("z4x_2x_xx.json").read_text()),
+    ]
+    specs = ["z:4", "z:8", "z:9", "zpn:2,3", "fpu:2,2", "z:5", "z:25", "table:f2xy_xx_yy", "table:f2xy_xx_xy_yy"]
+    labels = ["a", "b", "1", "a,b", "1,2", "", ",", "zz"]
+    matrix_commands = [
+        ["indep"], ["circuits"], ["rank"], ["check-matroid"], ["dual-system"], ["dual-code"],
+        ["snf"], ["systematic"], ["puncture", "-X"], ["shorten", "-X"], ["contractible", "-e"],
+        ["contract", "-X"], ["minor", "--delete"], ["minor", "--contract"], ["indep", "-X"], ["rank", "-X"],
+    ]
+
+    def integer():
+        small = rng.randint(-2, 8)
+        return rng.choice([str(small), _mutate(rng, str(abs(small))), str(10 ** rng.randint(3, 12))])
+
+    cases = []
+    for i in range(200):
+        path = tmp_path / f"m{i}.mat"
+        path.write_text(_mutate(rng, data.joinpath(rng.choice(matrices)).read_text()))
+        command = rng.choice(matrix_commands)
+        cases.append([command[0], str(path), *(command[1:] and [command[1], rng.choice(labels)])])
+    for _ in range(100):
+        spec = _mutate(rng, rng.choice(specs))
+        cases.append(rng.choice([
+            ["uniform", "--ring", spec, "-n", str(rng.randint(2, 5))],
+            ["bound", "--ring", spec, "-k", str(rng.randint(1, 3))],
+            ["counting", "--ring", spec, "--shape", "1,1", "-s", "1"],
+        ]))
+    for _ in range(100):
+        spec = rng.choice(specs[:5])
+        cases.append(rng.choice([
+            ["uniform", "--ring", spec, "-n", integer()],
+            ["bound", "--ring", spec, "-k", integer()],
+            ["counting", "--ring", spec, "--shape", f"{integer()},{integer()}", "-s", integer()],
+        ]))
+    for i in range(100):
+        (tmp_path / f"t{i}.json").write_text(_mutate_table(rng, rng.choice(tables)))
+        path = tmp_path / f"t{i}.mat"
+        path.write_text(f"ring table:t{i}.json\ncols a b\n1 0\n0 1\n")
+        command = rng.choice(matrix_commands[:8])
+        cases.append([command[0], str(path)])
+    for argv in cases:
+        make_ring.cache_clear()
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{argv}: {type(exc).__name__}: {exc}")
+        out = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert out.err.startswith("error:") and out.err.count("\n") == 1, (argv, out.err)
