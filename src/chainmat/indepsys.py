@@ -90,6 +90,14 @@ def _masks(bits: int, n: int) -> list:
     return list(compress(range(1 << n), _flags(bits, n)))
 
 
+def _inside(bits: int, x: int, n: int) -> int:
+    """The masks of the set that are subsets of the mask ``x``."""
+    for i, lo in enumerate(_lows(n)):
+        if not x >> i & 1:
+            bits &= lo
+    return bits
+
+
 def _shrink(bits: int, n: int) -> int:
     """The masks that are a member less one element."""
     out = 0
@@ -340,19 +348,13 @@ class Clutter:
 
     def delete(self, t) -> "Clutter":
         [gone] = _label_masks(self.labels, [t])
-        kept = self._bits
-        for i, lo in enumerate(_lows(len(self.labels))):
-            if gone >> i & 1:
-                kept &= lo
+        kept = _inside(self._bits, ~gone, len(self.labels))
         return Clutter._from_bits(*self._drop(gone, _masks(kept, len(self.labels))))
 
     def contract(self, t) -> "Clutter":
         [gone] = _label_masks(self.labels, [t])
         n = len(self.labels)
-        inside = self._bits
-        for i, lo in enumerate(_lows(n)):
-            if not gone >> i & 1:
-                inside &= lo
+        inside = _inside(self._bits, gone, n)
         if inside:
             label_tuple = _label_tuples(self.labels)
             member = (inside & -inside).bit_length() - 1
@@ -545,15 +547,12 @@ def check_matroid(m: IndependenceSystem) -> MatroidReport:
     for size, i1, x in failing:
         found = large.get((x, size))
         if found is None:
-            inside = bits & larger[size]
-            for e, lo in enumerate(lows):
-                if not x >> e & 1:
-                    inside &= lo
-            found = large[x, size] = []
-            while inside:
+            inside, found = _inside(bits & larger[size], x, n), []
+            while inside:  # sparse: popping bits beats _masks' scan of all 2^n
                 i2 = inside & -inside
                 found.append(i2.bit_length() - 1)
                 inside ^= i2
+            large[x, size] = found
         for i2 in found:
             by_i2.setdefault(i2, []).append(i1)
     violations = []

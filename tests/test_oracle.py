@@ -715,10 +715,10 @@ def test_differential_matroid_certification():
         widest = 10 if spec in CHAIN_SPECS else 7
         for _ in range(12):
             systems.append(build_from_matrix(random_matrix(rng, ring, rng.randint(1, 3), rng.randint(1, widest))))
+    assert sum(len(m.labels) >= 8 for m in systems[300:]) >= 10
     ring = make_ring("table:f2xy_xx_xy_yy")  # the benchmark's non-chain shapes, dense in violations
     for _ in range(12):
         systems.append(build_from_matrix(random_matrix(rng, ring, rng.randint(2, 3), rng.randint(8, 9))))
-    assert sum(len(m.labels) >= 8 for m in systems[300:]) >= 10
     data = resources.files("chainmat").joinpath("data")
     for name in sorted(p.name for p in data.iterdir() if p.name.endswith(".mat")):
         mat = load_matrix(name)
