@@ -330,109 +330,83 @@ class _Parser(argparse.ArgumentParser):
         raise BadValueError(f"{self.prog}: {message}")
 
 
-def _add_matrix_arg(p):
-    p.add_argument("matrix", help="matrix file path (or data:<name> for packaged examples)")
+_MATRIX = (("matrix",), {"help": "matrix file path (or data:<name> for packaged examples)"})
+_SUBSET = (("-X", "--subset"), {"required": True})
+_RING = (("--ring",), {"required": True})
+
+# Each subcommand as (name, help, handler, its arguments as (names, keywords)
+# of ``add_argument``), in the order the full parser lists them.
+_COMMANDS = (
+    ("indep", "independent family, or test one subset", cmd_indep,
+     (_MATRIX, (("-X", "--subset"), {"help": "comma-separated labels"}))),
+    ("circuits", "minimal dependent sets", cmd_circuits, (_MATRIX,)),
+    ("rank", "rank of a subset (default: whole ground set)", cmd_rank, (_MATRIX, (("-X", "--subset"), {}))),
+    ("check-matroid", "exchange-axiom certification (exit 1 on failure)", cmd_check_matroid, (_MATRIX,)),
+    ("dual-code", "generator matrix of the dual code", cmd_dual_code, (_MATRIX,)),
+    ("dual-system", "dual independence system", cmd_dual_system, (_MATRIX,)),
+    ("puncture", "delete coordinates from the code", cmd_puncture, (_MATRIX, _SUBSET)),
+    ("shorten", "restrict to codewords vanishing on X", cmd_shorten, (_MATRIX, _SUBSET)),
+    ("contractible", "contractibility witness at a coordinate", cmd_contractible,
+     (_MATRIX, (("-e", "--element"), {"required": True}))),
+    ("contract", "shorten with a contractibility certificate", cmd_contract, (_MATRIX, _SUBSET)),
+    ("minor", "clutter deletion/contraction of the circuits", cmd_minor,
+     (_MATRIX, (("--delete",), {"default": ""}), (("--contract",), {"default": ""}))),
+    ("snf", "Smith normal form over a chain ring", cmd_snf, (_MATRIX,)),
+    ("systematic", "[I_k | A] form, or report not free", cmd_systematic, (_MATRIX,)),
+    ("uniform", "rank-2 uniform representation over a ring", cmd_uniform,
+     (_RING, (("-n",), {"type": _integer, "required": True}))),
+    ("bound", "simple-matroid size bound for free rank-k codes", cmd_bound,
+     (_RING, (("-k",), {"type": _integer, "required": True}),
+      (("--antichain",), {"action": "store_true", "help": "also compute the poset width"}))),
+    ("counting", "cyclic submodule count for a module shape", cmd_counting,
+     (_RING, (("--shape",), {"required": True, "help": "comma-separated multiplicities k0,k1,..."}),
+      (("-s",), {"type": _integer, "required": True}))),
+    ("verify-gallery", "verify catalog entries", cmd_verify_gallery,
+     ((("name",), {"nargs": "?", "help": "entry name; omit with --all for everything"}),
+      (("--all",), {"action": "store_true"}))),
+    ("iso", "matroid isomorphism between two matrices", cmd_iso, ((("matrix_a",), {}), (("matrix_b",), {}))),
+)
+_COMMAND = {spec[0]: spec for spec in _COMMANDS}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parser(commands) -> argparse.ArgumentParser:
+    """The top-level parser with a subparser for each of ``commands``."""
     top = _Parser(prog="chainmat", description=__doc__)
     top.add_argument("--json", action="store_true", help="emit JSON where supported")
     top.add_argument("--oracle", action="store_true", help="force brute-force oracle code paths")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("indep", help="independent family, or test one subset")
-    _add_matrix_arg(p)
-    p.add_argument("-X", "--subset", help="comma-separated labels")
-    p.set_defaults(fn=cmd_indep)
-
-    p = sub.add_parser("circuits", help="minimal dependent sets")
-    _add_matrix_arg(p)
-    p.set_defaults(fn=cmd_circuits)
-
-    p = sub.add_parser("rank", help="rank of a subset (default: whole ground set)")
-    _add_matrix_arg(p)
-    p.add_argument("-X", "--subset")
-    p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("check-matroid", help="exchange-axiom certification (exit 1 on failure)")
-    _add_matrix_arg(p)
-    p.set_defaults(fn=cmd_check_matroid)
-
-    p = sub.add_parser("dual-code", help="generator matrix of the dual code")
-    _add_matrix_arg(p)
-    p.set_defaults(fn=cmd_dual_code)
-
-    p = sub.add_parser("dual-system", help="dual independence system")
-    _add_matrix_arg(p)
-    p.set_defaults(fn=cmd_dual_system)
-
-    p = sub.add_parser("puncture", help="delete coordinates from the code")
-    _add_matrix_arg(p)
-    p.add_argument("-X", "--subset", required=True)
-    p.set_defaults(fn=cmd_puncture)
-
-    p = sub.add_parser("shorten", help="restrict to codewords vanishing on X")
-    _add_matrix_arg(p)
-    p.add_argument("-X", "--subset", required=True)
-    p.set_defaults(fn=cmd_shorten)
-
-    p = sub.add_parser("contractible", help="contractibility witness at a coordinate")
-    _add_matrix_arg(p)
-    p.add_argument("-e", "--element", required=True)
-    p.set_defaults(fn=cmd_contractible)
-
-    p = sub.add_parser("contract", help="shorten with a contractibility certificate")
-    _add_matrix_arg(p)
-    p.add_argument("-X", "--subset", required=True)
-    p.set_defaults(fn=cmd_contract)
-
-    p = sub.add_parser("minor", help="clutter deletion/contraction of the circuits")
-    _add_matrix_arg(p)
-    p.add_argument("--delete", default="")
-    p.add_argument("--contract", default="")
-    p.set_defaults(fn=cmd_minor)
-
-    p = sub.add_parser("snf", help="Smith normal form over a chain ring")
-    _add_matrix_arg(p)
-    p.set_defaults(fn=cmd_snf)
-
-    p = sub.add_parser("systematic", help="[I_k | A] form, or report not free")
-    _add_matrix_arg(p)
-    p.set_defaults(fn=cmd_systematic)
-
-    p = sub.add_parser("uniform", help="rank-2 uniform representation over a ring")
-    p.add_argument("--ring", required=True)
-    p.add_argument("-n", type=_integer, required=True)
-    p.set_defaults(fn=cmd_uniform)
-
-    p = sub.add_parser("bound", help="simple-matroid size bound for free rank-k codes")
-    p.add_argument("--ring", required=True)
-    p.add_argument("-k", type=_integer, required=True)
-    p.add_argument("--antichain", action="store_true", help="also compute the poset width")
-    p.set_defaults(fn=cmd_bound)
-
-    p = sub.add_parser("counting", help="cyclic submodule count for a module shape")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--shape", required=True, help="comma-separated multiplicities k0,k1,...")
-    p.add_argument("-s", type=_integer, required=True)
-    p.set_defaults(fn=cmd_counting)
-
-    p = sub.add_parser("verify-gallery", help="verify catalog entries")
-    p.add_argument("name", nargs="?", help="entry name; omit with --all for everything")
-    p.add_argument("--all", action="store_true")
-    p.set_defaults(fn=cmd_verify_gallery)
-
-    p = sub.add_parser("iso", help="matroid isomorphism between two matrices")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
-    p.set_defaults(fn=cmd_iso)
-
+    for name, help_text, fn, arguments in commands:
+        p = sub.add_parser(name, help=help_text)
+        for names, keywords in arguments:
+            p.add_argument(*names, **keywords)
+        p.set_defaults(fn=fn)
     return top
 
 
+def build_parser() -> argparse.ArgumentParser:
+    return _parser(_COMMANDS)
+
+
+def _parser_for(argv: list) -> argparse.ArgumentParser:
+    """A parser that reads ``argv`` as ``build_parser()`` does.  When argv
+    names a subcommand after nothing but ``--json`` and ``--oracle``,
+    argparse hands that name and all that follows to its subparser, so one
+    built with that subparser alone gives the same namespace, messages,
+    help and exit; the choice list it lacks shows only in the top-level
+    help and in the unknown-command error, which take the full parser."""
+    for token in argv:
+        if token not in ("--json", "--oracle"):
+            spec = _COMMAND.get(token)
+            if spec is not None:
+                return _parser((spec,))
+            break
+    return build_parser()
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
         return args.fn(args)
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

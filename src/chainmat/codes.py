@@ -11,7 +11,11 @@ Puncturing re-forms the punctured generator rows; shortening by X reads
 C n {x_X = 0} off a Howell form whose first coordinates are X's, and
 the contractibility witness is a row of a Howell form of C n (m^t)^n.
 The dual is read off a Howell form over every ring (``dual_code``).  No
-codeword is built by any of them, nor by the dual or a contraction.
+codeword is built by any of them, nor by the dual or a contraction.  Their
+generator matrices hold rows the library made (tuples of ring elements,
+one per label), so they are built unchecked (``Mat._trusted``); a matrix
+given to ``from_matrix`` was checked when it was made, and the words given
+to ``from_codeword_set`` are checked by ``Mat``.
 
 The codeword set (``codewords``) is listed from the Howell form on first
 read and then kept, after |C| is checked against the "span" guard.  Only
@@ -67,13 +71,16 @@ class Code:
     def from_codeword_set(ring: Ring, labels, codewords) -> "Code":
         """Build from an addition/scalar-closed set of words (a submodule);
         generators are chosen greedily from the sorted word list.  Words
-        that are not closed (their span is larger) are an error."""
+        that are not closed (their span is larger) are an error.  The
+        words and labels come from the caller, so the generator matrix is
+        built by the checking ``Mat``."""
         words = sorted({tuple(c) for c in codewords})
         gens = vanishing_part(ring, words, 0)  # the rows of a Howell form of their span
         log = span_form(ring, gens)[1]
         if ring.additive.p**log != len(words):
             raise BadValueError(f"{len(words)} words are not a submodule: they span {ring.additive.p**log}")
-        return _code(ring, labels, *generators_among(ring, gens, words, log))
+        kept, form, log = generators_among(ring, gens, words, log)
+        return Code(Mat(ring, labels, kept or [(0,) * len(labels)]), form, log)
 
     # -- basic data -----------------------------------------------------------
 
@@ -134,8 +141,9 @@ class Code:
 
 def _code(ring: Ring, labels, gens, form, log) -> Code:
     """The code generated by ``gens``, a minimal generating set (empty for
-    the zero code); ``form`` and ``log`` are its Howell form and log_p |C|."""
-    return Code(Mat(ring, labels, gens or [(0,) * len(labels)]), form, log)
+    the zero code) of tuples the library made; ``form`` and ``log`` are its
+    Howell form and log_p |C|."""
+    return Code(Mat._trusted(ring, tuple(labels), tuple(gens) or ((0,) * len(labels),)), form, log)
 
 
 def _from_rows(ring: Ring, labels, rows) -> Code:

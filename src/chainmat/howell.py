@@ -34,6 +34,13 @@ or stored, and each stored row adds 1 to log_p.  When q = 2 every lane
 holds 0 or 1, so that step is r ^= h: lane-wise addition modulo 2, which
 carries nothing, and ``inserter`` takes it in a loop of its own.
 
+Every path reads two things that depend only on the ring, and so are kept
+beside its coordinates.  ``images[b]`` maps x to the packed image of b*x,
+for each additive generator b of R and of m (``packed`` itself for b = 1),
+filled the first time each x is read: at most |R| entries per generator,
+and ``ring.mul`` is called once per (b, x) however many rows are formed.
+``kernels`` holds one bound ``inserter`` per lane count (``kernel``).
+
 A Howell form also lists its span, each vector once (``span_words``):
 the one enumeration of a span outside ``oracle``.
 
@@ -76,7 +83,7 @@ def inserter(additive, lanes: int):
     docstring) into the Howell form ``form`` of ``lanes`` lanes in place and
     returns by how much log_p of its span's size grew; p, a, the lane
     constants and the tables of Z/p^a come from ``additive`` and are bound
-    here, once per form.
+    here; ``kernel`` keeps one such binding per lane count.
 
     ``form`` has a slot per column: the one row led there (zero before that
     column, p^e with e < a at it), or ``None``.  A row is reduced by the
@@ -145,6 +152,15 @@ def inserter(additive, lanes: int):
     return insert
 
 
+def kernel(additive, lanes: int):
+    """``inserter(additive, lanes)``, bound once per lane count and kept in
+    ``additive.kernels``."""
+    insert = additive.kernels.get(lanes)
+    if insert is None:
+        insert = additive.kernels[lanes] = inserter(additive, lanes)
+    return insert
+
+
 # -- additive coordinates ------------------------------------------------------------
 
 
@@ -159,7 +175,10 @@ class AdditiveCoordinates(NamedTuple):
     reads three tables of Z/p^a: for x = p^e * u (u prime to p),
     ``valuation[x]`` is e and ``unit_inverse[x]`` is u^-1 modulo p^a;
     ``cofactor[e]`` is p^(a - e) for 0 <= e <= a; ``barrett`` is (w, s, M)
-    of ``lane_constants(p^a)``.
+    of ``lane_constants(p^a)``.  ``images[b]``, for b in ``ring_gens`` and
+    ``radical_gens``, maps x to ``packed[b*x]``, filled on first read
+    (``packed`` for b = 1); ``kernels`` maps a lane count to its bound
+    ``inserter`` (``kernel``).
     """
 
     p: int
@@ -174,6 +193,23 @@ class AdditiveCoordinates(NamedTuple):
     cofactor: tuple
     barrett: tuple
     packed: tuple
+    images: dict
+    kernels: dict
+
+
+class _Images(dict):
+    """x -> packed[b*x] for one ring element b, each entry filled from
+    ``mul`` the first time it is read."""
+
+    __slots__ = ("b", "mul", "packed")
+
+    def __init__(self, b: int, mul, packed: tuple):
+        super().__init__()
+        self.b, self.mul, self.packed = b, mul, packed
+
+    def __missing__(self, x: int) -> int:
+        image = self[x] = self.packed[self.mul(self.b, x)]
+        return image
 
 
 def _multiples(add, x) -> list:
@@ -269,19 +305,22 @@ def additive_coordinates(ring: Ring) -> AdditiveCoordinates:
     packed = tuple(sum(c << barrett[0] * i for i, c in enumerate(coords[x])) for x in range(ring.size))
     for e in range(1, a + 1):
         valuation[:: p**e] = [e] * (q // p**e)
+    radical_gens = tuple(_cyclic_basis(ring.maximal_ideal, add, p))
     return AdditiveCoordinates(
         p=p,
         exponent=a,
         coords=tuple(coords[x] for x in range(ring.size)),
         element={image: x for x, image in enumerate(packed)},
         ring_gens=tuple(basis),
-        radical_gens=tuple(_cyclic_basis(ring.maximal_ideal, add, p)),
+        radical_gens=radical_gens,
         residue_degree=_factor_prime_power(ring.residue_field_size)[1],
         valuation=tuple(valuation),
         unit_inverse=(0,) + tuple(pow(x // p**e, -1, q) for x, e in enumerate(valuation[1:], 1)),
         cofactor=tuple(p ** (a - e) for e in range(a + 1)),
         barrett=barrett,
         packed=packed,
+        images={b: packed if b == 1 else _Images(b, ring.mul, packed) for b in (*basis, *radical_gens)},
+        kernels={},
     )
 
 
@@ -292,15 +331,14 @@ def rows_over(ring: Ring, v, gens) -> list:
     """Packed rows, the coordinates of the b*v over the elements b of
     ``gens``, d lanes per entry: over ``ring_gens`` (additive generators of
     R) their Z/p^a-span is R*v, over ``radical_gens`` (those of m) m*v.
-    The element 1 (index 1 in every ring, ``ring_gens[0]``) is not
-    multiplied by."""
-    additive, mul = ring.additive, ring.mul
-    packed, width = additive.packed, additive.barrett[0] * len(additive.coords[0])
+    Each entry's image is read off ``images[b]`` (module docstring)."""
+    additive = ring.additive
+    images, width = additive.images, additive.barrett[0] * len(additive.coords[0])
     rows = []
     for b in gens:
-        r = 0
+        image, r = images[b], 0
         for x in reversed(v):
-            r = r << width | packed[x if b == 1 else mul(b, x)]
+            r = r << width | image[x]
         rows.append(r)
     return rows
 
@@ -339,7 +377,7 @@ def span_form(ring: Ring, vectors, gens=None) -> tuple:
     additive = ring.additive
     over = additive.ring_gens if gens is None else gens
     form = [None] * (len(additive.coords[0]) * len(vectors[0]) if vectors else 0)
-    insert = inserter(additive, len(form))
+    insert = kernel(additive, len(form))
     return form, sum(insert(form, row) for v in vectors for row in rows_over(ring, v, over))
 
 
@@ -354,7 +392,7 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
     nothing would be kept."""
     additive = ring.additive
     form, log = span_form(ring, generators, additive.radical_gens)
-    insert, kept = inserter(additive, len(form)), []
+    insert, kept = kernel(additive, len(form)), []
     for v in candidates:
         if log == full:
             break

@@ -426,7 +426,7 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the Z/p^a-spans of the
     rows b*s and t*s over s in S, b and t running over additive generators
     of R and m.  A child grows a copy (a slice) of its parent's Howell form
-    of V by one ``howell.inserter`` bound to the ring's tables of Z/p^a,
+    of V by the ring's ``howell.kernel`` for k*d lanes (a bound ``inserter``),
     g's own row first (``ring_gens[0]`` is 1): if it adds nothing, g and so
     R*g lie in V, and S is dependent.  As P is independent, S is iff log_p
     of V's growth less m*V's is f (q = p^f); m*V never shrinks, so a growth
@@ -449,7 +449,7 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     n = a.ncols
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
-    from .howell import inserter, rows_over  # here: only a route that runs it compiles it
+    from .howell import kernel, rows_over  # here: only a route that runs it compiles it
 
     ring = a.ring
     cols = a.columns()
@@ -459,7 +459,7 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     rows = [(rows_over(ring, c, additive.ring_gens), rows_over(ring, c, additive.radical_gens)) for c in cols]
     full = _factor_prime_power(ring.size)[1]  # log_p |R|, not d*a: R may sit in (Z/p^a)^d properly
     zero = [None] * (len(additive.coords[0]) * a.nrows)
-    insert = inserter(additive, len(zero))
+    insert = kernel(additive, len(zero))
     ext = {0: 0}  # member Q -> the g below Q's lowest element with Q + g independent
     # [mask, [Howell form of V, of m*V or None], candidates left] of independent ancestors
     stack = [[0, [zero, zero], (1 << n) - 1 if r else 0]]
@@ -713,19 +713,45 @@ def is_isomorphic(m1: IndependenceSystem, m2: IndependenceSystem):
 
 
 def system_to_json(m: IndependenceSystem, report: MatroidReport | None = None) -> str:
+    """The system and its report as ``json.dumps(blob, indent=2)`` writes
+    them for the blob {"ground", "independent", "circuits", "rank",
+    "is_matroid", "violations"}, byte for byte, but line by line: with
+    ``indent`` the standard library encodes in pure Python.  Each label is
+    escaped once by ``json.dumps`` (``ensure_ascii``), and each label set of
+    the violations, which ``check_matroid`` shares between pairs, is written
+    once."""
     import json  # here: only the --json commands need it
 
     if report is None:
         report = check_matroid(m)
-    blob = {
-        "ground": list(m.labels),
-        "independent": [sorted(s) for s in m.independent_sets()],
-        "circuits": sorted(sorted(c) for c in m.circuits().members),
-        "rank": report.rank,
-        "is_matroid": report.is_matroid,
-        "violations": [[sorted(a), sorted(b)] for a, b in report.violations],
-    }
-    return json.dumps(blob, indent=2)
+    name = {l: json.dumps(l) for l in m.labels}
+
+    def array(items: list, depth: int) -> str:  # items written, at indentation depth + 1
+        if not items:
+            return "[]"
+        pad = "\n" + "  " * depth
+        return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+    def labels(s, depth: int) -> str:
+        return array([name[l] for l in sorted(s)], depth)
+
+    written = {}
+
+    def shared(s) -> str:
+        text = written.get(s)
+        if text is None:
+            text = written[s] = labels(s, 3)
+        return text
+
+    fields = (
+        ("ground", array(list(name.values()), 1)),
+        ("independent", array([labels(s, 2) for s in m.independent_sets()], 1)),
+        ("circuits", array([labels(c, 2) for c in sorted(sorted(c) for c in m.circuits().members)], 1)),
+        ("rank", json.dumps(report.rank)),
+        ("is_matroid", json.dumps(report.is_matroid)),
+        ("violations", array([array([shared(a), shared(b)], 2) for a, b in report.violations], 1)),
+    )
+    return "{\n  " + ",\n  ".join(f'"{key}": {text}' for key, text in fields) + "\n}"
 
 
 def system_from_json(text: str) -> IndependenceSystem:

@@ -58,6 +58,15 @@ class Mat:
         self.labels = labels
         self.rows = rows
 
+    @classmethod
+    def _trusted(cls, ring: Ring, labels: tuple, rows: tuple) -> "Mat":
+        """The matrix with these columns and rows, for matrices the library
+        made: ``labels`` is a tuple of distinct strings and ``rows`` a tuple
+        of tuples of ring elements, one per label, unchecked."""
+        self = cls.__new__(cls)
+        self.ring, self.labels, self.rows = ring, labels, rows
+        return self
+
     @property
     def nrows(self) -> int:
         return len(self.rows)

@@ -4,10 +4,11 @@ from importlib import resources
 
 import pytest
 
+from chainmat import cli
 from chainmat.cli import main
 from chainmat.gallery import data_path, load_matrix
-from chainmat.indepsys import build_from_matrix, system_from_json, system_to_json
-from chainmat.linalg import parse_matrix
+from chainmat.indepsys import IndependenceSystem, build_from_matrix, check_matroid, system_from_json, system_to_json
+from chainmat.linalg import Mat, parse_matrix
 from chainmat.rings import make_ring
 
 from helpers import rng_for
@@ -396,3 +397,70 @@ def test_error_contract_fuzz(capsys, tmp_path):
         assert code in (0, 1, 2), (argv, code)
         if code == 2:
             assert out.err.startswith("error:") and out.err.count("\n") == 1, (argv, out.err)
+
+
+def _json_blob(m, report) -> dict:
+    """What ``system_to_json`` writes, as the blob ``json.dumps`` encodes."""
+    return {
+        "ground": list(m.labels),
+        "independent": [sorted(s) for s in m.independent_sets()],
+        "circuits": sorted(sorted(c) for c in m.circuits().members),
+        "rank": report.rank,
+        "is_matroid": report.is_matroid,
+        "violations": [[sorted(a), sorted(b)] for a, b in report.violations],
+    }
+
+
+def test_system_json_is_the_indented_dump():
+    # system_to_json writes the bytes of json.dumps(blob, indent=2) on
+    # every packaged matrix, on a zero matrix (only loops, no violations),
+    # on the empty ground set (no circuits) and on seeded random systems
+    # whose labels need escaping
+    data = resources.files("chainmat").joinpath("data")
+    systems = [build_from_matrix(parse_matrix(p.read_text())) for p in sorted(data.iterdir()) if p.name.endswith(".mat")]
+    assert len(systems) >= 19
+    systems.append(build_from_matrix(Mat(make_ring("z:4"), ["a", "b"], [[0, 0]])))
+    systems.append(IndependenceSystem([], {0}))
+    rng = rng_for("system-json-bytes")
+    names = ["é", "ß", "α1", "日本", '"q"', "back\\slash", "tab\tx", "x", "10", "\u2028", "🂡"]
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        fam = {0}
+        for _ in range(rng.randint(0, 5)):
+            top = sub = rng.randrange(1 << n)
+            while sub:
+                fam.add(sub)
+                sub = (sub - 1) & top
+        systems.append(IndependenceSystem(rng.sample(names, n), fam))
+    assert any(not check_matroid(m).is_matroid for m in systems)
+    assert any(not m.circuits().members for m in systems)
+    for m in systems:
+        report = check_matroid(m)
+        assert system_to_json(m, report) == json.dumps(_json_blob(m, report), indent=2), m.labels
+        assert system_to_json(m) == system_to_json(m, report)
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # --help
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_one_command_parser_reads_as_the_full_parser(capsys, monkeypatch):
+    # main builds only the subparser argv names; help, usage errors and
+    # their exit codes must be those of the parser with every subcommand
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = [["--help"], [], ["nosuch"], ["--json", "nosuch", "x"], ["-h", "rank"], ["--oracle", "--help", "rank"],
+             ["--js", "rank", "x"], ["--", "rank"], ["--json", "--oracle"]]
+    for name in cli._COMMAND:
+        assert cli._parser_for(["--json", name, "x"]).format_usage().count("{" + name + "}") == 1, name
+        cases += [[name, "--help"], ["--oracle", name, "-h"], [name, "--bogus"], ["--json", name, "-X"]]
+    got = [_outcome(capsys, argv) for argv in cases]
+    monkeypatch.setattr(cli, "_parser_for", lambda argv: cli.build_parser())
+    for argv, outcome in zip(cases, got):
+        assert outcome == _outcome(capsys, argv), argv
+        code, out, err = outcome
+        assert code == ("exit", 0) or (code == 2 and out == "" and err.count("\n") == 1), argv

@@ -415,3 +415,29 @@ def test_codes_past_length_eight():
             assert dual_code(shorten(c, x)) == puncture(dual, x), (spec, rows, x)
             assert dual_code(puncture(c, x)) == shorten(dual, x), (spec, rows, x)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_generators_are_checked_matrices():
+    # every constructor and minor builds its generator unchecked; each one
+    # must be the matrix the public constructor builds from the same rows:
+    # a tuple of string labels and of tuples of ring elements, one per label
+    rng = rng_for("trusted-generators")
+    for spec in CHAIN_SPECS + TABLE_SPECS:
+        ring = make_ring(spec)
+        for k, n in ((1, 4), (2, 5), (3, 6)):
+            c = random_code(rng, ring, k, n)
+            made = [c, dual_code(c), dual_code(dual_code(c)), puncture(c, ["1"]), shorten(c, ["2", "3"])]
+            made += [puncture(c, c.labels), Code.from_matrix(Mat(ring, c.labels, [[0] * n]))]
+            if n <= 5:
+                made.append(Code.from_codeword_set(ring, c.labels, c.codewords))
+            if ring.is_chain:
+                try:
+                    made.append(contract_code(c, ["4"])[0])
+                except (NotContractibleError, ZeroProjectionError):
+                    pass
+            for code in made:
+                g = code.generator
+                assert type(g.labels) is tuple and all(type(label) is str for label in g.labels), spec
+                assert type(g.rows) is tuple and all(type(row) is tuple for row in g.rows), spec
+                rebuilt = Mat(ring, list(g.labels), [list(row) for row in g.rows])
+                assert g == rebuilt and hash(g) == hash(rebuilt), spec

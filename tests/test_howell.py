@@ -1,6 +1,11 @@
+import contextlib
+import io
 from types import SimpleNamespace
 
-from chainmat.howell import _low, inserter, lane_constants
+from chainmat import cli, codes
+from chainmat.errors import NotContractibleError
+from chainmat.howell import _low, inserter, kernel, lane_constants, rows_over
+from chainmat.linalg import Mat
 from chainmat.rings import MAX_RING_SIZE, _factor_prime_power, make_ring
 
 from helpers import CHAIN_SPECS, EXTENSION_RINGS, FIELD_SPECS, TABLE_SPECS, rng_for, write_extension_ring
@@ -191,3 +196,86 @@ def test_additive_coordinates_embed_the_group():
         r = make_ring(spec)
         assert r.additive.coords == tuple((x,) for x in range(r.size)), spec
         assert (r.additive.ring_gens, r.additive.radical_gens) == ((1,), (2,)), spec
+
+
+def _rows_by_mul(ring, v, gens) -> list:
+    """``rows_over`` as products: packed[b*x] in block t for each entry x."""
+    additive = ring.additive
+    width = additive.barrett[0] * len(additive.coords[0])
+    return [sum(additive.packed[ring.mul(b, x)] << width * t for t, x in enumerate(v)) for b in gens]
+
+
+def test_rows_over_reads_the_products(tmp_path):
+    # the image maps give the rows of b*v that ring.mul gives, for every
+    # vector of length 1 (every entry, so every (b, x) a map can hold) and
+    # seeded random vectors of lengths 2 to 5, over both generator lists
+    rng = rng_for("rows-over-images")
+    specs = CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS + ("fpu:2,8", "fpu:5,3")
+    specs += (write_extension_ring(tmp_path, *EXTENSION_RINGS[-1]),)
+    for spec in specs:
+        ring = make_ring(spec)
+        additive = ring.additive
+        vectors = [(x,) for x in range(ring.size)]
+        vectors += [tuple(rng.randrange(ring.size) for _ in range(rng.randint(2, 5))) for _ in range(60)]
+        for gens in (additive.ring_gens, additive.radical_gens):
+            for v in vectors:
+                assert rows_over(ring, v, gens) == _rows_by_mul(ring, v, gens), (spec, gens, v)
+        assert additive.images[1] is additive.packed, spec
+        assert all(len(additive.images[b]) <= ring.size for b in additive.radical_gens), spec
+
+
+def _counted_mul(monkeypatch, spec) -> list:
+    """A list that gets an entry per ``ring.mul`` call of the ring of
+    ``spec``, whose additive coordinates are rebuilt under the counter (and
+    put back afterwards), so that their image maps start empty."""
+    ring = make_ring(spec)
+    ring.additive
+    calls, mul = [], ring.mul
+    monkeypatch.setattr(ring, "mul", lambda a, b: calls.append(None) or mul(a, b))
+    monkeypatch.delitem(ring.__dict__, "additive")
+    return calls
+
+
+def test_mul_calls_no_more_than_per_row(monkeypatch):
+    # ring.mul fills an image map entry once, and nothing fills a whole
+    # table: the bounds are the parent's counts, which called ring.mul once
+    # per entry of every row b*v with b != 1 (672, 474 and 118 calls)
+    calls = _counted_mul(monkeypatch, "fpu:2,8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["uniform", "--ring", "fpu:2,8", "-n", "12"]) == 0
+    assert len(calls) <= 672
+    for spec, bound in (("fpu:2,2", 474), ("z:8", 118)):
+        calls = _counted_mul(monkeypatch, spec)
+        ring = make_ring(spec)
+        rows = [[1, 0, 0, 3, 1, 2], [0, 1, 0, 1, 1, 3], [0, 0, 1, 2, 3, 1]]
+        rows[1] = [ring.mul(ring.uniformizer, x) for x in rows[1]]
+        calls.clear()
+        code = codes.Code.from_matrix(Mat(ring, "123456", rows))
+        assert codes.dual_code(codes.dual_code(code)) == code
+        codes.puncture(code, ["2"])
+        codes.shorten(code, ["3"])
+        with contextlib.suppress(NotContractibleError):
+            codes.contract_code(code, ["4"])
+        assert len(calls) <= bound, spec
+
+
+def test_kernels_insert_as_fresh_inserters(tmp_path):
+    # the kernel cached per lane count stores the same rows and reports the
+    # same growths as an inserter bound afresh, at several lane counts
+    rng = rng_for("cached-kernels")
+    specs = CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS + ("z:27", "fpu:2,8")
+    specs += (write_extension_ring(tmp_path, *EXTENSION_RINGS[-1]),)
+    for spec in specs:
+        ring = make_ring(spec)
+        additive = ring.additive
+        d = len(additive.coords[0])
+        for n in (1, 2, 4, 7):
+            insert = kernel(additive, d * n)
+            assert kernel(additive, d * n) is insert and additive.kernels[d * n] is insert, spec
+            fresh = inserter(additive, d * n)
+            cached_form, fresh_form = [None] * (d * n), [None] * (d * n)
+            for _ in range(12):
+                v = tuple(rng.randrange(ring.size) for _ in range(n))
+                for row in rows_over(ring, v, additive.ring_gens + additive.radical_gens):
+                    assert insert(cached_form, row) == fresh(fresh_form, row), (spec, n)
+                    assert cached_form == fresh_form, (spec, n)

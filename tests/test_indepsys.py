@@ -178,10 +178,10 @@ def test_build_tests_only_up_to_the_generator_count(monkeypatch):
     import chainmat.howell as howell
 
     tested, stacked = [], []
-    inserter = howell.inserter
+    kernel = howell.kernel
 
     def spying(additive, lanes):
-        insert = inserter(additive, lanes)
+        insert = kernel(additive, lanes)
 
         def spy(form, row):
             build = sys._getframe(1)  # the caller: the build deciding a set, or span_form
@@ -192,7 +192,7 @@ def test_build_tests_only_up_to_the_generator_count(monkeypatch):
 
         return spy
 
-    monkeypatch.setattr(howell, "inserter", spying)
+    monkeypatch.setattr(howell, "kernel", spying)
     rng = rng_for("snf-build-cap")
     for spec in CHAIN_SPECS + ("z:5",):
         ring = make_ring(spec)

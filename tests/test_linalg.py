@@ -2,6 +2,7 @@ import pytest
 
 from chainmat.codes import Code, puncture
 from chainmat.errors import (
+    BadValueError,
     MatrixParseError,
     NotChainRingError,
     NotSquareError,
@@ -252,3 +253,17 @@ def test_matrix_parse_errors_carry_position():
     with pytest.raises(MatrixParseError) as err:
         parse_matrix("ring z:4\ncols a b\n1 2 3\n")
     assert err.value.line == 3
+
+
+def test_public_matrix_checks_every_entry():
+    # the library's own matrices skip these checks (Mat._trusted); a matrix
+    # built through Mat(...) keeps them, with these messages
+    for labels, rows, message in (
+        (["a", "a"], [[0, 1]], "column labels must be distinct"),
+        (["a", "b"], [[0, 1], [1]], "row length does not match label count"),
+        (["a", "b"], [[0, 4]], "entry 4 outside ring of size 4"),
+        (["a", "b"], [[-1, 0]], "entry -1 outside ring of size 4"),
+    ):
+        with pytest.raises(BadValueError) as info:
+            Mat(Z4, labels, rows)
+        assert str(info.value) == message

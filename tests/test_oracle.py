@@ -252,15 +252,15 @@ def test_free_summand_shortcut_matches_closure(tmp_path):
 
 def _walk_inserts(monkeypatch):
     """A list that gets an entry per insert of the build's walk: a spy on
-    every insert of every ``howell.inserter``, less those that the rank
-    cap's generator count (``minimal_generator_count`` of the columns,
-    chain rings only) makes under the same spy, measured as it runs and
-    subtracted."""
+    every insert of every kernel that ``howell.kernel`` hands out, less
+    those that the rank cap's generator count (``minimal_generator_count``
+    of the columns, chain rings only) makes under the same spy, measured as
+    it runs and subtracted."""
     import chainmat.howell as howell
     import chainmat.indepsys as indepsys
 
     calls = []
-    inserter, count = howell.inserter, indepsys.minimal_generator_count
+    kernel, count = howell.kernel, indepsys.minimal_generator_count
 
     def mu(*args):
         before = len(calls)
@@ -269,10 +269,10 @@ def _walk_inserts(monkeypatch):
         return out
 
     def spying(additive, lanes):
-        insert = inserter(additive, lanes)
+        insert = kernel(additive, lanes)
         return lambda *args: calls.append(None) or insert(*args)
 
-    monkeypatch.setattr(howell, "inserter", spying)
+    monkeypatch.setattr(howell, "kernel", spying)
     monkeypatch.setattr(indepsys, "minimal_generator_count", mu)
     return calls
 
