@@ -75,8 +75,7 @@ class Code:
         words and labels come from the caller, so the generator matrix is
         built by the checking ``Mat``."""
         words = sorted({tuple(c) for c in codewords})
-        gens = vanishing_part(ring, words, 0)  # the rows of a Howell form of their span
-        log = span_form(ring, gens)[1]
+        gens, log = vanishing_part(ring, words, 0)  # the rows of a Howell form of their span
         if ring.additive.p**log != len(words):
             raise BadValueError(f"{len(words)} words are not a submodule: they span {ring.additive.p**log}")
         kept, form, log = generators_among(ring, gens, words, log)
@@ -196,11 +195,13 @@ def shorten(c: Code, x) -> Code:
     """Keep only codewords vanishing on x, then delete those coordinates.
 
     With x's coordinates put first, ``howell.vanishing_part`` of the
-    generator rows spans those codewords without them."""
+    generator rows spans those codewords without them and gives log_p of
+    their number, at which the Nakayama greedy over them stops."""
     xs, keep, keep_idx = _split_labels(c, x)
     order = [j for j, l in enumerate(c.labels) if l in xs] + keep_idx
     rows = [tuple(row[j] for j in order) for row in c.generator.rows]
-    return _from_rows(c.ring, keep, vanishing_part(c.ring, rows, len(xs)))
+    spanning, log = vanishing_part(c.ring, rows, len(xs))
+    return _code(c.ring, keep, *generators_among(c.ring, spanning, spanning, log))
 
 
 # -- contraction ------------------------------------------------------------------
@@ -237,7 +238,7 @@ def is_contractible(c: Code, label) -> ContractionWitness | None:
     t = min(map(ring.valuation, column))
     theta, mul = ring.uniformizer_power(ring.nilpotency_index - t), ring.mul
     graph = [tuple(mul(theta, a) for a in row) + row for row in c.generator.rows]
-    for w in vanishing_part(ring, graph, c.length):
+    for w in vanishing_part(ring, graph, c.length)[0]:
         if ring.valuation(w[j]) == t:
             return ContractionWitness(label=lab, codeword=w, valuation=t)
     return None

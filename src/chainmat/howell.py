@@ -34,12 +34,18 @@ or stored, and each stored row adds 1 to log_p.  When q = 2 every lane
 holds 0 or 1, so that step is r ^= h: lane-wise addition modulo 2, which
 carries nothing, and ``inserter`` takes it in a loop of its own.
 
+An ``inserter`` grows a form in place; an ``extender`` reduces one row by
+a form it leaves as it is and returns the residual, the grown copy and the
+growth.  ``build_from_matrix`` tests each set by one ``extend`` and
+carries the residual down its walk.
+
 Every path reads two things that depend only on the ring, and so are kept
 beside its coordinates.  ``images[b]`` maps x to the packed image of b*x,
 for each additive generator b of R and of m (``packed`` itself for b = 1),
 filled the first time each x is read: at most |R| entries per generator,
 and ``ring.mul`` is called once per (b, x) however many rows are formed.
-``kernels`` holds one bound ``inserter`` per lane count (``kernel``).
+``kernels`` holds one bound ``inserter`` and ``extender`` per lane count
+(``kernel``).
 
 A Howell form also lists its span, each vector once (``span_words``):
 the one enumeration of a span outside ``oracle``.
@@ -152,13 +158,75 @@ def inserter(additive, lanes: int):
     return insert
 
 
-def kernel(additive, lanes: int):
-    """``inserter(additive, lanes)``, bound once per lane count and kept in
-    ``additive.kernels``."""
-    insert = additive.kernels.get(lanes)
-    if insert is None:
-        insert = additive.kernels[lanes] = inserter(additive, lanes)
-    return insert
+def extender(additive, lanes: int, insert):
+    """``extend(form, row) -> (residual, new form, growth)``: what the
+    packed ``row`` adds to the Howell form ``form`` of ``lanes`` lanes,
+    which is left as it is; the tables are ``inserter``'s, and ``insert``
+    is the bound inserter it hands rows to.
+
+    ``row`` is reduced as in ``insert`` while the stored lead divides its
+    own, with no copy of the form, so the residual differs from ``row`` by
+    a vector of the span.  A zero residual (``row`` in the span) gives
+    ``(0, None, 0)``.  One that reaches an empty slot with a unit lead
+    (every nonzero lead when a = 1) displaces nothing, and p^a times it is
+    zero: scaled by the unit's inverse, it is stored in a copy of the form,
+    and log_p grows by a.  Any other goes to ``insert`` on a copy.  For
+    q = 2 it takes the XOR step.
+    """
+    a, q, unit_inverse = additive.exponent, additive.cofactor[0], additive.unit_inverse
+    w, s, m = additive.barrett
+    if q == 2:
+
+        def extend(form: list, r: int) -> tuple:
+            while r:
+                j = ((r & -r).bit_length() - 1) // w
+                h = form[j]
+                if h is None:
+                    new = form[:]
+                    new[j] = r
+                    return r, new, 1
+                r ^= h
+            return 0, None, 0
+
+        return extend
+    low, mask, valuation = _low(w, s, lanes), (1 << w) - 1, additive.valuation
+
+    def extend(form: list, r: int) -> tuple:
+        while r:
+            j = ((r & -r).bit_length() - 1) // w
+            x = r >> w * j & mask
+            h = form[j]
+            if h is None:
+                if valuation[x]:
+                    break
+                new, u = form[:], unit_inverse[x]
+                if u == 1:
+                    new[j] = r
+                else:
+                    t = r * u
+                    new[j] = t - q * (t * m >> s & low)
+                return r, new, a
+            y = h >> w * j & mask
+            if x % y:
+                break
+            r += (q - x // y) * h
+            r -= q * (r * m >> s & low)
+        else:
+            return 0, None, 0
+        new = form[:]
+        return r, new, insert(new, r)
+
+    return extend
+
+
+def kernel(additive, lanes: int) -> tuple:
+    """``(insert, extend)`` of ``inserter`` and ``extender`` for ``lanes``
+    lanes, bound once per lane count and kept in ``additive.kernels``."""
+    pair = additive.kernels.get(lanes)
+    if pair is None:
+        insert = inserter(additive, lanes)
+        pair = additive.kernels[lanes] = insert, extender(additive, lanes, insert)
+    return pair
 
 
 # -- additive coordinates ------------------------------------------------------------
@@ -178,7 +246,7 @@ class AdditiveCoordinates(NamedTuple):
     of ``lane_constants(p^a)``.  ``images[b]``, for b in ``ring_gens`` and
     ``radical_gens``, maps x to ``packed[b*x]``, filled on first read
     (``packed`` for b = 1); ``kernels`` maps a lane count to its bound
-    ``inserter`` (``kernel``).
+    ``inserter`` and ``extender`` (``kernel``).
     """
 
     p: int
@@ -377,7 +445,7 @@ def span_form(ring: Ring, vectors, gens=None) -> tuple:
     additive = ring.additive
     over = additive.ring_gens if gens is None else gens
     form = [None] * (len(additive.coords[0]) * len(vectors[0]) if vectors else 0)
-    insert = kernel(additive, len(form))
+    insert = kernel(additive, len(form))[0]
     return form, sum(insert(form, row) for v in vectors for row in rows_over(ring, v, over))
 
 
@@ -392,7 +460,7 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
     nothing would be kept."""
     additive = ring.additive
     form, log = span_form(ring, generators, additive.radical_gens)
-    insert, kept = kernel(additive, len(form)), []
+    insert, kept = kernel(additive, len(form))[0], []
     for v in candidates:
         if log == full:
             break
@@ -404,17 +472,26 @@ def generators_among(ring: Ring, generators, candidates, full=None) -> tuple:
     return kept, form, log
 
 
-def vanishing_part(ring: Ring, vectors, k: int) -> list:
-    """Vectors that span the part of the span of ``vectors`` vanishing on
-    the first k coordinates, each with those coordinates dropped.
+def vanishing_part(ring: Ring, vectors, k: int) -> tuple:
+    """(spanning, log): vectors that span the part of the span of
+    ``vectors`` vanishing on the first k coordinates, each with those
+    coordinates dropped, and log_p of that part's size.
 
     By the Howell property the rows of a Howell form of the span led after
     the first k coordinate blocks span that part additively, hence as an
-    R-module; each block of d lanes in such a row is the image of one
-    element of R."""
-    d = len(ring.additive.coords[0])
+    R-module; they are a Howell form of it, so log is the sum of a - e_j
+    over their leads p^e_j (``inserter``).  Each block of d lanes in such a
+    row is the image of one element of R."""
+    additive = ring.additive
+    a, valuation, d, w = additive.exponent, additive.valuation, len(additive.coords[0]), additive.barrett[0]
     form = span_form(ring, vectors)[0]
-    return [_vector(row, ring.additive, k, len(form) // d) for row in form[k * d:] if row]
+    spanning, log = [], 0
+    for j in range(k * d, len(form)):
+        row = form[j]
+        if row:
+            spanning.append(_vector(row, additive, k, len(form) // d))
+            log += a - valuation[row >> w * j & (1 << w) - 1]
+    return spanning, log
 
 
 def dual_generators(ring: Ring, rows) -> tuple:
@@ -424,10 +501,11 @@ def dual_generators(ring: Ring, rows) -> tuple:
 
     The vectors (G e_j, e_j) of R^(k+n) span the graph {(G x, x)} of
     x -> G x, whose part vanishing on the first k coordinates is
-    {0} x D (``vanishing_part``); the Nakayama greedy over those vectors
-    (``generators_among``) keeps a minimal generating set of D and ends
-    with a Howell form of it."""
+    {0} x D (``vanishing_part``, which gives log_p |D| too); the Nakayama
+    greedy over those vectors (``generators_among``) keeps a minimal
+    generating set of D, stops once its form reaches |D|, and ends with a
+    Howell form of D."""
     n = len(rows[0])
     graph = [tuple(row[j] for row in rows) + tuple(int(i == j) for i in range(n)) for j in range(n)]
-    spanning = vanishing_part(ring, graph, len(rows))
-    return generators_among(ring, spanning, spanning)
+    spanning, log = vanishing_part(ring, graph, len(rows))
+    return generators_among(ring, spanning, spanning, log)

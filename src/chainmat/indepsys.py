@@ -9,9 +9,12 @@ table, the dual and the clutter operations each take O(n) big-integer
 shifts, and label sets are formed only where the API returns them; the
 library's own families and clutters skip re-validation (``_from_bits``).
 ``build_from_matrix`` walks the independent column sets depth-first over
-extension masks and decides each from Howell forms; ``check_matroid``
+extension masks and decides each from Howell forms, each column's row
+carried down the walk already reduced one level up; ``check_matroid``
 decides the augmentation axiom from the rank table and reads the
-violators of each failing set off the family's bitset.
+violators of each failing set off the family's bitset.  The byte-lane
+tables (ranks, X(I), the lanes of e outside X) come from one 8x8
+bit-matrix transpose of up to eight 2^n-bit sets at a time (``_planes``).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ MAX_BACKTRACK = 10
 # lattice takes n shifts of it (Yates's zeta transform)
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
+_BIT_COUNT = bytes(map(int.bit_count, range(256)))
 
 
 @lru_cache(maxsize=None)
@@ -77,12 +81,30 @@ def _flags(bits: int, n: int) -> bytes:
     return format(bits, f"0{1 << n}b").encode().translate(_ZERO_ONE)[::-1]
 
 
-def _lanes(bits: int, n: int) -> int:
-    """The integer whose byte m is 1 when mask m is in the set and 0
-    otherwise: the binary digits of ``bits``, mask 2^n - 1 first, read as
-    big-endian bytes less a "0" in every byte."""
-    digits = format(bits, f"0{1 << n}b").encode()
-    return int.from_bytes(digits, "big") - int.from_bytes(b"0" * len(digits), "big")
+@lru_cache(maxsize=None)
+def _transpose_masks(n: int) -> tuple:
+    """The masks of the three delta swaps of an 8x8 bit-matrix transpose
+    (Warren, *Hacker's Delight*, 7-3), repeated over every 64-bit word of
+    2^n bytes (one word when n < 3)."""
+    words = ((1 << (64 << max(n - 3, 0))) - 1) // ((1 << 64) - 1)
+    return tuple(m * words for m in (0x00AA00AA00AA00AA, 0x0000CCCC0000CCCC, 0x00000000F0F0F0F0))
+
+
+def _planes(sets, n: int) -> bytes:
+    """2^n bytes, bit i of byte m set when mask m is in sets[i], for at
+    most eight sets: set i's bytes go to bytes i, i + 8, ... of a buffer,
+    so each 64-bit word w is an 8x8 bit matrix (row i: masks 8w to 8w + 7
+    in set i), and one transpose of every word at once moves mask m's bit
+    of row i to bit i of byte m."""
+    size = max(1 << n >> 3, 1)
+    buf = bytearray(8 * size)
+    for i, bits in enumerate(sets):
+        buf[i::8] = bits.to_bytes(size, "little")
+    x = int.from_bytes(buf, "little")
+    for shift, mask in zip((7, 14, 28), _transpose_masks(n)):
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    return x.to_bytes(8 * size, "little")[: 1 << n]
 
 
 def _masks(bits: int, n: int) -> list:
@@ -208,17 +230,24 @@ class IndependenceSystem:
 
     def _ranks(self) -> bytes:
         """Byte m is the rank of mask m.  The family is downward closed, so
-        r(X) >= k iff X contains a member with at least k elements, and the
-        table is the byte-lane sum over k >= 1 of the upward closures of
-        those members; the members strictly above them have at least k + 1."""
+        r(X) >= k iff X lies in U_k, the upward closure of the members with
+        at least k elements (the members strictly above those of U_k have
+        at least k + 1).  U_1 contains U_2 contains ..., so the transpose
+        (``_planes``) of eight of them at a time has 2^r - 1 in byte X, for
+        r the number of them holding X; a bit count maps it to r, and the
+        two groups are added when the rank is above 8."""
         if self._rank_table is None:
             n = len(self.labels)
-            total, members = 0, self._bits ^ 1  # the nonempty members
+            closures, members = [], self._bits ^ 1  # the nonempty members
             while members:
                 above = _above(members, n)
-                total += _lanes(members | above, n)
+                closures.append(members | above)
                 members = self._bits & above
-            self._rank_table = total.to_bytes(1 << n, "little")
+            table = _planes(closures[:8], n).translate(_BIT_COUNT)
+            if len(closures) > 8:
+                high = int.from_bytes(_planes(closures[8:], n).translate(_BIT_COUNT), "little")
+                table = (int.from_bytes(table, "little") + high).to_bytes(1 << n, "little")
+            self._rank_table = table
         return self._rank_table
 
     def rank(self, subset=None) -> int:
@@ -417,22 +446,39 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     are the g below P's lowest element in ext[P - h] for every h in P.
     Each P - h + g is smaller than P, so those bits are final once P is
     found independent, as ``ext`` grows with each member.  A stack entry
-    ``[mask, forms, candidates left]`` per independent ancestor of the
-    current set (depth at most n) carries what each path reuses, and each
-    child S = P + g is decided from its parent's entry.
+    ``[mask, forms, candidates left, res, the parent's res]`` per
+    independent ancestor of the current set (depth at most n) carries what
+    each path reuses, and each child S = P + g is decided from its
+    parent's entry.
 
     S is independent iff |V| / |m*V| = q^|S| for V the span of S (Nakayama),
     decided without a vector set: in the additive coordinates of ``howell``
     (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the Z/p^a-spans of the
     rows b*s and t*s over s in S, b and t running over additive generators
-    of R and m.  A child grows a copy (a slice) of its parent's Howell form
-    of V by the ring's ``howell.kernel`` for k*d lanes (a bound ``inserter``),
-    g's own row first (``ring_gens[0]`` is 1): if it adds nothing, g and so
-    R*g lie in V, and S is dependent.  As P is independent, S is iff log_p
-    of V's growth less m*V's is f (q = p^f); m*V never shrinks, so a growth
-    below f makes S dependent.  A growth of log_p |R| makes S independent
-    without m*V: |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality
-    only when ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and
+    of R and m.  The ring's ``howell.kernel`` for k*d lanes gives g's own
+    row (``ring_gens[0]`` is 1) to ``extend``, which leaves P's Howell form
+    of V as it is and returns the row reduced by it, a grown copy and the
+    growth, and g's other rows b*g to ``insert`` on that copy.  If g's row
+    adds nothing, g and so R*g lie in V, and S is dependent.
+
+    g's row is not reduced from scratch.  The test of parent(P) + g, one
+    level up, reduced it by V of parent(P) and kept the result in
+    parent(P)'s ``res[g]``, which P's entry holds as its parent's res (the
+    raw rows at the root).  That test came first: P + g is tested only
+    for g in ext[parent(P)], and parent(P)'s children are tested in
+    ascending order, g before P's lowest element.  The carried row differs
+    from g's row by a vector of V of parent(P), which lies inside V of P,
+    so V plus either row spans the same group, and every growth, so every
+    verdict, is the raw row's.  When P + g is independent and has fewer
+    than r elements, P's test stores the row reduced by V of P in P's own
+    ``res[g]``, for the tests of the P + h + g; otherwise no such set is
+    tested.
+
+    As P is independent, S is iff log_p of V's growth less m*V's is f
+    (q = p^f); m*V never shrinks, so a growth below f makes S dependent.
+    A growth of log_p |R| makes S independent without m*V:
+    |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality only when
+    ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and
     S/mS = P/mP (+) R/m.  Only a growth in between needs m*V: an ancestor
     holds ``None`` for its form until such a descendant fills it in from
     the nearest one below, so each form is built at most once, and only
@@ -457,15 +503,17 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     additive = ring.additive
     f = additive.residue_degree
     rows = [(rows_over(ring, c, additive.ring_gens), rows_over(ring, c, additive.radical_gens)) for c in cols]
+    raw = {1 << i: vrows.pop(0) for i, (vrows, _) in enumerate(rows)}  # g's own row: ring_gens[0] is 1
     full = _factor_prime_power(ring.size)[1]  # log_p |R|, not d*a: R may sit in (Z/p^a)^d properly
     zero = [None] * (len(additive.coords[0]) * a.nrows)
-    insert = kernel(additive, len(zero))
+    insert, extend = kernel(additive, len(zero))
     ext = {0: 0}  # member Q -> the g below Q's lowest element with Q + g independent
-    # [mask, [Howell form of V, of m*V or None], candidates left] of independent ancestors
-    stack = [[0, [zero, zero], (1 << n) - 1 if r else 0]]
+    # [mask, [Howell form of V, of m*V or None], candidates left, res, the parent's res]
+    # of independent ancestors
+    stack = [[0, [zero, zero], (1 << n) - 1 if r else 0, {}, raw]]
     while stack:
         top = stack[-1]
-        parent, forms, left = top
+        parent, forms, left, res, carried = top
         if not left:
             stack.pop()
             continue
@@ -473,17 +521,17 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
         top[2] = left ^ bit
         mask = parent | bit
         vrows, mrows = rows[bit.bit_length() - 1]
-        vform, grown = forms[0][:], 0
-        for row in vrows:
+        residual, vform, grown = extend(forms[0], carried[bit])
+        if not grown:  # g itself lies in V, so R*g does
+            continue
+        for row in vrows:  # the rows b*g but g's own
             grown += insert(vform, row)
-            if not grown:  # g itself (the first row: ring_gens[0] is 1) lies in V, so R*g does
-                break
         if grown < f:
             continue
         mform = None  # R*g splits off as a free summand when grown == full
         if grown < full:
             if forms[1] is None:
-                for (low, (_, below), _), (high, above, _) in zip(stack, stack[1:]):
+                for (low, (_, below), *_), (high, above, *_) in zip(stack, stack[1:]):
                     if above[1] is None:
                         above[1] = below = below[:]
                         for row in rows[(high ^ low).bit_length() - 1][1]:
@@ -496,13 +544,14 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
         ext[mask] = 0
         ext[parent] |= bit
         if mask.bit_count() < r:
+            res[bit] = residual  # read only by the tests of the P + h + g (docstring)
             children, x = bit - 1 & ext[parent], parent
             while x and children:
                 h = x & -x
                 children &= ext[mask ^ h]
                 x ^= h
             if children:
-                stack.append([mask, [vform, mform], children])
+                stack.append([mask, [vform, mform], children, {}, res])
     return IndependenceSystem._from_bits(a.labels, _bits(ext, n), ext)
 
 
@@ -518,8 +567,8 @@ def check_matroid(m: IndependenceSystem) -> MatroidReport:
 
     X(I) - I is read for every I at once: for each element e, the members
     without e whose union with e is not a member form a 2^n-bit set, and
-    summing its 0/1 flags as byte lanes shifted by e (e < 8) or e - 8
-    (e >= 8) leaves the elements of X(I) - I in byte I of two tables.
+    the transpose of those sets (``_planes``) for e < 8 and for e >= 8
+    leaves the elements of X(I) - I in byte I of two tables.
 
     An augmentation fails for (I1, I2) exactly when |I2| > |I1| and I2 is
     an independent subset of X(I1), so ``violations`` lists every such
@@ -534,10 +583,8 @@ def check_matroid(m: IndependenceSystem) -> MatroidReport:
     """
     bits, n = m._bits, len(m.labels)
     ranks, lows = m._ranks(), _lows(n)
-    lanes = [0, 0]
-    for e, lo in enumerate(lows):
-        lanes[e >> 3] += _lanes(bits & lo & ~(bits >> (1 << e)), n) << (e & 7)
-    low, high = (x.to_bytes(1 << n, "little") for x in lanes)
+    dependent = [bits & lo & ~(bits >> (1 << e)) for e, lo in enumerate(lows)]
+    low, high = _planes(dependent[:8], n), _planes(dependent[8:], n)
     # the failing I1, each with |I1| and X(I1), in (size, mask) order
     failing = sorted(
         (i1.bit_count(), i1, x) for i1 in m.family if ranks[x := i1 | low[i1] | high[i1] << 8] > i1.bit_count()
@@ -590,16 +637,20 @@ def is_rank_submodular(m: IndependenceSystem):
     every X without e.  For each pair e < f the lanes of
     r(X+e) + r(X+f) + 32 - r(X+e+f) - r(X) all lie in [0, 64], so the sum
     is exact lane by lane, and a lane below 32 (bits 5-7 clear) with e and
-    f outside X is a witness.  ``oracle.rank_submodular_by_local_scan``
-    is the loop-per-mask reference.
+    f outside X is a witness; bit e of byte X of the transpose
+    (``_planes``) of the sets of masks without e says that e is outside X.
+    ``oracle.rank_submodular_by_local_scan`` is the loop-per-mask
+    reference.
     """
     ranks = m._ranks()
     n = len(m.labels)
     one = int.from_bytes(b"\1" * len(ranks), "little")  # 1 in every lane
     table = int.from_bytes(ranks, "little")
     up = [table >> (8 << e) for e in range(n)]
-    outside = [_lanes(lo, n) << 7 for lo in _lows(n)]  # bit 7 of lane X: e not in X
-    base, seven, carry = 32 * one - table, 7 * one, 127 * one
+    lows = _lows(n)
+    planes = [int.from_bytes(_planes(part, n), "little") for part in (lows[:8], lows[8:])]
+    base, seven, carry, sign = 32 * one - table, 7 * one, 127 * one, 128 * one
+    outside = [planes[e >> 3] << 7 - (e & 7) & sign for e in range(n)]  # bit 7 of lane X: e not in X
     found = []
     for f in range(n):
         for e in range(f):

@@ -270,8 +270,9 @@ def test_kernels_insert_as_fresh_inserters(tmp_path):
         additive = ring.additive
         d = len(additive.coords[0])
         for n in (1, 2, 4, 7):
-            insert = kernel(additive, d * n)
-            assert kernel(additive, d * n) is insert and additive.kernels[d * n] is insert, spec
+            pair = kernel(additive, d * n)
+            assert kernel(additive, d * n) is pair and additive.kernels[d * n] is pair, spec
+            insert = pair[0]
             fresh = inserter(additive, d * n)
             cached_form, fresh_form = [None] * (d * n), [None] * (d * n)
             for _ in range(12):
@@ -279,3 +280,56 @@ def test_kernels_insert_as_fresh_inserters(tmp_path):
                 for row in rows_over(ring, v, additive.ring_gens + additive.radical_gens):
                     assert insert(cached_form, row) == fresh(fresh_form, row), (spec, n)
                     assert cached_form == fresh_form, (spec, n)
+
+
+def _log(form, additive) -> int:
+    """log_p of the size of the span of a Howell form: sum a - e over its
+    stored leads p^e."""
+    w, a = additive.barrett[0], additive.exponent
+    return sum(a - additive.valuation[h >> w * j & (1 << w) - 1] for j, h in enumerate(form) if h is not None)
+
+
+def test_extend_matches_a_fresh_inserter(tmp_path):
+    # extend(form, row) leaves the form as it is and returns the residual,
+    # the form with the row inserted and the growth: the same growth and
+    # the same span as an inserter bound afresh, a residual that is zero
+    # exactly when the row lies in the span and otherwise differs from it
+    # by a vector of the span (the build carries it one level down).  Rows
+    # over the generators of m give non-unit leads, which reach the
+    # hand-off to insert; repeated and zero rows give zero residuals.
+    rng = rng_for("extend-vs-inserter")
+    specs = CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS + ("fpu:2,8", "fpu:5,3")
+    specs += (write_extension_ring(tmp_path, *EXTENSION_RINGS[-1]),)
+    for spec in specs:
+        ring = make_ring(spec)
+        additive = ring.additive
+        d, q = len(additive.coords[0]), additive.cofactor[0]
+        gens, growths = additive.ring_gens + additive.radical_gens, set()
+        for n in (1, 2, 4, 7):
+            lanes = d * n
+            extend, fresh = kernel(additive, lanes)[1], inserter(additive, lanes)
+            low = _low(*additive.barrett[:2], lanes)
+            form, seen = [None] * lanes, []
+            for _ in range(10):
+                v = tuple(rng.choice((0, rng.randrange(ring.size))) for _ in range(n))
+                for row in rows_over(ring, v, gens) + seen[-1:]:
+                    before = form[:]
+                    residual, grown_form, grown = extend(form, row)
+                    assert form == before, (spec, n)  # the parent form is not mutated
+                    trial = form[:]
+                    assert grown == fresh(trial, row), (spec, n)
+                    assert (residual == 0) == (grown == 0), (spec, n)
+                    # the residual differs from the row by a vector of the span
+                    diff = residual + (q - 1) * row
+                    diff -= q * (diff * additive.barrett[2] >> additive.barrett[1] & low)
+                    assert fresh(form[:], diff) == 0, (spec, n)
+                    if grown:
+                        assert _log(grown_form, additive) == _log(form, additive) + grown, (spec, n)
+                        assert not any(fresh(trial, h) for h in grown_form if h is not None), (spec, n)
+                        form = grown_form
+                    else:
+                        assert grown_form is None, (spec, n)
+                    seen.append(row)
+                    growths.add(grown)
+        # both verdicts, and over a > 1 a growth other than a: the hand-off
+        assert 0 in growths and len(growths) > 1 + (additive.exponent > 1), (spec, growths)

@@ -181,16 +181,17 @@ def test_build_tests_only_up_to_the_generator_count(monkeypatch):
     kernel = howell.kernel
 
     def spying(additive, lanes):
-        insert = kernel(additive, lanes)
+        def spy(call):  # wraps insert and extend alike
+            def spied(form, row):
+                build = sys._getframe(1)  # the caller: the build deciding a set, or span_form
+                if build.f_code is indepsys.build_from_matrix.__code__:
+                    tested.append(build.f_locals["mask"])
+                    stacked.extend(entry[0] for entry in build.f_locals["stack"])
+                return call(form, row)
 
-        def spy(form, row):
-            build = sys._getframe(1)  # the caller: the build deciding a set, or span_form
-            if build.f_code is indepsys.build_from_matrix.__code__:
-                tested.append(build.f_locals["mask"])
-                stacked.extend(entry[0] for entry in build.f_locals["stack"])
-            return insert(form, row)
+            return spied
 
-        return spy
+        return tuple(map(spy, kernel(additive, lanes)))
 
     monkeypatch.setattr(howell, "kernel", spying)
     rng = rng_for("snf-build-cap")
@@ -457,3 +458,19 @@ def test_json_roundtrip():
         system_from_json('{"ground": ["a"], "independent": [["b"]]}')
     v = build_from_matrix(Mat(Z8, "abc", [[1, 0, 2], [0, 1, 4]]))
     assert system_from_json(system_to_json(v)) == v
+
+
+def test_planes_transpose_sets_into_bytes():
+    # bit i of byte m of _planes(sets, n) is mask m's membership in
+    # sets[i]: against a loop per mask, from one set to eight, below a
+    # byte of masks (n < 3, padded to a 64-bit word) and up to MAX_GROUND
+    # elements
+    rng = rng_for("planes-transpose")
+    for n in range(indepsys.MAX_GROUND + 1):
+        for count in range(1, 9):
+            sets = [rng.getrandbits(1 << n) for _ in range(count)]
+            if count > 1:  # a full set sets one bit in every byte
+                sets[-1] |= (1 << (1 << n)) - 1
+            flags = [format(bits, f"0{1 << n}b")[::-1] for bits in sets]
+            want = bytes(sum((flag[m] == "1") << i for i, flag in enumerate(flags)) for m in range(1 << n))
+            assert indepsys._planes(sets, n) == want, (n, count)

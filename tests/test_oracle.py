@@ -250,12 +250,53 @@ def test_free_summand_shortcut_matches_closure(tmp_path):
                 assert build_from_matrix(mat) == system_by_closure(mat), (spec, mat)
 
 
+def _mixed_columns(rng, ring, k, n):
+    """A k x n matrix whose first k columns are random and whose others
+    are, seven times in ten, c*x + y for two earlier columns x, y (c in m
+    half of the time), and otherwise random, so dependent sets and partial
+    growths turn up at every level of the walk."""
+    add, mul = ring.add, ring.mul
+    radical = sorted(ring.maximal_ideal)
+    cols = [[rng.randrange(ring.size) for _ in range(k)] for _ in range(k)]
+    while len(cols) < n:
+        x, y = rng.sample(cols, 2)
+        c = rng.choice(radical) if rng.random() < 0.5 else rng.randrange(ring.size)
+        fresh = [rng.randrange(ring.size) for _ in range(k)] if rng.random() < 0.3 else None
+        cols.append(fresh or [add(mul(c, u), v) for u, v in zip(x, y)])
+    rng.shuffle(cols)
+    return Mat(ring, [str(j + 1) for j in range(n)], [list(r) for r in zip(*cols)])
+
+
+def test_build_carries_rows_across_levels(tmp_path):
+    # The build tests P + g from g's row reduced one level up, by V of P's
+    # parent, and stores it reduced by V of P for P's children.  With at
+    # least 3 rows and 8 columns each carried row crosses two levels or
+    # more, over every ring class: chain rings and fields (capped at r),
+    # the extension fields, a Galois ring, a ramified ring and the
+    # non-chain rings (uncapped).  A row carried from a form outside V
+    # shows against the vector sets.
+    rng = rng_for("build-carried-rows")
+    specs = CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS
+    specs += tuple(write_extension_ring(tmp_path, *spec) for spec in EXTENSION_RINGS)
+    for spec in specs:
+        ring = make_ring(spec)
+        ranks = []
+        for k, n in ((3, 8), (4, 9)) if ring.size <= 5 else ((3, 8),):
+            for mat in (random_matrix(rng, ring, k, n), _mixed_columns(rng, ring, k, n)):
+                system = build_from_matrix(mat)
+                assert system == system_by_closure(mat), (spec, mat)
+                ranks.append(system.rank())
+        assert max(ranks) >= 3, spec  # some set of 3 was tested from a row carried two levels
+
+
 def _walk_inserts(monkeypatch):
     """A list that gets an entry per insert of the build's walk: a spy on
-    every insert of every kernel that ``howell.kernel`` hands out, less
-    those that the rank cap's generator count (``minimal_generator_count``
-    of the columns, chain rings only) makes under the same spy, measured as
-    it runs and subtracted."""
+    every ``insert`` and ``extend`` of every kernel that ``howell.kernel``
+    hands out (a tested set's first row goes through ``extend``, each
+    further row through ``insert``), less those that the rank cap's
+    generator count (``minimal_generator_count`` of the columns, chain
+    rings only) makes under the same spy, measured as it runs and
+    subtracted."""
     import chainmat.howell as howell
     import chainmat.indepsys as indepsys
 
@@ -268,9 +309,11 @@ def _walk_inserts(monkeypatch):
         del calls[before:]
         return out
 
+    def spy(call):
+        return lambda *args: calls.append(None) or call(*args)
+
     def spying(additive, lanes):
-        insert = kernel(additive, lanes)
-        return lambda *args: calls.append(None) or insert(*args)
+        return tuple(map(spy, kernel(additive, lanes)))
 
     monkeypatch.setattr(howell, "kernel", spying)
     monkeypatch.setattr(indepsys, "minimal_generator_count", mu)
@@ -782,6 +825,25 @@ def test_differential_power_set_paths():
     assert contracted.members == {frozenset(c) for c in combinations(labels[:5] + labels[8:], 6)}
     assert Clutter([], []).to_system() == IndependenceSystem([], [0])
     assert Clutter.minimize([], [set()]).members == frozenset()
+
+
+def test_ranks_above_eight_match_family_scan():
+    # Past rank 8 the rank table adds a second group of eight upward
+    # closures (each group transposed into bytes by _planes); U(8, 16)
+    # above stops at the first group.  The dual and the submodularity
+    # lanes read the same table.
+    rng = rng_for("ranks-above-eight")
+    systems = [uniform_system(9, 12), uniform_system(16, 16)]
+    while len(systems) < 3:
+        m = _random_down_closed(rng, 16)
+        if max(map(int.bit_count, m.family)) >= 9:
+            systems.append(m)
+    for m in systems:
+        assert list(m._ranks()) == ranks_by_family_scan(m), m
+        assert m.dual().family == dual_by_rank_complement(m), m
+    assert [m.rank() for m in systems[:2]] == [9, 16] and systems[2].rank() >= 9
+    assert is_rank_submodular(systems[0]) == rank_submodular_by_local_scan(systems[0]) == (True, [])
+    assert check_matroid(systems[0]).is_matroid
 
 
 def test_local_submodularity_matches_pair_scan():
