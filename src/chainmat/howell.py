@@ -36,8 +36,12 @@ carries nothing, and ``inserter`` takes it in a loop of its own.
 
 An ``inserter`` grows a form in place; an ``extender`` reduces one row by
 a form it leaves as it is and returns the residual, the grown copy and the
-growth.  ``build_from_matrix`` tests each set by one ``extend`` and
-carries the residual down its walk.
+growth.  ``build_from_matrix`` tests a set by one ``extend`` when its
+parent's span is held as a Howell form, and carries the residual down its
+walk.  Over Z/p^a (d = 1) a parent whose span is free holds unit pivots
+instead, and the test is one step r - c*h at the parent's pivot h, which
+holds 1 in the lane where the row holds c (``eliminator``, bound once per
+build); ``unit_pivot`` scales a residual with a unit lane to such a pivot.
 
 Every path reads two things that depend only on the ring, and so are kept
 beside its coordinates.  ``images[b]`` maps x to the packed image of b*x,
@@ -217,6 +221,47 @@ def extender(additive, lanes: int, insert):
         return r, new, insert(new, r)
 
     return extend
+
+
+def eliminator(additive, lanes: int):
+    """``eliminate(row, pivot, shift) -> row'``: the packed ``row`` of
+    ``lanes`` lanes less c times ``pivot``, for c its entry in the lane at
+    bit ``shift``, where ``pivot`` holds 1, so that ``row'`` is zero there;
+    one step r + (q - c)*h and the lane reduction (module docstring), none
+    when c is 0.  A pivot 0 leaves every row as it is.  Meant for a ring
+    whose additive group is cyclic (d = 1), where a lane's arithmetic is
+    the ring's: ``indepsys.build_from_matrix`` takes this step on free
+    spans."""
+    q, (w, s, m) = additive.cofactor[0], additive.barrett
+    low, mask = _low(w, s, lanes), (1 << w) - 1
+
+    def eliminate(r: int, h: int, shift: int) -> int:
+        c = r >> shift & mask
+        if c:
+            r += (q - c) * h
+            r -= q * (r * m >> s & low)
+        return r
+
+    return eliminate
+
+
+def unit_pivot(additive, lanes: int, row: int):
+    """``(shift, pivot)`` for the lowest lane of the packed ``row`` that
+    holds a unit, at bit ``shift``, and ``row`` scaled by its inverse to 1
+    there; ``None`` when no lane does, that is when p^(a-1) * row is zero
+    (d = 1, as in ``eliminator``)."""
+    q, (w, s, m) = additive.cofactor[0], additive.barrett
+    low = _low(w, s, lanes)
+    t = row * additive.cofactor[1]
+    t -= q * (t * m >> s & low)
+    if not t:
+        return None
+    shift = ((t & -t).bit_length() - 1) // w * w
+    u = additive.unit_inverse[row >> shift & (1 << w) - 1]
+    if u != 1:
+        row *= u
+        row -= q * (row * m >> s & low)
+    return shift, row
 
 
 def kernel(additive, lanes: int) -> tuple:

@@ -9,8 +9,19 @@ table, the dual and the clutter operations each take O(n) big-integer
 shifts, and label sets are formed only where the API returns them; the
 library's own families and clutters skip re-validation (``_from_bits``).
 ``build_from_matrix`` walks the independent column sets depth-first over
-extension masks and decides each from Howell forms, each column's row
-carried down the walk already reduced one level up; ``check_matroid``
+extension masks, each column's row carried down the walk already reduced
+one level up.  Over Z/p^a (a ring whose additive group is cyclic) a set P
+whose span V is free is held as unit pivots, one row per column scaled to
+1 at its own lane and zero at the lanes of the pivots before it, and
+R^k = V (+) W for W the rows zero at every pivot lane: V & W = 0 by that
+triangularity (the first nonzero coefficient of a vector of V shows at its
+pivot's lane), and reducing at the pivots in order takes any row into W.
+g's row reduced so is a y in W with g - y in V, so span(P + g) =
+V (+) R*y, and mu(V (+) R*y) = mu(V) + [y != 0]: P + g is independent iff
+y != 0, the field rule, and stays free iff y has a unit lane.  Sets whose
+span is not free, and every set over a ring with d > 1 lanes per entry
+(where a lane step is not the ring's arithmetic), are decided from Howell
+forms (``build_from_matrix``); ``check_matroid``
 decides the augmentation axiom from the rank table and reads the
 violators of each failing set off the family's bitset.  The byte-lane
 tables (ranks, X(I), the lanes of e outside X) come from one 8x8
@@ -446,43 +457,76 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     are the g below P's lowest element in ext[P - h] for every h in P.
     Each P - h + g is smaller than P, so those bits are final once P is
     found independent, as ``ext`` grows with each member.  A stack entry
-    ``[mask, forms, candidates left, res, the parent's res]`` per
-    independent ancestor of the current set (depth at most n) carries what
-    each path reuses, and each child S = P + g is decided from its
-    parent's entry.
+    ``[mask, pivot row or forms, candidates left, res, the parent's res,
+    the pivot's lane shift or None]`` per independent ancestor of the
+    current set (depth at most n) carries what each path reuses, and each
+    child S = P + g is decided from its parent's entry.
 
     S is independent iff |V| / |m*V| = q^|S| for V the span of S (Nakayama),
-    decided without a vector set: in the additive coordinates of ``howell``
-    (R^k in (Z/p^a)^(dk), sizes kept), V and m*V are the Z/p^a-spans of the
-    rows b*s and t*s over s in S, b and t running over additive generators
-    of R and m.  The ring's ``howell.kernel`` for k*d lanes gives g's own
+    decided without a vector set, in the additive coordinates of ``howell``
+    (R^k in (Z/p^a)^(dk), sizes kept).  g's row is not reduced from
+    scratch.  The test of parent(P) + g, one level up, reduced it by V of
+    parent(P) and kept the result in parent(P)'s ``res[g]``, which P's
+    entry holds as its parent's res (the raw rows at the root).  That test
+    came first: P + g is tested only for g in ext[parent(P)], and
+    parent(P)'s children are tested in ascending order, g before P's
+    lowest element.  The carried row differs from g's row by a vector of V
+    of parent(P), which lies inside V of P, so V plus either row spans the
+    same group.  When P + g is independent and has fewer than r elements,
+    P's test stores the row reduced by V of P in P's own ``res[g]``, for
+    the tests of the P + h + g; otherwise no such set is tested.
+
+    *Pivot entries.*  When d = 1, R is Z/p^a itself, a lane holds an entry
+    and lane arithmetic modulo q = p^a is the ring's.  A set whose span is
+    free sits on the stack as a pivot entry: one pivot row h, the residual
+    of the column that joined it scaled by a unit to 1 at its lowest unit
+    lane, and the bit ``shift`` of that lane.  The root holds pivot 0, as
+    {0} is free, and the pivots of P's path, one per element of P, span V.
+    At P, g's carried row is reduced at P's lane by one step
+    (``howell.eliminator``), y - c*h as y + (q - c)*h and the lane
+    reduction.  Each pivot is zero at the lanes of the pivots below it on
+    the stack, and so is every row carried to a child: it was zero at those
+    lanes before the step, and h is too.  Lemma: R^k = V (+) W, for W the
+    rows zero at every pivot lane of P's path.  V & W = 0: a vector
+    sum c_i*h_i of V shows c_i at the lane of the first pivot h_i with
+    c_i != 0, as the pivots after it are zero there (triangularity).
+    V + W = R^k: the steps at the pivots in order take any row into W.  The
+    reduced row y lies in W and g - y in V, so span(S) = V + R*y =
+    V (+) R*y, and as mu adds over direct sums ((A (+) B)/m(A (+) B) =
+    A/mA (+) B/mB), mu(V (+) R*y) = mu(V) + [y != 0] = |P| + [y != 0]:
+    S is independent iff y != 0.  R*y is free iff ann(y) = 0, iff some
+    lane of y is a unit, iff p^(a-1)*y != 0 (``howell.unit_pivot``); S is
+    then free, and pivots on that lane.
+
+    *Howell entries.*  Otherwise S is independent but its span is not free,
+    and S and its subtree are decided from Howell forms of V and m*V, the
+    Z/p^a-spans of the rows b*s and t*s over s in S, b and t running over
+    additive generators of R and m.  Handed over from a pivot entry, S
+    forms V from its columns' raw rows (d = 1: one row each) and leaves m*V
+    for later.  The ring's ``howell.kernel`` for k*d lanes gives g's own
     row (``ring_gens[0]`` is 1) to ``extend``, which leaves P's Howell form
     of V as it is and returns the row reduced by it, a grown copy and the
     growth, and g's other rows b*g to ``insert`` on that copy.  If g's row
-    adds nothing, g and so R*g lie in V, and S is dependent.
-
-    g's row is not reduced from scratch.  The test of parent(P) + g, one
-    level up, reduced it by V of parent(P) and kept the result in
-    parent(P)'s ``res[g]``, which P's entry holds as its parent's res (the
-    raw rows at the root).  That test came first: P + g is tested only
-    for g in ext[parent(P)], and parent(P)'s children are tested in
-    ascending order, g before P's lowest element.  The carried row differs
-    from g's row by a vector of V of parent(P), which lies inside V of P,
-    so V plus either row spans the same group, and every growth, so every
-    verdict, is the raw row's.  When P + g is independent and has fewer
-    than r elements, P's test stores the row reduced by V of P in P's own
-    ``res[g]``, for the tests of the P + h + g; otherwise no such set is
-    tested.
-
-    As P is independent, S is iff log_p of V's growth less m*V's is f
-    (q = p^f); m*V never shrinks, so a growth below f makes S dependent.
-    A growth of log_p |R| makes S independent without m*V:
+    adds nothing, g and so R*g lie in V, and S is dependent.  As P is
+    independent, S is iff log_p of V's growth less m*V's is f (q = p^f);
+    m*V never shrinks, so a growth below f makes S dependent.  A growth of
+    log_p |R| makes S independent without m*V:
     |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality only when
     ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and
-    S/mS = P/mP (+) R/m.  Only a growth in between needs m*V: an ancestor
-    holds ``None`` for its form until such a descendant fills it in from
-    the nearest one below, so each form is built at most once, and only
-    when asked for.
+    S/mS = P/mP (+) R/m.  Only a growth in between needs m*V: a Howell
+    entry holds ``None`` for its form until such a descendant fills it in
+    from the nearest Howell entry below that has one, or from the m-rows
+    of all its columns at the first Howell entry of the path, so each form
+    is built at most once, and only when asked for.  The carried rows give
+    every growth, and so every verdict, of the raw rows, whether they were
+    reduced by pivots or by Howell forms: either way they differ from the
+    raw rows by vectors of V.
+
+    A ring with d > 1 (an extension field, a Galois or ramified ring, a
+    table ring) starts and stays on Howell entries.  There a lane step is
+    not the ring's arithmetic: reducing at a pivot needs the ring product
+    c*h, an image look-up per entry for each additive generator, while the
+    Howell forms only ever add Z/p^a multiples of packed rows.
 
     The walk is capped by the paper's characterisation of chain rings:
     there the generator count mu is monotone on submodules, so
@@ -495,52 +539,71 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     n = a.ncols
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
-    from .howell import kernel, rows_over  # here: only a route that runs it compiles it
+    # here: only a route that runs it compiles it
+    from .howell import eliminator, kernel, rows_over, unit_pivot
 
     ring = a.ring
     cols = a.columns()
     r = minimal_generator_count(ring, cols) if ring.is_chain else n
     additive = ring.additive
-    f = additive.residue_degree
+    f, d = additive.residue_degree, len(additive.coords[0])
     rows = [(rows_over(ring, c, additive.ring_gens), rows_over(ring, c, additive.radical_gens)) for c in cols]
     raw = {1 << i: vrows.pop(0) for i, (vrows, _) in enumerate(rows)}  # g's own row: ring_gens[0] is 1
     full = _factor_prime_power(ring.size)[1]  # log_p |R|, not d*a: R may sit in (Z/p^a)^d properly
-    zero = [None] * (len(additive.coords[0]) * a.nrows)
-    insert, extend = kernel(additive, len(zero))
+    lanes = d * a.nrows
+    zero = [None] * lanes
+    insert, extend = kernel(additive, lanes)
+    eliminate = eliminator(additive, lanes)  # bound per build: only this walk takes the step
     ext = {0: 0}  # member Q -> the g below Q's lowest element with Q + g independent
-    # [mask, [Howell form of V, of m*V or None], candidates left, res, the parent's res]
-    # of independent ancestors
-    stack = [[0, [zero, zero], (1 << n) - 1 if r else 0, {}, raw]]
+    # [mask, pivot row or [Howell form of V, of m*V or None], candidates left, res,
+    # the parent's res, the pivot's lane shift or None] of independent ancestors;
+    # span {0} is free, with pivot 0 (d = 1)
+    left = (1 << n) - 1 if r else 0
+    stack = [[0, 0, left, {}, raw, 0] if d == 1 else [0, [zero, zero], left, {}, raw, None]]
     while stack:
         top = stack[-1]
-        parent, forms, left, res, carried = top
+        parent, held, left, res, carried, shift = top
         if not left:
             stack.pop()
             continue
         bit = left & -left
         top[2] = left ^ bit
         mask = parent | bit
-        vrows, mrows = rows[bit.bit_length() - 1]
-        residual, vform, grown = extend(forms[0], carried[bit])
-        if not grown:  # g itself lies in V, so R*g does
-            continue
-        for row in vrows:  # the rows b*g but g's own
-            grown += insert(vform, row)
-        if grown < f:
-            continue
-        mform = None  # R*g splits off as a free summand when grown == full
-        if grown < full:
-            if forms[1] is None:
-                for (low, (_, below), *_), (high, above, *_) in zip(stack, stack[1:]):
-                    if above[1] is None:
-                        above[1] = below = below[:]
-                        for row in rows[(high ^ low).bit_length() - 1][1]:
-                            insert(below, row)
-            mform = forms[1][:]
-            for row in mrows:
-                grown -= insert(mform, row)
-            if grown != f:
+        if shift is not None:  # a pivot entry: S is independent iff the row is nonzero
+            residual = eliminate(carried[bit], held, shift)
+            if not residual:
                 continue
+        else:  # a Howell entry: held is [form of V, of m*V or None]
+            residual, vform, grown = extend(held[0], carried[bit])
+            if not grown:  # g itself lies in V, so R*g does
+                continue
+            vrows, mrows = rows[bit.bit_length() - 1]
+            for row in vrows:  # the rows b*g but g's own
+                grown += insert(vform, row)
+            if grown < f:
+                continue
+            mform = None  # R*g splits off as a free summand when grown == full
+            if grown < full:
+                if held[1] is None:  # fill m*V up from the nearest entry below that has it
+                    i = len(stack) - 1
+                    while stack[i - 1][5] is None and stack[i - 1][1][1] is None:
+                        i -= 1
+                    for below, above in zip(stack[i - 1 :], stack[i:]):
+                        if below[5] is None:  # a Howell entry: its m*V plus m*h for the one new h
+                            form, new = below[1][1][:], above[0] ^ below[0]
+                        else:  # the first Howell entry: m*V from the m*h of every column h
+                            form, new = zero[:], above[0]
+                        while new:
+                            low = new & -new
+                            for row in rows[low.bit_length() - 1][1]:
+                                insert(form, row)
+                            new ^= low
+                        above[1][1] = form
+                mform = held[1][:]
+                for row in mrows:
+                    grown -= insert(mform, row)
+                if grown != f:
+                    continue
         ext[mask] = 0
         ext[parent] |= bit
         if mask.bit_count() < r:
@@ -550,8 +613,21 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
                 h = x & -x
                 children &= ext[mask ^ h]
                 x ^= h
-            if children:
-                stack.append([mask, [vform, mform], children, {}, res])
+            if not children:
+                continue
+            if shift is None:
+                stack.append([mask, [vform, mform], children, {}, res, None])
+                continue
+            pivot = unit_pivot(additive, lanes, residual)
+            if pivot is not None:  # S stays free: it pivots on the residual's lowest unit lane
+                stack.append([mask, pivot[1], children, {}, res, pivot[0]])
+                continue
+            vform, x = zero[:], mask  # the residual lies in m^k: S is the first Howell entry
+            while x:
+                h = x & -x
+                insert(vform, raw[h])  # d = 1: g's own row is its only V row
+                x ^= h
+            stack.append([mask, [vform, None], children, {}, res, None])
     return IndependenceSystem._from_bits(a.labels, _bits(ext, n), ext)
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 from chainmat import cli, codes
 from chainmat.errors import NotContractibleError
-from chainmat.howell import _low, inserter, kernel, lane_constants, rows_over
+from chainmat.howell import _low, eliminator, inserter, kernel, lane_constants, rows_over, unit_pivot
 from chainmat.linalg import Mat
 from chainmat.rings import MAX_RING_SIZE, _factor_prime_power, make_ring
 
@@ -333,3 +333,37 @@ def test_extend_matches_a_fresh_inserter(tmp_path):
                     growths.add(grown)
         # both verdicts, and over a > 1 a growth other than a: the hand-off
         assert 0 in growths and len(growths) > 1 + (additive.exponent > 1), (spec, growths)
+
+
+def test_eliminate_and_unit_pivot_match_lane_arithmetic():
+    # Over Z/p^a (d = 1) a lane is an entry: eliminate(row, pivot, shift)
+    # is row - c*pivot modulo q lane by lane, for c the row's entry in the
+    # lane at bit shift (zero there when the pivot holds 1), and pivot 0
+    # leaves the row as it is; unit_pivot gives the lowest lane that holds a
+    # unit and the row scaled by its inverse, or None when every entry lies
+    # in pZ/q.  Entries of valuation 0 to a - 1 and zero entries show.
+    rng = rng_for("eliminate-unit-pivot")
+    for spec in ("z:2", "z:4", "z:8", "z:9", "z:16", "z:25", "z:27", "z:32", "z:49", "z:5", "z:7"):
+        additive = make_ring(spec).additive
+        p, q, w = additive.p, additive.cofactor[0], additive.barrett[0]
+
+        def pack(v):
+            return sum(x << w * i for i, x in enumerate(v))
+
+        for k in (1, 2, 5, 9):
+            eliminate = eliminator(additive, k)
+            for _ in range(30):
+                v = [rng.choice((0, rng.randrange(q), p * rng.randrange(q) % q)) for _ in range(k)]
+                lane = rng.randrange(k)
+                h = [rng.randrange(q) for _ in range(k)]
+                h[lane] = 1
+                want = [(x - v[lane] * y) % q for x, y in zip(v, h)]
+                assert eliminate(pack(v), pack(h), w * lane) == pack(want), (spec, v, h)
+                assert eliminate(pack(v), 0, w * lane) == pack(v), (spec, v)
+                units = [i for i, x in enumerate(v) if x % p]
+                if units:
+                    inverse = pow(v[units[0]], -1, q)
+                    scaled = pack([x * inverse % q for x in v])
+                    assert unit_pivot(additive, k, pack(v)) == (w * units[0], scaled), (spec, v)
+                else:
+                    assert unit_pivot(additive, k, pack(v)) is None, (spec, v)

@@ -174,26 +174,27 @@ def test_build_tests_only_up_to_the_generator_count(monkeypatch):
     # Over a chain ring mu is monotone, so no set with more than r elements
     # (r = number of invariant factors of the whole matrix) is tested, and
     # an independent set with r elements has no child to decide, so it
-    # never gets an entry on the stack of independent ancestors.
+    # never gets an entry on the stack of independent ancestors.  Every
+    # call the build makes into its kernel (an insert or extend on Howell
+    # forms, a pivot step on a free span, or an insert that forms a set's
+    # V when it is handed over) records the set being decided.
     import chainmat.howell as howell
 
     tested, stacked = [], []
-    kernel = howell.kernel
+    kernel, eliminator = howell.kernel, howell.eliminator
 
-    def spying(additive, lanes):
-        def spy(call):  # wraps insert and extend alike
-            def spied(form, row):
-                build = sys._getframe(1)  # the caller: the build deciding a set, or span_form
-                if build.f_code is indepsys.build_from_matrix.__code__:
-                    tested.append(build.f_locals["mask"])
-                    stacked.extend(entry[0] for entry in build.f_locals["stack"])
-                return call(form, row)
+    def spy(call):  # wraps insert, extend and eliminate alike
+        def spied(*args):
+            build = sys._getframe(1)  # the caller: the build deciding a set, or span_form
+            if build.f_code is indepsys.build_from_matrix.__code__:
+                tested.append(build.f_locals["mask"])
+                stacked.extend(entry[0] for entry in build.f_locals["stack"])
+            return call(*args)
 
-            return spied
+        return spied
 
-        return tuple(map(spy, kernel(additive, lanes)))
-
-    monkeypatch.setattr(howell, "kernel", spying)
+    monkeypatch.setattr(howell, "kernel", lambda additive, lanes: tuple(map(spy, kernel(additive, lanes))))
+    monkeypatch.setattr(howell, "eliminator", lambda additive, lanes: spy(eliminator(additive, lanes)))
     rng = rng_for("snf-build-cap")
     for spec in CHAIN_SPECS + ("z:5",):
         ring = make_ring(spec)

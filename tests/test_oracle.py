@@ -1,3 +1,4 @@
+import sys
 from importlib import resources
 from itertools import combinations
 
@@ -289,19 +290,85 @@ def test_build_carries_rows_across_levels(tmp_path):
         assert max(ranks) >= 3, spec  # some set of 3 was tested from a row carried two levels
 
 
+def _handover_columns(rng, ring, k, n):
+    """A k x n matrix over Z/p^a with columns of every kind the free part
+    of the build meets: random ones, ones in m^k, c*x + y for an earlier y
+    with c in m (whose residual past y lies in m^k), unit multiples of
+    earlier columns and zero columns; half the time its last row is a
+    multiple of its first, so r < k."""
+    add, mul = ring.add, ring.mul
+    radical, units = sorted(ring.maximal_ideal), sorted(ring.units)
+    cols = []
+    while len(cols) < n:
+        kind = rng.randrange(6) if cols else rng.randrange(2)
+        if kind == 0:
+            cols.append([rng.randrange(ring.size) for _ in range(k)])
+        elif kind == 1:
+            cols.append([rng.choice(radical) for _ in range(k)])
+        elif kind in (2, 3):
+            x, y, c = rng.choice(cols), rng.choice(cols), rng.choice(radical)
+            cols.append([add(mul(c, u), v) for u, v in zip(x, y)])
+        elif kind == 4:
+            u = rng.choice(units)
+            cols.append([mul(u, v) for v in rng.choice(cols)])
+        else:
+            cols.append([0] * k)
+    rng.shuffle(cols)
+    rows = [list(r) for r in zip(*cols)]
+    if rng.random() < 0.5:
+        c = rng.randrange(ring.size)
+        rows[-1] = [mul(c, v) for v in rows[0]]
+    return Mat(ring, [str(j + 1) for j in range(n)], rows)
+
+
+def test_free_part_hands_over_to_howell_forms(monkeypatch):
+    # Over Z/p^a a free span P sits on the stack as unit pivots, and P + g
+    # is independent iff g's row reduced at them is nonzero; a residual in
+    # m^k hands S over to Howell forms.  The spy on ``howell.unit_pivot``
+    # records the size of each set handed over, and every ring must hand
+    # sets over at each size from 1 to k - 1 (none over a field, where
+    # every nonzero lane is a unit).  Each system must be the vector-set
+    # build's.
+    import chainmat.howell as howell
+
+    handed, unit_pivot = [], howell.unit_pivot
+
+    def spy(additive, lanes, row):
+        pivot = unit_pivot(additive, lanes, row)
+        if pivot is None:
+            handed.append(sys._getframe(1).f_locals["mask"].bit_count())
+        return pivot
+
+    monkeypatch.setattr(howell, "unit_pivot", spy)
+    rng = rng_for("free-part-handover")
+    for spec in ("z:2", "z:4", "z:8", "z:9", "z:16", "z:25", "z:27", "z:32", "z:49", "z:5", "z:7"):
+        ring = make_ring(spec)
+        k = 4 if ring.size <= 9 else 3
+        handed.clear()
+        for _ in range(24 if ring.size <= 9 else 12):
+            mat = _handover_columns(rng, ring, k, rng.randint(7, 10))
+            assert build_from_matrix(mat) == system_by_closure(mat), (spec, mat)
+        if ring.maximal_ideal == {0}:
+            assert not handed, spec
+        else:
+            assert set(range(1, k)) <= set(handed), (spec, sorted(set(handed)))
+
+
 def _walk_inserts(monkeypatch):
-    """A list that gets an entry per insert of the build's walk: a spy on
-    every ``insert`` and ``extend`` of every kernel that ``howell.kernel``
-    hands out (a tested set's first row goes through ``extend``, each
-    further row through ``insert``), less those that the rank cap's
-    generator count (``minimal_generator_count`` of the columns, chain
-    rings only) makes under the same spy, measured as it runs and
+    """A list that gets an entry per call of the build's walk into its
+    kernels: a spy on every ``insert`` and ``extend`` that ``howell.kernel``
+    hands out and every ``eliminate`` that ``howell.eliminator`` binds (a
+    set tested on Howell forms takes its first row through ``extend`` and
+    each further row through ``insert``; a set tested on a free span over
+    Z/p^a takes one pivot step, ``eliminate``), less those that the rank
+    cap's generator count (``minimal_generator_count`` of the columns,
+    chain rings only) makes under the same spy, measured as it runs and
     subtracted."""
     import chainmat.howell as howell
     import chainmat.indepsys as indepsys
 
     calls = []
-    kernel, count = howell.kernel, indepsys.minimal_generator_count
+    kernel, eliminator, count = howell.kernel, howell.eliminator, indepsys.minimal_generator_count
 
     def mu(*args):
         before = len(calls)
@@ -316,16 +383,26 @@ def _walk_inserts(monkeypatch):
         return tuple(map(spy, kernel(additive, lanes)))
 
     monkeypatch.setattr(howell, "kernel", spying)
+    monkeypatch.setattr(howell, "eliminator", lambda additive, lanes: spy(eliminator(additive, lanes)))
     monkeypatch.setattr(indepsys, "minimal_generator_count", mu)
     return calls
 
 
+def _radical_column_rings():
+    """The chain rings of the tests whose additive group is cyclic, Z/p^a
+    with a > 1, with their p: the rings where a free span on pivots hands a
+    set whose row lies in m^k over to Howell forms."""
+    rings = (make_ring(spec) for spec in CHAIN_SPECS)
+    return [(ring, ring.additive.p) for ring in rings if len(ring.additive.coords[0]) == 1]
+
+
 def test_free_summands_insert_no_radical_rows(monkeypatch):
     # Identity columns split off one by one: every tested set is decided
-    # from V's rows alone, so the build inserts d rows (the additive
-    # generators of R) per tested set and no row of m*g.  Over
+    # from V's rows alone, so on Howell forms the build inserts d rows (the
+    # additive generators of R) per tested set and no row of m*g.  Over
     # Z4[x]/(2x, x^2), inside (Z/4)^2, a split-off R*g grows log_2 by
-    # log_2 |R| = 3, not d*a = 4.
+    # log_2 |R| = 3, not d*a = 4.  Over Z/p^a (d = 1) the spans stay free,
+    # on pivots, and each tested set is one pivot step, so 7 = 7d again.
     calls = _walk_inserts(monkeypatch)
     for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
         ring = make_ring(spec)
@@ -333,13 +410,23 @@ def test_free_summands_insert_no_radical_rows(monkeypatch):
         calls.clear()
         assert build_from_matrix(eye) == uniform_system(3, 3)
         assert len(calls) == 7 * len(ring.additive.ring_gens), spec
+    # Columns e1, e2, p*e3 over Z/p^a: {3} lies in m^3 and is handed over
+    # to a Howell form (one insert, of p*e3), and e1 and e2 split off it as
+    # free summands: one extend each for {1, 3}, {2, 3} and {1, 2, 3}, and
+    # no row of m*V or m*g; {1}, {2}, {1, 2} and {3} are four pivot steps.
+    for ring, p in _radical_column_rings():
+        mat = Mat(ring, "123", [[1, 0, 0], [0, 1, 0], [0, 0, p]])
+        calls.clear()
+        assert build_from_matrix(mat) == uniform_system(3, 3)
+        assert len(calls) == 4 + 1 + 3, ring
 
 
 def test_dependent_child_costs_one_insert(monkeypatch):
     # Columns e1, e2, e1: the child {1, 3} of {3} has g = e1 inside V, so
     # the build stops after g's own row (ring_gens[0] is 1) instead of
-    # inserting all d rows of R*g.  The other four tested sets each insert
+    # inserting all d rows of R*g.  The other five tested sets each insert
     # d rows and split off as free summands, so 5d + 1 inserts in all.
+    # Over Z/p^a (d = 1) every tested set is one pivot step, so 6 = 5d + 1.
     calls = _walk_inserts(monkeypatch)
     for spec in CHAIN_SPECS + FIELD_SPECS + TABLE_SPECS:
         ring = make_ring(spec)
@@ -348,15 +435,25 @@ def test_dependent_child_costs_one_insert(monkeypatch):
         system = build_from_matrix(mat)
         assert system.is_independent(["1", "2"]) and not system.is_independent(["1", "3"]), spec
         assert len(calls) == 5 * len(ring.additive.ring_gens) + 1, spec
+    # Columns p*e1, e2, p*e1 over Z/p^a: {3} lies in m^2 and is handed over
+    # to a Howell form (one insert); its child {1, 3} has g inside V and
+    # costs one extend, with no m*V; {2, 3} is one extend and a free
+    # summand; {1}, {2}, {1, 2} and {3} are four pivot steps.
+    for ring, p in _radical_column_rings():
+        mat = Mat(ring, "123", [[p, 0, p], [0, 1, 0]])
+        calls.clear()
+        system = build_from_matrix(mat)
+        assert system.is_independent(["2", "3"]) and not system.is_independent(["1", "3"]), ring
+        assert len(calls) == 4 + 1 + 2, ring
 
 
 def test_walk_tests_each_set_once(monkeypatch):
-    # Over a prime field R*g is one row and m = 0, so each tested set costs
-    # one insert.  The walk tests every member but the empty set, and a
-    # dependent set only when its maximal proper subsets are independent,
-    # that is a circuit, of at most r elements (the rank cap).  A skipped
-    # or repeated set, or one tested with a dependent maximal subset,
-    # changes the count.
+    # Over a prime field R*g is one row and m = 0, so every span is free and
+    # each tested set costs one pivot step.  The walk tests every member but
+    # the empty set, and a dependent set only when its maximal proper
+    # subsets are independent, that is a circuit, of at most r elements
+    # (the rank cap).  A skipped or repeated set, or one tested with a
+    # dependent maximal subset, changes the count.
     calls = _walk_inserts(monkeypatch)
     rng = rng_for("walk-tests-each-set-once")
     for spec in FIELD_SPECS:
