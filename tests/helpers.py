@@ -1,10 +1,12 @@
 """Shared generators for the randomized suites (seeded, deterministic)."""
 
+import hashlib
 import json
 import os
 import random
 
 from chainmat.codes import Code
+from chainmat.indepsys import build_from_matrix, check_matroid
 from chainmat.linalg import Mat
 
 CHAIN_SPECS = ("z:4", "z:8", "z:9", "fpu:2,2")
@@ -132,3 +134,22 @@ def matmul(ring, a, b):
             row.append(s)
         out.append(row)
     return out
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def answer_digests(mat) -> dict:
+    """sha256 digests of the answers for the columns of ``mat``: the
+    independent family (its masks, sorted), the circuits (sorted label
+    tuples) and the exchange violations ``check_matroid`` lists, in its
+    order (pairs of sorted label tuples).  ``tests/golden`` holds them
+    frozen for a fixed set of matrices."""
+    system = build_from_matrix(mat)
+    violations = check_matroid(system).violations
+    return {
+        "family": _sha256(sorted(system.family)),
+        "circuits": _sha256(sorted(tuple(sorted(c)) for c in system.circuits().members)),
+        "violations": _sha256([(tuple(sorted(a)), tuple(sorted(b))) for a, b in violations]),
+    }
