@@ -36,12 +36,13 @@ carries nothing, and ``inserter`` takes it in a loop of its own.
 
 An ``inserter`` grows a form in place; an ``extender`` reduces one row by
 a form it leaves as it is and returns the residual, the grown copy and the
-growth.  ``build_from_matrix`` tests a set by one ``extend`` when its
-parent's span is held as a Howell form, and carries the residual down its
-walk.  Over Z/p^a (d = 1) a parent whose span is free holds unit pivots
-instead, and the test is one step r - c*h at the parent's pivot h, which
-holds 1 in the lane where the row holds c (``eliminator``, bound once per
-build); ``unit_pivot`` scales a residual with a unit lane to such a pivot.
+growth.  ``build_from_matrix`` holds a span as unit pivots plus a Howell
+form of its part N zero at their lanes, tests a set by one ``extend`` of
+N's form, and carries the residual down its walk.  Over Z/p^a (d = 1) a
+parent with N = 0 tests by one step r - c*h at its pivot h, which holds 1
+in the lane where the row holds c (``eliminator``, bound once per build);
+``unit_pivot`` scales a residual with a unit lane to such a pivot, and
+``radical_rows`` forms p*y, whose span is m*y there.
 
 Every path reads two things that depend only on the ring, and so are kept
 beside its coordinates.  ``images[b]`` maps x to the packed image of b*x,
@@ -262,6 +263,19 @@ def unit_pivot(additive, lanes: int, row: int):
         row *= u
         row -= q * (row * m >> s & low)
     return shift, row
+
+
+def radical_rows(additive, lanes: int):
+    """``rows(y) -> (p*y,)``: the packed row p*y of ``lanes`` lanes, whose
+    Z/p^a-span is m*y when m = pR (d = 1, as in ``eliminator``)."""
+    p, q, (w, s, m) = additive.p, additive.cofactor[0], additive.barrett
+    low = _low(w, s, lanes)
+
+    def rows(y: int) -> tuple:
+        y *= p
+        return (y - q * (y * m >> s & low),)
+
+    return rows
 
 
 def kernel(additive, lanes: int) -> tuple:

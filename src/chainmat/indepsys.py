@@ -10,18 +10,18 @@ shifts, and label sets are formed only where the API returns them; the
 library's own families and clutters skip re-validation (``_from_bits``).
 ``build_from_matrix`` walks the independent column sets depth-first over
 extension masks, each column's row carried down the walk already reduced
-one level up.  Over Z/p^a (a ring whose additive group is cyclic) a set P
-whose span V is free is held as unit pivots, one row per column scaled to
-1 at its own lane and zero at the lanes of the pivots before it, and
-R^k = V (+) W for W the rows zero at every pivot lane: V & W = 0 by that
-triangularity (the first nonzero coefficient of a vector of V shows at its
-pivot's lane), and reducing at the pivots in order takes any row into W.
-g's row reduced so is a y in W with g - y in V, so span(P + g) =
-V (+) R*y, and mu(V (+) R*y) = mu(V) + [y != 0]: P + g is independent iff
-y != 0, the field rule, and stays free iff y has a unit lane.  Sets whose
-span is not free, and every set over a ring with d > 1 lanes per entry
-(where a lane step is not the ring's arithmetic), are decided from Howell
-forms (``build_from_matrix``); ``check_matroid``
+one level up.  Each set's span is held as F (+) N: F free, as unit pivots
+over Z/p^a (a ring whose additive group is cyclic), one row per column
+scaled to 1 at its own lane and zero at the lanes of the pivots before it,
+and N inside W, the rows zero at every pivot lane, as Howell forms of N
+and m*N.  R^k = F (+) W: F & W = 0 by that triangularity (the first
+nonzero coefficient of a vector of F shows at its pivot's lane), and
+reducing at the pivots in order takes any row into W.  With N = 0, g's
+row reduced so is a y in W with g - y in F, and mu(F (+) R*y) =
+mu(F) + [y != 0]: P + g is independent iff y != 0, the field rule, and
+stays free iff y has a unit lane, else is handed over with N = R*y.  Above
+it, and over a ring with d > 1 lanes per entry (F = 0), a set is decided
+by the growth of N's forms (``build_from_matrix``); ``check_matroid``
 decides the augmentation axiom from the rank table and reads the
 violators of each failing set off the family's bitset.  The byte-lane
 tables (ranks, X(I), the lanes of e outside X) come from one 8x8
@@ -457,10 +457,10 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     are the g below P's lowest element in ext[P - h] for every h in P.
     Each P - h + g is smaller than P, so those bits are final once P is
     found independent, as ``ext`` grows with each member.  A stack entry
-    ``[mask, pivot row or forms, candidates left, res, the parent's res,
-    the pivot's lane shift or None]`` per independent ancestor of the
-    current set (depth at most n) carries what each path reuses, and each
-    child S = P + g is decided from its parent's entry.
+    ``[mask, candidates left, res, the parent's res, pivot row or None, its
+    shift, Howell form of N, of m*N or None]`` per independent ancestor of
+    the current set (depth at most n) carries what each path reuses, and
+    each child S = P + g is decided from its parent's entry.
 
     S is independent iff |V| / |m*V| = q^|S| for V the span of S (Nakayama),
     decided without a vector set, in the additive coordinates of ``howell``
@@ -476,57 +476,52 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     P's test stores the row reduced by V of P in P's own ``res[g]``, for
     the tests of the P + h + g; otherwise no such set is tested.
 
-    *Pivot entries.*  When d = 1, R is Z/p^a itself, a lane holds an entry
-    and lane arithmetic modulo q = p^a is the ring's.  A set whose span is
-    free sits on the stack as a pivot entry: one pivot row h, the residual
-    of the column that joined it scaled by a unit to 1 at its lowest unit
-    lane, and the bit ``shift`` of that lane.  The root holds pivot 0, as
-    {0} is free, and the pivots of P's path, one per element of P, span V.
-    At P, g's carried row is reduced at P's lane by one step
+    *Entries.*  Each entry holds V as F (+) N: F free, spanned by the s
+    unit pivots of P's path, and N inside W, the rows zero at every pivot
+    lane, held as Howell forms of N and m*N (the Z/p^a-spans of the rows
+    b*y and t*y over y in N, b and t running over additive generators of R
+    and m).  A pivot entry is the case N = 0, with zero forms: one pivot
+    row h, the residual of the column that joined it scaled by a unit to 1
+    at its lowest unit lane, and the bit ``shift`` of that lane.  Pivots
+    need d = 1, where R is Z/p^a itself and lane arithmetic modulo q = p^a
+    is the ring's; the root holds pivot 0 ({0} is free).  When d > 1 (an
+    extension field, a Galois or ramified ring, a table ring) every entry
+    is the case s = 0, N = V: reducing at a pivot would need the ring
+    product c*h, an image look-up per entry for each additive generator,
+    while the Howell forms only ever add Z/p^a multiples of packed rows.
+
+    At a pivot entry g's carried row is reduced at P's lane by one step
     (``howell.eliminator``), y - c*h as y + (q - c)*h and the lane
     reduction.  Each pivot is zero at the lanes of the pivots below it on
-    the stack, and so is every row carried to a child: it was zero at those
-    lanes before the step, and h is too.  Lemma: R^k = V (+) W, for W the
-    rows zero at every pivot lane of P's path.  V & W = 0: a vector
-    sum c_i*h_i of V shows c_i at the lane of the first pivot h_i with
-    c_i != 0, as the pivots after it are zero there (triangularity).
-    V + W = R^k: the steps at the pivots in order take any row into W.  The
-    reduced row y lies in W and g - y in V, so span(S) = V + R*y =
-    V (+) R*y, and as mu adds over direct sums ((A (+) B)/m(A (+) B) =
-    A/mA (+) B/mB), mu(V (+) R*y) = mu(V) + [y != 0] = |P| + [y != 0]:
-    S is independent iff y != 0.  R*y is free iff ann(y) = 0, iff some
-    lane of y is a unit, iff p^(a-1)*y != 0 (``howell.unit_pivot``); S is
-    then free, and pivots on that lane.
+    the stack, and so is every row carried to a child.  Lemma:
+    R^k = F (+) W.  F & W = 0: a vector sum c_i*h_i of F shows c_i at the
+    lane of the first pivot h_i with c_i != 0, as the pivots after it are
+    zero there (triangularity).  F + W = R^k: the steps at the pivots in
+    order take any row into W.  y lies in W and g - y in F, so
+    span(S) = F (+) R*y, and as mu adds over direct sums
+    ((A (+) B)/m(A (+) B) = A/mA (+) B/mB), mu(F (+) N) = s + mu(N): S is
+    independent iff y != 0.  R*y is free iff some lane of y is a unit, iff
+    p^(a-1)*y != 0 (``howell.unit_pivot``), and S then pivots on that
+    lane.  Otherwise S is handed over: N = R*y, its form from one insert
+    of y, m*N left for later.  Above it s stays fixed, as N's rows need not
+    be zero at a unit lane of a later residual.
 
-    *Howell entries.*  Otherwise S is independent but its span is not free,
-    and S and its subtree are decided from Howell forms of V and m*V, the
-    Z/p^a-spans of the rows b*s and t*s over s in S, b and t running over
-    additive generators of R and m.  Handed over from a pivot entry, S
-    forms V from its columns' raw rows (d = 1: one row each) and leaves m*V
-    for later.  The ring's ``howell.kernel`` for k*d lanes gives g's own
-    row (``ring_gens[0]`` is 1) to ``extend``, which leaves P's Howell form
-    of V as it is and returns the row reduced by it, a grown copy and the
-    growth, and g's other rows b*g to ``insert`` on that copy.  If g's row
-    adds nothing, g and so R*g lie in V, and S is dependent.  As P is
-    independent, S is iff log_p of V's growth less m*V's is f (q = p^f);
-    m*V never shrinks, so a growth below f makes S dependent.  A growth of
-    log_p |R| makes S independent without m*V:
-    |V + Rg| = |V| |Rg| / |V & Rg| <= |V| |R| is an equality only when
-    ann(g) = 0 and V & Rg = 0, so V + Rg = V (+) Rg and
-    S/mS = P/mP (+) R/m.  Only a growth in between needs m*V: a Howell
-    entry holds ``None`` for its form until such a descendant fills it in
-    from the nearest Howell entry below that has one, or from the m-rows
-    of all its columns at the first Howell entry of the path, so each form
-    is built at most once, and only when asked for.  The carried rows give
-    every growth, and so every verdict, of the raw rows, whether they were
-    reduced by pivots or by Howell forms: either way they differ from the
-    raw rows by vectors of V.
-
-    A ring with d > 1 (an extension field, a Galois or ramified ring, a
-    table ring) starts and stays on Howell entries.  There a lane step is
-    not the ring's arithmetic: reducing at a pivot needs the ring product
-    c*h, an image look-up per entry for each additive generator, while the
-    Howell forms only ever add Z/p^a multiples of packed rows.
+    At any other entry ``extend`` (the ring's ``howell.kernel`` for k*d
+    lanes) reduces g's carried row, which lies in W, by N's form and returns
+    the residual y, a grown copy and the growth; g's other rows b*g
+    (``ring_gens[0]`` is 1) go to ``insert`` on that copy.  If y is 0, g
+    lies in V, and S is dependent.  As P is independent, S is iff log_p of
+    N's growth less m*N's is f (q = p^f); m*N never shrinks, so a growth
+    below f makes S dependent.  A growth of log_p |R| makes S independent
+    without m*N: |N + Ry| = |N| |Ry| / |N & Ry| <= |N| |R| is an equality
+    only when ann(y) = 0 and N & Ry = 0, so S/mS = P/mP (+) R/m.  Only a
+    growth in between needs m*N: an entry holds ``None`` for it until such a
+    descendant fills it in from the nearest entry below that has one, each
+    entry's form the one below it plus the m-rows of the column that joined
+    it, so each form is built at most once, and only when asked for.  Over
+    Z/p^a, m = pR and the m-rows of a column are p*y for its residual y,
+    which lie in W (p*g would not: g - y lies in F); when d > 1 they are the
+    raw rows t*g, which differ from the t*y by vectors of m*N.
 
     The walk is capped by the paper's characterisation of chain rings:
     there the generator count mu is monotone on submodules, so
@@ -540,67 +535,63 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
     if n > MAX_GROUND:
         raise GroundSetTooLargeError(f"{n} columns > {MAX_GROUND}")
     # here: only a route that runs it compiles it
-    from .howell import eliminator, kernel, rows_over, unit_pivot
+    from .howell import eliminator, kernel, radical_rows, rows_over, unit_pivot
 
     ring = a.ring
     cols = a.columns()
     r = minimal_generator_count(ring, cols) if ring.is_chain else n
     additive = ring.additive
     f, d = additive.residue_degree, len(additive.coords[0])
-    rows = [(rows_over(ring, c, additive.ring_gens), rows_over(ring, c, additive.radical_gens)) for c in cols]
-    raw = {1 << i: vrows.pop(0) for i, (vrows, _) in enumerate(rows)}  # g's own row: ring_gens[0] is 1
     full = _factor_prime_power(ring.size)[1]  # log_p |R|, not d*a: R may sit in (Z/p^a)^d properly
     lanes = d * a.nrows
     zero = [None] * lanes
     insert, extend = kernel(additive, lanes)
     eliminate = eliminator(additive, lanes)  # bound per build: only this walk takes the step
+    vrows = {1 << i: rows_over(ring, c, additive.ring_gens) for i, c in enumerate(cols)}
+    raw = {bit: rows.pop(0) for bit, rows in vrows.items()}  # g's own row: ring_gens[0] is 1
+    if d == 1:  # m = pR, and p*y lies in W with the residual y
+        times_p = radical_rows(additive, lanes)
+        m_rows = lambda bit, y: times_p(y)  # noqa: E731
+    else:  # no set pivots, so the raw rows t*g differ from the t*y by vectors of m*N
+        radical = {1 << i: rows_over(ring, c, additive.radical_gens) for i, c in enumerate(cols)}
+        m_rows = lambda bit, y: radical[bit]  # noqa: E731
     ext = {0: 0}  # member Q -> the g below Q's lowest element with Q + g independent
-    # [mask, pivot row or [Howell form of V, of m*V or None], candidates left, res,
-    # the parent's res, the pivot's lane shift or None] of independent ancestors;
-    # span {0} is free, with pivot 0 (d = 1)
-    left = (1 << n) - 1 if r else 0
-    stack = [[0, 0, left, {}, raw, 0] if d == 1 else [0, [zero, zero], left, {}, raw, None]]
+    # independent ancestors: [mask, left, res, parent's res, pivot, shift, N, m*N] (docstring)
+    stack = [[0, (1 << n) - 1 if r else 0, {}, raw, 0 if d == 1 else None, 0, zero, zero]]
     while stack:
         top = stack[-1]
-        parent, held, left, res, carried, shift = top
+        parent, left, res, carried, pivot, shift, nform, mform = top
         if not left:
             stack.pop()
             continue
         bit = left & -left
-        top[2] = left ^ bit
+        top[1] = left ^ bit
         mask = parent | bit
-        if shift is not None:  # a pivot entry: S is independent iff the row is nonzero
-            residual = eliminate(carried[bit], held, shift)
+        if pivot is not None:  # N = 0: S is independent iff the row reduced at the pivot is nonzero
+            residual = eliminate(carried[bit], pivot, shift)
             if not residual:
                 continue
-        else:  # a Howell entry: held is [form of V, of m*V or None]
-            residual, vform, grown = extend(held[0], carried[bit])
+        else:
+            residual, nform, grown = extend(nform, carried[bit])
             if not grown:  # g itself lies in V, so R*g does
                 continue
-            vrows, mrows = rows[bit.bit_length() - 1]
-            for row in vrows:  # the rows b*g but g's own
-                grown += insert(vform, row)
+            for row in vrows[bit]:  # the rows b*g but g's own
+                grown += insert(nform, row)
             if grown < f:
                 continue
             mform = None  # R*g splits off as a free summand when grown == full
             if grown < full:
-                if held[1] is None:  # fill m*V up from the nearest entry below that has it
+                if top[7] is None:  # fill m*N up from the nearest entry below that has it
                     i = len(stack) - 1
-                    while stack[i - 1][5] is None and stack[i - 1][1][1] is None:
+                    while stack[i - 1][7] is None:
                         i -= 1
                     for below, above in zip(stack[i - 1 :], stack[i:]):
-                        if below[5] is None:  # a Howell entry: its m*V plus m*h for the one new h
-                            form, new = below[1][1][:], above[0] ^ below[0]
-                        else:  # the first Howell entry: m*V from the m*h of every column h
-                            form, new = zero[:], above[0]
-                        while new:
-                            low = new & -new
-                            for row in rows[low.bit_length() - 1][1]:
-                                insert(form, row)
-                            new ^= low
-                        above[1][1] = form
-                mform = held[1][:]
-                for row in mrows:
+                        low = above[0] & -above[0]  # the column that joined ``above``
+                        above[7] = form = below[7][:]
+                        for row in m_rows(low, above[3][low]):
+                            insert(form, row)
+                mform = top[7][:]
+                for row in m_rows(bit, residual):
                     grown -= insert(mform, row)
                 if grown != f:
                     continue
@@ -615,19 +606,14 @@ def build_from_matrix(a: Mat) -> IndependenceSystem:
                 x ^= h
             if not children:
                 continue
-            if shift is None:
-                stack.append([mask, [vform, mform], children, {}, res, None])
-                continue
-            pivot = unit_pivot(additive, lanes, residual)
-            if pivot is not None:  # S stays free: it pivots on the residual's lowest unit lane
-                stack.append([mask, pivot[1], children, {}, res, pivot[0]])
-                continue
-            vform, x = zero[:], mask  # the residual lies in m^k: S is the first Howell entry
-            while x:
-                h = x & -x
-                insert(vform, raw[h])  # d = 1: g's own row is its only V row
-                x ^= h
-            stack.append([mask, [vform, None], children, {}, res, None])
+            if pivot is not None:
+                pivot = unit_pivot(additive, lanes, residual)
+                if pivot is None:  # y lies in m^k: S is handed over, with N = R*y
+                    nform, mform = zero[:], None
+                    insert(nform, residual)
+                else:  # S stays free: it pivots on y's lowest unit lane
+                    shift, pivot = pivot
+            stack.append([mask, children, {}, res, pivot, shift, nform, mform])
     return IndependenceSystem._from_bits(a.labels, _bits(ext, n), ext)
 
 

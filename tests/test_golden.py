@@ -18,13 +18,10 @@ def test_answers_match_the_frozen_corpus():
     # c*x + y (c in m) columns, and the packaged matrices.
     with open(CORPUS) as fh:
         entries = json.load(fh)["entries"]
-    rings = {}
     for entry in entries:
         name = entry.pop("name")
         if name.startswith("data:"):
             mat = load_matrix(name[5:] + ".mat")
         else:
-            spec = entry.pop("ring")
-            ring = rings.get(spec) or rings.setdefault(spec, make_ring(spec))
-            mat = Mat(ring, entry.pop("labels"), entry.pop("rows"))
+            mat = Mat(make_ring(entry.pop("ring")), entry.pop("labels"), entry.pop("rows"))
         assert answer_digests(mat) == entry, name

@@ -447,6 +447,21 @@ def test_dependent_child_costs_one_insert(monkeypatch):
         assert len(calls) == 4 + 1 + 2, ring
 
 
+def test_hand_over_inserts_one_row(monkeypatch):
+    # Columns e1, p*e2, e3 over Z/p^a: {2} lies in m^3, and so does p*e2
+    # reduced at the pivot of {3}, so {2} and {2, 3} are handed over to
+    # Howell forms, each with N = R*y formed by one insert of its residual
+    # y, not a row per column of the set; e1 splits off as a free summand
+    # of {1, 2} and {1, 2, 3}, one extend each; {1}, {2}, {3}, {1, 3} and
+    # {2, 3} are five pivot steps.
+    calls = _walk_inserts(monkeypatch)
+    for ring, p in _radical_column_rings():
+        mat = Mat(ring, "123", [[1, 0, 0], [0, p, 0], [0, 0, 1]])
+        calls.clear()
+        assert build_from_matrix(mat) == uniform_system(3, 3)
+        assert len(calls) == 5 + 2 + 2, ring
+
+
 def test_walk_tests_each_set_once(monkeypatch):
     # Over a prime field R*g is one row and m = 0, so every span is free and
     # each tested set costs one pivot step.  The walk tests every member but
